@@ -59,7 +59,7 @@ AreaRecoveryResult area_recovery(const SystemModel& sys,
   problem.capacity = static_cast<double>(slack - 1);
 
   const ilp::MckpSolution sol = ilp::solve_mckp(problem);
-  if (!sol.feasible) return result;
+  if (!sol.feasible()) return result;
 
   result.feasible = true;
   result.selection.resize(static_cast<std::size_t>(sys.num_processes()));

@@ -65,7 +65,7 @@ TimingOptResult timing_optimization(const SystemModel& sys,
   stage_a.capacity =
       area_budget ? (*area_budget - sys.total_area()) : 0.0;
   const ilp::MckpSolution best_gain = ilp::solve_mckp(stage_a);
-  if (!best_gain.feasible) return result;
+  if (!best_gain.feasible()) return result;
   const auto l_star = static_cast<std::int64_t>(best_gain.value + 0.5);
 
   // Stage B: keep at least min(L*, needed) of that gain while recovering
@@ -95,7 +95,7 @@ TimingOptResult timing_optimization(const SystemModel& sys,
   const ilp::MckpSolution refined = ilp::solve_mckp(stage_b);
 
   const ilp::MckpSolution* chosen = &best_gain;
-  if (refined.feasible) {
+  if (refined.feasible()) {
     if (!area_budget) {
       chosen = &refined;
     } else {

@@ -6,16 +6,29 @@
 // items = Pareto implementations): area recovery maximizes cumulative area
 // gain subject to the latency-slack budget on the critical cycle; timing
 // optimization maximizes latency gain (optionally under an area budget —
-// the "dual formulation" the paper mentions). Two solvers are provided:
-//  * solve_mckp      — exact, via the generic ILP branch-and-bound;
-//  * solve_mckp_dp   — exact dynamic program over integer weights, used to
-//                      cross-check the ILP path in tests and for large
-//                      instances with small weight ranges.
+// the "dual formulation" the paper mentions). The paper hands them to GLPK;
+// here two exact solvers are provided:
+//  * solve_mckp      — depth-first branch-and-bound specialised to MCKP.
+//                      Groups whose items all share one weight are fixed up
+//                      front to their first max-value item; every other
+//                      node is bounded by the LP relaxation, i.e. greedy
+//                      over the per-group upper convex hulls with segments
+//                      sorted once by incremental efficiency (Sinha &
+//                      Zoltners 1979; Pisinger 1995). The root LP rounded
+//                      down is a feasible selection whose value seeds the
+//                      pruning threshold. Groups are searched in order and
+//                      items in index order, and a node is pruned when its
+//                      bound is <= incumbent + 1e-9, so of several optima
+//                      the lexicographically smallest choice vector is
+//                      returned. Weights may be negative or fractional.
+//  * solve_mckp_dp   — exact dynamic program over integer weights, the
+//                      test oracle for solve_mckp.
+//
+// A solution is feasible when its total weight is at most capacity + 1e-9.
 
 #include <cstdint>
+#include <limits>
 #include <vector>
-
-#include "ilp/model.h"
 
 namespace ermes::ilp {
 
@@ -29,15 +42,31 @@ struct MckpProblem {
   double capacity = 0.0;                      // sum of weights <= capacity
 };
 
+enum class MckpStatus {
+  kOptimal,     // choice is an optimum
+  kInfeasible,  // no choice fits the capacity (or a group is empty)
+  kLimit,       // node cap hit: choice is feasible but maybe not optimal
+};
+
 struct MckpSolution {
-  bool feasible = false;
+  MckpStatus status = MckpStatus::kInfeasible;
+  /// Upper bound on the optimum from the root LP relaxation (solve_mckp; the
+  /// DP reports its exact value). -infinity when infeasible.
+  double bound = -std::numeric_limits<double>::infinity();
   double value = 0.0;
   double weight = 0.0;
   std::vector<std::size_t> choice;  // item index per group
+  /// True for optimal and limit results: `choice` is a usable selection.
+  bool feasible() const { return status != MckpStatus::kInfeasible; }
 };
 
-/// Exact solution through the generic branch-and-bound.
-MckpSolution solve_mckp(const MckpProblem& problem);
+/// Search-node cap of solve_mckp; the DSE problems stay far below it.
+inline constexpr std::int64_t kMckpMaxNodes = 1'000'000;
+
+/// Exact branch-and-bound (see above). When more than `max_nodes` nodes
+/// would be searched, returns the best incumbent with status kLimit.
+MckpSolution solve_mckp(const MckpProblem& problem,
+                        std::int64_t max_nodes = kMckpMaxNodes);
 
 /// Exact DP; requires integer weights (asserted). Negative weights are
 /// handled by per-group shifting. O(sum(items) * weight-range).

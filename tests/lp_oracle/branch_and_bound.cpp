@@ -1,13 +1,11 @@
-#include "ilp/branch_and_bound.h"
+#include "lp_oracle/branch_and_bound.h"
 
 #include <cmath>
 #include <vector>
 
-#include "ilp/simplex.h"
-#include "obs/metrics.h"
-#include "obs/span.h"
+#include "lp_oracle/simplex.h"
 
-namespace ermes::ilp {
+namespace ermes::lp_oracle {
 
 namespace {
 
@@ -19,8 +17,6 @@ struct Node {
 }  // namespace
 
 Solution solve_ilp(const Model& model, const BnbOptions& options) {
-  obs::ObsSpan span("ilp.solve", "ilp");
-  obs::count("ilp.solves");
   const auto n = static_cast<std::size_t>(model.num_vars());
   Node root;
   root.lo.resize(n);
@@ -50,7 +46,6 @@ Solution solve_ilp(const Model& model, const BnbOptions& options) {
     if (relax.status == SolveStatus::kUnbounded) {
       // An unbounded relaxation of a node with finite integer bounds means
       // continuous unboundedness: propagate.
-      obs::count("ilp.bnb_nodes", nodes);
       return Solution{SolveStatus::kUnbounded, 0.0, {}};
     }
     if (relax.status != SolveStatus::kOptimal) continue;
@@ -111,12 +106,10 @@ Solution solve_ilp(const Model& model, const BnbOptions& options) {
     }
   }
 
-  obs::count("ilp.bnb_nodes", nodes);
-  obs::observe("ilp.bnb_nodes_per_solve", nodes);
   if (hit_limit && best.status == SolveStatus::kOptimal) {
     best.status = SolveStatus::kLimit;
   }
   return best;
 }
 
-}  // namespace ermes::ilp
+}  // namespace ermes::lp_oracle

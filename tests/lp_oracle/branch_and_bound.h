@@ -3,11 +3,11 @@
 //
 // Depth-first search branching on the most fractional integer variable;
 // nodes are pruned when the LP bound cannot beat the incumbent. Exact for
-// the small multiple-choice problems of the DSE methodology.
+// small problems; the tests use it to cross-check ilp::solve_mckp.
 
-#include "ilp/model.h"
+#include "lp_oracle/model.h"
 
-namespace ermes::ilp {
+namespace ermes::lp_oracle {
 
 struct BnbOptions {
   std::int64_t max_nodes = 1'000'000;
@@ -21,4 +21,4 @@ struct BnbOptions {
 /// means the node budget was exhausted (best incumbent returned if any).
 Solution solve_ilp(const Model& model, const BnbOptions& options = {});
 
-}  // namespace ermes::ilp
+}  // namespace ermes::lp_oracle

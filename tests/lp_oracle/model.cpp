@@ -1,10 +1,10 @@
-#include "ilp/model.h"
+#include "lp_oracle/model.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
 
-namespace ermes::ilp {
+namespace ermes::lp_oracle {
 
 LinearExpr normalize(LinearExpr expr) {
   std::sort(expr.begin(), expr.end(),
@@ -99,4 +99,4 @@ bool Model::is_feasible(const std::vector<double>& x, double tol) const {
   return true;
 }
 
-}  // namespace ermes::ilp
+}  // namespace ermes::lp_oracle

@@ -1,19 +1,19 @@
 #pragma once
-// Small (I)LP modeling API — ERMES' stand-in for GLPK.
+// Small (I)LP modeling API — a generic test oracle, not part of the library.
 //
 // The paper formulates area recovery and timing optimization as ILPs solved
-// with GLPK. This module provides the modeling surface (variables, linear
-// constraints, objective) backed by a dense two-phase simplex (simplex.h)
-// and a 0/1 branch-and-bound (branch_and_bound.h). Problem sizes in the
-// methodology are small (one binary per (process, implementation) pair), so
-// a dense exact solver is entirely adequate.
+// with GLPK; the library solves them with the dedicated MCKP solver
+// (src/ilp/mckp.h). This generic path — variables, linear constraints and an
+// objective, backed by a dense two-phase simplex (simplex.h) and a
+// branch-and-bound (branch_and_bound.h) — is kept under tests/ as a second,
+// independent oracle for that solver.
 
 #include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
 
-namespace ermes::ilp {
+namespace ermes::lp_oracle {
 
 using VarId = std::int32_t;
 
@@ -101,4 +101,4 @@ struct Solution {
 /// Normalizes an expression: merges duplicate variables, drops zeros.
 LinearExpr normalize(LinearExpr expr);
 
-}  // namespace ermes::ilp
+}  // namespace ermes::lp_oracle

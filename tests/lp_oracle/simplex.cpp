@@ -1,13 +1,12 @@
-#include "ilp/simplex.h"
+#include "lp_oracle/simplex.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
 
-#include "obs/metrics.h"
 #include "util/log.h"
 
-namespace ermes::ilp {
+namespace ermes::lp_oracle {
 
 namespace {
 
@@ -78,7 +77,6 @@ class Tableau {
   }
 
   void pivot(std::size_t row, std::size_t col) {
-    ++pivots_;
     const double pivot_val = a_[row][col];
     assert(std::abs(pivot_val) > kTol);
     const double inv = 1.0 / pivot_val;
@@ -122,20 +120,13 @@ class Tableau {
 
   std::vector<double> red_;
   double obj_ = 0.0;
-  std::int64_t pivots_ = 0;
 };
 
-// Publishes the tableau's pivot count on every exit path of solve_lp.
-struct PivotPublisher {
-  const Tableau& tab;
-  ~PivotPublisher() { obs::count("ilp.simplex_pivots", tab.pivots_); }
-};
 
 }  // namespace
 
 Solution solve_lp(const Model& model, const std::vector<double>& lo_override,
                   const std::vector<double>& hi_override) {
-  obs::count("ilp.lp_solves");
   const auto n = static_cast<std::size_t>(model.num_vars());
   std::vector<double> lo(n), hi(n);
   for (std::size_t v = 0; v < n; ++v) {
@@ -221,7 +212,6 @@ Solution solve_lp(const Model& model, const std::vector<double>& lo_override,
   }
   const std::size_t total_cols = n + num_slack + num_art;
   Tableau tab(m, total_cols);
-  const PivotPublisher pivot_publisher{tab};
   std::size_t next_art = n + num_slack;
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t v = 0; v < n; ++v) tab.a_[i][v] = norm[i].coeffs[v];
@@ -292,4 +282,4 @@ Solution solve_lp(const Model& model, const std::vector<double>& lo_override,
   return sol;
 }
 
-}  // namespace ermes::ilp
+}  // namespace ermes::lp_oracle

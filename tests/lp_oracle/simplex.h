@@ -4,15 +4,15 @@
 // Variables are shifted to x' = x - lo >= 0; finite upper bounds become
 // explicit rows. Phase 1 minimizes the sum of artificial variables to find
 // a basic feasible solution; phase 2 optimizes the real objective. Bland's
-// rule is used to guarantee termination. Intended for the small/medium
-// problems of the DSE methodology, not as a general-purpose LP code.
+// rule is used to guarantee termination. A test oracle for small problems,
+// not a general-purpose LP code.
 
 #include <optional>
 #include <vector>
 
-#include "ilp/model.h"
+#include "lp_oracle/model.h"
 
-namespace ermes::ilp {
+namespace ermes::lp_oracle {
 
 /// Solves the LP relaxation of `model` (integrality dropped). When
 /// `lo_override`/`hi_override` are non-empty they replace the variable
@@ -21,4 +21,4 @@ Solution solve_lp(const Model& model,
                   const std::vector<double>& lo_override = {},
                   const std::vector<double>& hi_override = {});
 
-}  // namespace ermes::ilp
+}  // namespace ermes::lp_oracle

@@ -34,12 +34,18 @@ std::string slurp(const std::string& path) {
   return buffer.str();
 }
 
+// A per-process path under the test temp dir. ctest runs each test in its
+// own process, in parallel; a shared model file would be rewritten by one
+// test while another test's CLI is still reading it.
+std::string temp_path(const std::string& name) {
+  return ::testing::TempDir() + "/ermes_cli_" + std::to_string(::getpid()) +
+         "_" + name;
+}
+
 // Runs `ermes <args>` through the shell, capturing stdout/stderr.
 RunResult run_cli(const std::string& args) {
   static int counter = 0;
-  const std::string base =
-      ::testing::TempDir() + "/ermes_cli_" + std::to_string(::getpid()) +
-      "_" + std::to_string(counter++);
+  const std::string base = temp_path(std::to_string(counter++));
   const std::string out_path = base + ".out";
   const std::string err_path = base + ".err";
   const std::string command = std::string(ERMES_CLI_PATH) + " " + args +
@@ -63,13 +69,15 @@ void expect_error_line(const RunResult& result) {
 }
 
 std::string demo_path() {
-  static std::string path = [] {
-    const std::string p = ::testing::TempDir() + "/ermes_cli_demo.soc";
-    ermes::io::save_soc(ermes::sysmodel::make_dac14_motivating_example(), p,
-                        "dac14_motivating");
-    return p;
-  }();
-  return path;
+  static const struct DemoFile {
+    std::string path = temp_path("demo.soc");
+    DemoFile() {
+      ermes::io::save_soc(ermes::sysmodel::make_dac14_motivating_example(),
+                          path, "dac14_motivating");
+    }
+    ~DemoFile() { std::remove(path.c_str()); }
+  } demo;
+  return demo.path;
 }
 
 TEST(CliExitCodes, SuccessIsZero) {
@@ -109,7 +117,7 @@ TEST(CliExitCodes, MissingFileIsParseError) {
 }
 
 TEST(CliExitCodes, MalformedModelIsParseError) {
-  const std::string bad = ::testing::TempDir() + "/ermes_cli_bad.soc";
+  const std::string bad = temp_path("bad.soc");
   std::ofstream(bad) << "process a latency banana\n";
   const RunResult result = run_cli("analyze " + bad);
   EXPECT_EQ(result.exit_code, 3);
@@ -120,7 +128,7 @@ TEST(CliExitCodes, MalformedModelIsParseError) {
 
 TEST(CliExitCodes, DeadlockIsAnalysisFailure) {
   // Two processes blocked on each other with no primed token: deadlock.
-  const std::string dead = ::testing::TempDir() + "/ermes_cli_dead.soc";
+  const std::string dead = temp_path("dead.soc");
   std::ofstream(dead) << "system dead\n"
                          "process a latency 1\n"
                          "process b latency 1\n"
@@ -157,7 +165,7 @@ TEST(CliExitCodes, SimulateTextAndJsonAgree) {
 }
 
 TEST(CliExitCodes, SimulateDeadlockIsAnalysisFailure) {
-  const std::string dead = ::testing::TempDir() + "/ermes_cli_simdead.soc";
+  const std::string dead = temp_path("simdead.soc");
   std::ofstream(dead) << "system dead\n"
                          "process a latency 1\n"
                          "process b latency 1\n"

@@ -1,248 +1,20 @@
-// Unit tests for the ILP substrate: simplex LP solving, 0/1 branch & bound,
-// multiple-choice knapsack (ILP path vs DP cross-check).
+// Tests for the multiple-choice knapsack solvers: the specialised
+// branch-and-bound (solve_mckp) against the integer DP (solve_mckp_dp), a
+// brute-force enumerator and the generic LP/ILP oracle under tests/lp_oracle.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <optional>
 
-#include "ilp/branch_and_bound.h"
 #include "ilp/mckp.h"
-#include "ilp/model.h"
-#include "ilp/simplex.h"
+#include "lp_oracle/branch_and_bound.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace ermes::ilp {
 namespace {
-
-// ---- model -----------------------------------------------------------------
-
-TEST(ModelTest, NormalizeMergesAndDropsZeros) {
-  const LinearExpr expr = normalize({{1, 2.0}, {0, 1.0}, {1, 3.0}, {2, 0.0}});
-  ASSERT_EQ(expr.size(), 2u);
-  EXPECT_EQ(expr[0].var, 0);
-  EXPECT_DOUBLE_EQ(expr[1].coeff, 5.0);
-}
-
-TEST(ModelTest, ObjectiveValue) {
-  Model m;
-  const VarId x = m.add_continuous("x");
-  const VarId y = m.add_continuous("y");
-  m.set_objective({{x, 2.0}, {y, -1.0}}, true);
-  EXPECT_DOUBLE_EQ(m.objective_value({3.0, 4.0}), 2.0);
-}
-
-TEST(ModelTest, FeasibilityCheck) {
-  Model m;
-  const VarId x = m.add_binary("x");
-  m.add_constraint({{x, 1.0}}, Sense::kLe, 0.5, "cap");
-  EXPECT_TRUE(m.is_feasible({0.0}));
-  EXPECT_FALSE(m.is_feasible({1.0}));   // violates cap
-  EXPECT_FALSE(m.is_feasible({0.5}));   // violates integrality
-}
-
-// ---- simplex ----------------------------------------------------------------
-
-TEST(SimplexTest, SimpleMaximization) {
-  // max 3x + 2y s.t. x + y <= 4, x + 3y <= 6, x,y >= 0 -> (4, 0), obj 12.
-  Model m;
-  const VarId x = m.add_continuous("x");
-  const VarId y = m.add_continuous("y");
-  m.add_constraint({{x, 1.0}, {y, 1.0}}, Sense::kLe, 4.0);
-  m.add_constraint({{x, 1.0}, {y, 3.0}}, Sense::kLe, 6.0);
-  m.set_objective({{x, 3.0}, {y, 2.0}}, true);
-  const Solution sol = solve_lp(m);
-  ASSERT_TRUE(sol.optimal());
-  EXPECT_NEAR(sol.objective, 12.0, 1e-7);
-  EXPECT_NEAR(sol.values[0], 4.0, 1e-7);
-}
-
-TEST(SimplexTest, Minimization) {
-  // min x + y s.t. x + 2y >= 4, 3x + y >= 6 -> intersection (1.6, 1.2).
-  Model m;
-  const VarId x = m.add_continuous("x");
-  const VarId y = m.add_continuous("y");
-  m.add_constraint({{x, 1.0}, {y, 2.0}}, Sense::kGe, 4.0);
-  m.add_constraint({{x, 3.0}, {y, 1.0}}, Sense::kGe, 6.0);
-  m.set_objective({{x, 1.0}, {y, 1.0}}, false);
-  const Solution sol = solve_lp(m);
-  ASSERT_TRUE(sol.optimal());
-  EXPECT_NEAR(sol.objective, 2.8, 1e-7);
-}
-
-TEST(SimplexTest, EqualityConstraint) {
-  Model m;
-  const VarId x = m.add_continuous("x");
-  const VarId y = m.add_continuous("y");
-  m.add_constraint({{x, 1.0}, {y, 1.0}}, Sense::kEq, 5.0);
-  m.set_objective({{x, 1.0}}, true);
-  const Solution sol = solve_lp(m);
-  ASSERT_TRUE(sol.optimal());
-  EXPECT_NEAR(sol.values[0], 5.0, 1e-7);
-  EXPECT_NEAR(sol.values[1], 0.0, 1e-7);
-}
-
-TEST(SimplexTest, InfeasibleDetected) {
-  Model m;
-  const VarId x = m.add_continuous("x", 0.0, 10.0);
-  m.add_constraint({{x, 1.0}}, Sense::kGe, 20.0);
-  EXPECT_EQ(solve_lp(m).status, SolveStatus::kInfeasible);
-}
-
-TEST(SimplexTest, UnboundedDetected) {
-  Model m;
-  const VarId x = m.add_continuous("x");
-  m.set_objective({{x, 1.0}}, true);
-  EXPECT_EQ(solve_lp(m).status, SolveStatus::kUnbounded);
-}
-
-TEST(SimplexTest, VariableBoundsRespected) {
-  Model m;
-  const VarId x = m.add_continuous("x", 1.0, 3.0);
-  m.set_objective({{x, 1.0}}, true);
-  const Solution sol = solve_lp(m);
-  ASSERT_TRUE(sol.optimal());
-  EXPECT_NEAR(sol.values[0], 3.0, 1e-7);
-}
-
-TEST(SimplexTest, LowerBoundShiftCorrect) {
-  // min x with lo = -5: answer -5 (negative bounds shift correctly).
-  Model m;
-  const VarId x = m.add_continuous("x", -5.0, 5.0);
-  m.set_objective({{x, 1.0}}, false);
-  const Solution sol = solve_lp(m);
-  ASSERT_TRUE(sol.optimal());
-  EXPECT_NEAR(sol.values[0], -5.0, 1e-7);
-}
-
-TEST(SimplexTest, NegativeRhsNormalized) {
-  // x - y <= -1 with max x, x,y in [0,10] -> x = 9 when y = 10.
-  Model m;
-  const VarId x = m.add_continuous("x", 0.0, 10.0);
-  const VarId y = m.add_continuous("y", 0.0, 10.0);
-  m.add_constraint({{x, 1.0}, {y, -1.0}}, Sense::kLe, -1.0);
-  m.set_objective({{x, 1.0}}, true);
-  const Solution sol = solve_lp(m);
-  ASSERT_TRUE(sol.optimal());
-  EXPECT_NEAR(sol.objective, 9.0, 1e-7);
-}
-
-TEST(SimplexTest, BoundOverridesApplied) {
-  Model m;
-  const VarId x = m.add_continuous("x", 0.0, 10.0);
-  m.set_objective({{x, 1.0}}, true);
-  const Solution sol = solve_lp(m, {0.0}, {2.5});
-  ASSERT_TRUE(sol.optimal());
-  EXPECT_NEAR(sol.values[0], 2.5, 1e-7);
-}
-
-TEST(SimplexTest, DegenerateProblemTerminates) {
-  // Multiple redundant constraints through the same vertex (degeneracy);
-  // Bland's rule must avoid cycling.
-  Model m;
-  const VarId x = m.add_continuous("x");
-  const VarId y = m.add_continuous("y");
-  m.add_constraint({{x, 1.0}, {y, 1.0}}, Sense::kLe, 1.0);
-  m.add_constraint({{x, 2.0}, {y, 2.0}}, Sense::kLe, 2.0);
-  m.add_constraint({{x, 1.0}}, Sense::kLe, 1.0);
-  m.set_objective({{x, 1.0}, {y, 1.0}}, true);
-  const Solution sol = solve_lp(m);
-  ASSERT_TRUE(sol.optimal());
-  EXPECT_NEAR(sol.objective, 1.0, 1e-7);
-}
-
-// ---- branch and bound --------------------------------------------------------
-
-TEST(BnbTest, IntegerKnapsack) {
-  // max 10a + 6b + 4c s.t. a+b+c <= 2 (binary) -> a + b = 16.
-  Model m;
-  const VarId a = m.add_binary("a");
-  const VarId b = m.add_binary("b");
-  const VarId c = m.add_binary("c");
-  m.add_constraint({{a, 1.0}, {b, 1.0}, {c, 1.0}}, Sense::kLe, 2.0);
-  m.set_objective({{a, 10.0}, {b, 6.0}, {c, 4.0}}, true);
-  const Solution sol = solve_ilp(m);
-  ASSERT_TRUE(sol.optimal());
-  EXPECT_NEAR(sol.objective, 16.0, 1e-7);
-  EXPECT_NEAR(sol.values[0], 1.0, 1e-7);
-  EXPECT_NEAR(sol.values[1], 1.0, 1e-7);
-}
-
-TEST(BnbTest, FractionalLpForcedIntegral) {
-  // LP relaxation of: max x + y, x + y <= 1.5 (binaries) is 1.5; ILP = 1.
-  Model m;
-  const VarId x = m.add_binary("x");
-  const VarId y = m.add_binary("y");
-  m.add_constraint({{x, 1.0}, {y, 1.0}}, Sense::kLe, 1.5);
-  m.set_objective({{x, 1.0}, {y, 1.0}}, true);
-  const Solution sol = solve_ilp(m);
-  ASSERT_TRUE(sol.optimal());
-  EXPECT_NEAR(sol.objective, 1.0, 1e-7);
-}
-
-TEST(BnbTest, InfeasibleIlp) {
-  Model m;
-  const VarId x = m.add_binary("x");
-  m.add_constraint({{x, 1.0}}, Sense::kGe, 2.0);
-  EXPECT_EQ(solve_ilp(m).status, SolveStatus::kInfeasible);
-}
-
-TEST(BnbTest, GeneralIntegerVariable) {
-  // max x s.t. 2x <= 7, x integer in [0, 10] -> 3.
-  Model m;
-  const VarId x = m.add_integer("x", 0, 10);
-  m.add_constraint({{x, 2.0}}, Sense::kLe, 7.0);
-  m.set_objective({{x, 1.0}}, true);
-  const Solution sol = solve_ilp(m);
-  ASSERT_TRUE(sol.optimal());
-  EXPECT_NEAR(sol.values[0], 3.0, 1e-7);
-}
-
-TEST(BnbTest, MixedIntegerContinuous) {
-  // max 2x + y, x binary, y <= 1.5 continuous, x + y <= 2 -> x=1, y=1.
-  Model m;
-  const VarId x = m.add_binary("x");
-  const VarId y = m.add_continuous("y", 0.0, 1.5);
-  m.add_constraint({{x, 1.0}, {y, 1.0}}, Sense::kLe, 2.0);
-  m.set_objective({{x, 2.0}, {y, 1.0}}, true);
-  const Solution sol = solve_ilp(m);
-  ASSERT_TRUE(sol.optimal());
-  EXPECT_NEAR(sol.objective, 3.0, 1e-7);
-}
-
-TEST(BnbTest, MinimizationDirection) {
-  // min x + y s.t. x + y >= 1, binaries -> 1.
-  Model m;
-  const VarId x = m.add_binary("x");
-  const VarId y = m.add_binary("y");
-  m.add_constraint({{x, 1.0}, {y, 1.0}}, Sense::kGe, 1.0);
-  m.set_objective({{x, 1.0}, {y, 1.0}}, false);
-  const Solution sol = solve_ilp(m);
-  ASSERT_TRUE(sol.optimal());
-  EXPECT_NEAR(sol.objective, 1.0, 1e-7);
-}
-
-TEST(BnbTest, SolutionIsFeasible) {
-  Model m;
-  std::vector<VarId> vars;
-  for (int i = 0; i < 6; ++i) vars.push_back(m.add_binary("x"));
-  LinearExpr cap;
-  LinearExpr obj;
-  const double w[] = {3, 5, 7, 2, 4, 6};
-  const double v[] = {4, 6, 9, 2, 5, 7};
-  for (int i = 0; i < 6; ++i) {
-    cap.push_back({vars[static_cast<std::size_t>(i)], w[i]});
-    obj.push_back({vars[static_cast<std::size_t>(i)], v[i]});
-  }
-  m.add_constraint(cap, Sense::kLe, 12.0);
-  m.set_objective(obj, true);
-  const Solution sol = solve_ilp(m);
-  ASSERT_TRUE(sol.optimal());
-  EXPECT_TRUE(m.is_feasible(sol.values));
-  EXPECT_NEAR(sol.objective, 15.0, 1e-7);  // {5,7} w=12 v=15
-}
-
-// ---- MCKP ---------------------------------------------------------------------
 
 MckpProblem small_mckp() {
   MckpProblem problem;
@@ -256,27 +28,31 @@ MckpProblem small_mckp() {
 
 TEST(MckpTest, IlpSolvesSmallInstance) {
   const MckpSolution sol = solve_mckp(small_mckp());
-  ASSERT_TRUE(sol.feasible);
+  ASSERT_EQ(sol.status, MckpStatus::kOptimal);
   // Best: group0 item0 (5,3) + group1 item1? 3+7=10 > 8. So (5,3)+(4,2)=9/5
   // or (8,6)+(4,2)=12 w 8 <= 8 -> value 12.
   EXPECT_NEAR(sol.value, 12.0, 1e-9);
   EXPECT_EQ(sol.choice[0], 1u);
   EXPECT_EQ(sol.choice[1], 0u);
+  EXPECT_GE(sol.bound, sol.value - 1e-9);
 }
 
 TEST(MckpTest, DpMatchesIlp) {
-  const MckpSolution ilp = solve_mckp(small_mckp());
+  const MckpSolution bnb = solve_mckp(small_mckp());
   const MckpSolution dp = solve_mckp_dp(small_mckp());
-  ASSERT_TRUE(dp.feasible);
-  EXPECT_NEAR(dp.value, ilp.value, 1e-9);
+  ASSERT_TRUE(dp.feasible());
+  EXPECT_NEAR(dp.value, bnb.value, 1e-9);
 }
 
 TEST(MckpTest, InfeasibleWhenCapacityTooSmall) {
   MckpProblem problem;
   problem.groups = {{{1.0, 5.0}}};
   problem.capacity = 3.0;
-  EXPECT_FALSE(solve_mckp(problem).feasible);
-  EXPECT_FALSE(solve_mckp_dp(problem).feasible);
+  const MckpSolution sol = solve_mckp(problem);
+  EXPECT_EQ(sol.status, MckpStatus::kInfeasible);
+  EXPECT_FALSE(sol.feasible());
+  EXPECT_EQ(sol.bound, -std::numeric_limits<double>::infinity());
+  EXPECT_FALSE(solve_mckp_dp(problem).feasible());
 }
 
 TEST(MckpTest, NegativeWeightsHandled) {
@@ -287,11 +63,11 @@ TEST(MckpTest, NegativeWeightsHandled) {
       {{0.0, 0.0}, {5.0, 4.0}},
   };
   problem.capacity = 0.0;
-  const MckpSolution ilp = solve_mckp(problem);
+  const MckpSolution bnb = solve_mckp(problem);
   const MckpSolution dp = solve_mckp_dp(problem);
-  ASSERT_TRUE(ilp.feasible);
-  ASSERT_TRUE(dp.feasible);
-  EXPECT_NEAR(ilp.value, 8.0, 1e-9);
+  ASSERT_TRUE(bnb.feasible());
+  ASSERT_TRUE(dp.feasible());
+  EXPECT_NEAR(bnb.value, 8.0, 1e-9);
   EXPECT_NEAR(dp.value, 8.0, 1e-9);
 }
 
@@ -311,12 +87,12 @@ TEST(MckpTest, RandomInstancesIlpEqualsDp) {
       problem.groups.push_back(std::move(group));
     }
     problem.capacity = static_cast<double>(rng.uniform_int(-3, 25));
-    const MckpSolution ilp = solve_mckp(problem);
+    const MckpSolution bnb = solve_mckp(problem);
     const MckpSolution dp = solve_mckp_dp(problem);
-    ASSERT_EQ(ilp.feasible, dp.feasible) << "trial " << trial;
-    if (ilp.feasible) {
-      EXPECT_NEAR(ilp.value, dp.value, 1e-6) << "trial " << trial;
-      EXPECT_LE(ilp.weight, problem.capacity + 1e-9);
+    ASSERT_EQ(bnb.feasible(), dp.feasible()) << "trial " << trial;
+    if (bnb.feasible()) {
+      EXPECT_NEAR(bnb.value, dp.value, 1e-6) << "trial " << trial;
+      EXPECT_LE(bnb.weight, problem.capacity + 1e-9);
     }
   }
 }
@@ -333,83 +109,273 @@ TEST(MckpTest, ChoiceIndicesConsistentWithTotals) {
   EXPECT_NEAR(weight, sol.weight, 1e-9);
 }
 
-// ---- randomized cross-validation -----------------------------------------------
+TEST(MckpTest, EmptyGroupIsInfeasibleAndNoGroupsIsTrivial) {
+  MckpProblem problem;
+  problem.groups = {{{1.0, 0.0}}, {}};
+  problem.capacity = 10.0;
+  EXPECT_EQ(solve_mckp(problem).status, MckpStatus::kInfeasible);
 
-// Exhaustive 0/1 enumeration oracle for small random ILPs.
-double brute_force_best(const Model& m) {
-  const int n = m.num_vars();
-  double best = -std::numeric_limits<double>::infinity();
-  for (int mask = 0; mask < (1 << n); ++mask) {
-    std::vector<double> x(static_cast<std::size_t>(n));
-    for (int v = 0; v < n; ++v) {
-      x[static_cast<std::size_t>(v)] = (mask >> v) & 1;
-    }
-    if (!m.is_feasible(x)) continue;
-    const double value = m.objective_value(x);
-    const double signed_value = m.maximize() ? value : -value;
-    if (signed_value > best) best = signed_value;
-  }
-  return m.maximize() ? best : -best;
+  MckpProblem none;
+  const MckpSolution sol = solve_mckp(none);
+  EXPECT_EQ(sol.status, MckpStatus::kOptimal);
+  EXPECT_TRUE(sol.choice.empty());
+  none.capacity = -1.0;
+  EXPECT_EQ(solve_mckp(none).status, MckpStatus::kInfeasible);
 }
 
-TEST(BnbPropertyTest, MatchesExhaustiveOnRandomBinaryIlps) {
-  util::Rng rng(71);
-  int solved = 0;
-  for (int trial = 0; trial < 40; ++trial) {
-    Model m;
-    const int n = static_cast<int>(rng.uniform_int(2, 10));
-    std::vector<VarId> vars;
-    for (int v = 0; v < n; ++v) vars.push_back(m.add_binary("x"));
-    const int rows = static_cast<int>(rng.uniform_int(1, 4));
-    for (int r = 0; r < rows; ++r) {
-      LinearExpr expr;
-      for (VarId v : vars) {
-        const double coeff = static_cast<double>(rng.uniform_int(-4, 6));
-        if (coeff != 0.0) expr.push_back({v, coeff});
+TEST(MckpTest, TiesResolveToLexicographicallySmallestChoice) {
+  // Every choice with value 6 fits; (0, 2) is the smallest such vector.
+  MckpProblem problem;
+  problem.groups = {
+      {{3.0, 1.0}, {5.0, 9.0}, {3.0, 0.0}},
+      {{1.0, 0.0}, {2.0, 4.0}, {3.0, 2.0}, {3.0, 1.0}},
+  };
+  problem.capacity = 3.0;
+  const MckpSolution sol = solve_mckp(problem);
+  ASSERT_EQ(sol.status, MckpStatus::kOptimal);
+  EXPECT_EQ(sol.value, 6.0);
+  EXPECT_EQ(sol.choice, (std::vector<std::size_t>{0, 2}));
+}
+
+TEST(MckpTest, FlatGroupsAreFixedWithoutSearch) {
+  // All-zero weights (timing optimization without an area budget) and
+  // per-group constant weights need no search: only the root is counted.
+  obs::set_enabled(true);
+  obs::Counter& nodes = obs::Registry::global().counter("ilp.bnb_nodes");
+  const std::int64_t before = nodes.value();
+  MckpProblem problem;
+  for (int g = 0; g < 200; ++g) {
+    const double w = g % 2 == 0 ? 0.0 : -1.5;
+    problem.groups.push_back({{1.0, w}, {4.0, w}, {4.0, w}, {2.0, w}});
+  }
+  problem.capacity = -150.0;
+  const MckpSolution sol = solve_mckp(problem);
+  const std::int64_t searched = nodes.value() - before;
+  obs::set_enabled(false);
+  ASSERT_EQ(sol.status, MckpStatus::kOptimal);
+  EXPECT_EQ(sol.value, 800.0);
+  EXPECT_EQ(sol.bound, 800.0);
+  for (std::size_t choice : sol.choice) EXPECT_EQ(choice, 1u);
+  EXPECT_EQ(searched, 1);
+}
+
+TEST(MckpTest, NodeCapReturnsIncumbentAsLimit) {
+  // Tiny node caps must still hand back a feasible selection, flagged as a
+  // limit result rather than reported infeasible.
+  util::Rng rng(97);
+  MckpProblem problem;
+  for (int g = 0; g < 12; ++g) {
+    std::vector<MckpItem> group;
+    for (int i = 0; i < 5; ++i) {
+      group.push_back({static_cast<double>(rng.uniform_int(0, 30)),
+                       static_cast<double>(rng.uniform_int(0, 10))});
+    }
+    problem.groups.push_back(std::move(group));
+  }
+  problem.capacity = 40.0;
+  obs::set_enabled(true);
+  obs::Counter& nodes = obs::Registry::global().counter("ilp.bnb_nodes");
+  const std::int64_t before = nodes.value();
+  const MckpSolution exact = solve_mckp(problem);
+  const std::int64_t searched = nodes.value() - before;
+  obs::set_enabled(false);
+  ASSERT_EQ(exact.status, MckpStatus::kOptimal);
+  ASSERT_GT(searched, 20);
+  for (std::int64_t cap : {std::int64_t{1}, std::int64_t{2}, std::int64_t{5},
+                           searched - 1}) {
+    const MckpSolution sol = solve_mckp(problem, cap);
+    ASSERT_EQ(sol.status, MckpStatus::kLimit) << "max_nodes " << cap;
+    ASSERT_TRUE(sol.feasible());
+    ASSERT_EQ(sol.choice.size(), problem.groups.size());
+    EXPECT_LE(sol.weight, problem.capacity + 1e-9);
+    EXPECT_LE(sol.value, exact.value);
+    EXPECT_EQ(sol.bound, exact.bound);
+  }
+}
+
+// ---- differential property test -------------------------------------------
+
+struct BruteForce {
+  bool feasible = false;
+  double value = 0.0;
+  std::vector<std::size_t> choice;  // lexicographically smallest optimum
+};
+
+// Enumerates every choice vector in lexicographic order, keeping the first
+// one of maximum value. Values and weights are multiples of 1/4 here, so the
+// sums are exact and ties are real ties.
+BruteForce brute_force(const MckpProblem& problem) {
+  BruteForce out;
+  const std::size_t n = problem.groups.size();
+  for (const auto& group : problem.groups) {
+    if (group.empty()) return out;
+  }
+  std::vector<std::size_t> choice(n, 0);
+  while (true) {
+    double value = 0.0, weight = 0.0;
+    for (std::size_t g = 0; g < n; ++g) {
+      value += problem.groups[g][choice[g]].value;
+      weight += problem.groups[g][choice[g]].weight;
+    }
+    if (weight <= problem.capacity && (!out.feasible || value > out.value)) {
+      out = {true, value, choice};
+    }
+    std::size_t g = n;
+    while (g > 0 && ++choice[g - 1] == problem.groups[g - 1].size()) {
+      choice[--g] = 0;
+    }
+    if (g == 0) return out;
+  }
+}
+
+// The same problem through the generic ILP oracle: one binary per item, one
+// equality row per group and the capacity row.
+std::optional<double> generic_ilp_value(const MckpProblem& problem) {
+  lp_oracle::Model model;
+  lp_oracle::LinearExpr objective, weight_row;
+  for (const auto& group : problem.groups) {
+    lp_oracle::LinearExpr one_of;
+    for (const MckpItem& item : group) {
+      const lp_oracle::VarId v = model.add_binary("x");
+      objective.push_back({v, item.value});
+      weight_row.push_back({v, item.weight});
+      one_of.push_back({v, 1.0});
+    }
+    model.add_constraint(std::move(one_of), lp_oracle::Sense::kEq, 1.0);
+  }
+  model.add_constraint(std::move(weight_row), lp_oracle::Sense::kLe,
+                       problem.capacity);
+  model.set_objective(std::move(objective), /*maximize=*/true);
+  const lp_oracle::Solution sol = lp_oracle::solve_ilp(model);
+  if (!sol.optimal()) return std::nullopt;
+  return sol.objective;
+}
+
+enum class WeightKind { kInteger, kFractional, kZero, kFlat, kMixed };
+
+MckpProblem random_mckp(util::Rng& rng, WeightKind kind) {
+  MckpProblem problem;
+  // Small value ranges make ties, and so the tie-break, common.
+  const bool tie_heavy = rng.flip(0.3);
+  const auto quarter = [&](std::int64_t lo, std::int64_t hi) {
+    return 0.25 * static_cast<double>(rng.uniform_int(4 * lo, 4 * hi));
+  };
+  const auto groups = rng.uniform_int(1, 8);
+  double min_sum = 0.0, max_sum = 0.0;
+  for (std::int64_t g = 0; g < groups; ++g) {
+    std::vector<MckpItem> group;
+    if (rng.flip(0.02)) {  // an empty group makes the instance infeasible
+      problem.groups.push_back(group);
+      continue;
+    }
+    const bool flat = kind == WeightKind::kFlat ||
+                      (kind == WeightKind::kMixed && rng.flip());
+    const double flat_weight = quarter(-4, 8);
+    const auto items = rng.uniform_int(1, 5);
+    double lo = std::numeric_limits<double>::infinity(), hi = -lo;
+    for (std::int64_t i = 0; i < items; ++i) {
+      MckpItem item;
+      item.value = tie_heavy ? static_cast<double>(rng.uniform_int(0, 3))
+                             : quarter(-3, 12);
+      switch (kind) {
+        case WeightKind::kInteger:
+          item.weight = static_cast<double>(rng.uniform_int(-6, 10));
+          break;
+        case WeightKind::kFractional:
+        case WeightKind::kMixed:
+          item.weight = flat ? flat_weight : quarter(-6, 10);
+          break;
+        case WeightKind::kZero:
+          item.weight = 0.0;
+          break;
+        case WeightKind::kFlat:
+          item.weight = flat_weight;
+          break;
       }
-      const Sense sense = rng.flip() ? Sense::kLe : Sense::kGe;
-      m.add_constraint(std::move(expr), sense,
-                       static_cast<double>(rng.uniform_int(-3, 12)));
+      lo = std::min(lo, item.weight);
+      hi = std::max(hi, item.weight);
+      group.push_back(item);
     }
-    LinearExpr objective;
-    for (VarId v : vars) {
-      objective.push_back({v, static_cast<double>(rng.uniform_int(-5, 9))});
-    }
-    m.set_objective(std::move(objective), rng.flip());
-
-    const Solution sol = solve_ilp(m);
-    const double oracle = brute_force_best(m);
-    const bool oracle_feasible = std::isfinite(oracle);
-    ASSERT_EQ(sol.optimal(), oracle_feasible) << "trial " << trial;
-    if (sol.optimal()) {
-      EXPECT_NEAR(sol.objective, oracle, 1e-6) << "trial " << trial;
-      EXPECT_TRUE(m.is_feasible(sol.values)) << "trial " << trial;
-      ++solved;
-    }
+    min_sum += lo;
+    max_sum += hi;
+    problem.groups.push_back(std::move(group));
   }
-  EXPECT_GT(solved, 10);  // the corpus must contain real instances
+  // From below the lightest selection (infeasible) to above the heaviest.
+  problem.capacity = quarter(static_cast<std::int64_t>(std::floor(min_sum)) - 3,
+                             static_cast<std::int64_t>(std::ceil(max_sum)) + 3);
+  return problem;
 }
 
-TEST(SimplexPropertyTest, RelaxationBoundsTheIlp) {
-  util::Rng rng(73);
-  for (int trial = 0; trial < 20; ++trial) {
-    Model m;
-    const int n = static_cast<int>(rng.uniform_int(2, 8));
-    LinearExpr cap, objective;
-    for (int v = 0; v < n; ++v) {
-      const VarId var = m.add_binary("x");
-      cap.push_back({var, static_cast<double>(rng.uniform_int(1, 9))});
-      objective.push_back({var, static_cast<double>(rng.uniform_int(1, 9))});
+TEST(MckpPropertyTest, MatchesBruteForceDpAndGenericIlp) {
+  util::Rng rng(2024);
+  constexpr int kTrials = 12000;
+  int feasible = 0, infeasible = 0, dp_checked = 0, ilp_checked = 0;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    const auto kind = static_cast<WeightKind>(trial % 5);
+    const MckpProblem problem = random_mckp(rng, kind);
+    const MckpSolution sol = solve_mckp(problem);
+    const BruteForce oracle = brute_force(problem);
+    ASSERT_EQ(sol.feasible(), oracle.feasible) << "trial " << trial;
+    ASSERT_NE(sol.status, MckpStatus::kLimit) << "trial " << trial;
+    if (!oracle.feasible) {
+      ++infeasible;
+      continue;
     }
-    m.add_constraint(std::move(cap), Sense::kLe,
-                     static_cast<double>(rng.uniform_int(3, 25)));
-    m.set_objective(std::move(objective), true);
-    const Solution lp = solve_lp(m);
-    const Solution ilp = solve_ilp(m);
-    ASSERT_TRUE(lp.optimal());
-    ASSERT_TRUE(ilp.optimal());
-    EXPECT_GE(lp.objective + 1e-7, ilp.objective) << "trial " << trial;
+    ++feasible;
+    ASSERT_EQ(sol.value, oracle.value) << "trial " << trial;
+    ASSERT_EQ(sol.choice, oracle.choice) << "trial " << trial;
+    ASSERT_LE(sol.weight, problem.capacity + 1e-9) << "trial " << trial;
+    ASSERT_GE(sol.bound, sol.value - 1e-9) << "trial " << trial;
+    if (kind == WeightKind::kInteger || kind == WeightKind::kZero) {
+      const MckpSolution dp = solve_mckp_dp(problem);
+      ASSERT_TRUE(dp.feasible()) << "trial " << trial;
+      ASSERT_EQ(dp.value, sol.value) << "trial " << trial;
+      ++dp_checked;
+    }
+    if (trial % 10 == 0) {
+      const std::optional<double> generic = generic_ilp_value(problem);
+      ASSERT_TRUE(generic.has_value()) << "trial " << trial;
+      ASSERT_NEAR(*generic, sol.value, 1e-6) << "trial " << trial;
+      ++ilp_checked;
+    }
   }
+  // The corpus must exercise both outcomes and every oracle.
+  EXPECT_GT(feasible, kTrials / 2);
+  EXPECT_GT(infeasible, kTrials / 20);
+  EXPECT_GT(dp_checked, kTrials / 5);
+  EXPECT_GT(ilp_checked, kTrials / 40);
+}
+
+// Deeper searches than brute force can check: 8-24 groups of up to 8 items,
+// against the DP's optimum.
+TEST(MckpPropertyTest, LargerInstancesMatchDp) {
+  util::Rng rng(4049);
+  int feasible = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    MckpProblem problem;
+    const auto groups = rng.uniform_int(8, 24);
+    for (std::int64_t g = 0; g < groups; ++g) {
+      std::vector<MckpItem> group;
+      const auto items = rng.uniform_int(1, 8);
+      for (std::int64_t i = 0; i < items; ++i) {
+        group.push_back({0.25 * static_cast<double>(rng.uniform_int(-8, 80)),
+                         static_cast<double>(rng.uniform_int(-10, 30))});
+      }
+      problem.groups.push_back(std::move(group));
+    }
+    problem.capacity = static_cast<double>(rng.uniform_int(-40, 12 * groups));
+    const MckpSolution sol = solve_mckp(problem);
+    const MckpSolution dp = solve_mckp_dp(problem);
+    ASSERT_EQ(sol.status, dp.feasible() ? MckpStatus::kOptimal
+                                        : MckpStatus::kInfeasible)
+        << "trial " << trial;
+    if (!dp.feasible()) continue;
+    ++feasible;
+    ASSERT_EQ(sol.value, dp.value) << "trial " << trial;
+    ASSERT_LE(sol.weight, problem.capacity) << "trial " << trial;
+    ASSERT_GE(sol.bound, sol.value) << "trial " << trial;
+  }
+  EXPECT_GT(feasible, 200);
 }
 
 }  // namespace
