@@ -1,4 +1,4 @@
-// Solver-core benchmark: warm CSR re-solves vs the legacy cold path.
+// Solver-core benchmark: warm CSR re-solves vs the legacy oracle's cold path.
 //
 // Workload: a random strongly connected TMG (a delay ring plus chords; the
 // ring-closing place and every chord carry a token, so no zero-token cycle
@@ -6,9 +6,11 @@
 // analysis hot path in the DSE/sweep/serve loops, where structure is fixed
 // and only latencies move. Per step:
 //
-//   cold:   set_delay + to_ratio_graph + max_cycle_ratio_howard (the pre-CSR
-//           path: rebuild the ratio graph, re-run Tarjan and the zero-token
-//           screens, re-allocate all solver scratch);
+//   cold:   set_delay + to_ratio_graph + max_cycle_ratio_howard: rebuild
+//           the ratio graph, re-run Tarjan and the zero-token screens,
+//           re-allocate all solver scratch. The "cold (rebuild + howard)"
+//           row is the oracle baseline, not a production path — production
+//           runs only the CSR engine;
 //   warm:   set_delay + CycleMeanSolver::prepare (weight-only refresh) +
 //           solve — the CSR core; the initial compile is outside the timed
 //           loop (paid once per structure);
@@ -18,7 +20,7 @@
 // Every step asserts bit-identity of the warm result against the cold one
 // (num/den, critical cycle, and the raw double bits) and compare_ratios == 0
 // for the seeded result. The run fails on any mismatch or when the warm
-// speedup falls below 3x — the ISSUE floor, asserted in --smoke too.
+// speedup falls below 3x — the floor, asserted in --smoke too.
 //
 // Flags: --smoke (small graph, used as the bench-smoke CTest entry), --n N
 // (transitions), --steps N, --out path (default BENCH_solver_core.json).

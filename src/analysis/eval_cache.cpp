@@ -328,15 +328,6 @@ PerformanceReport EvalCache::analyze(const sysmodel::SystemModel& sys,
   }
   report = solver != nullptr ? analyze_system(sys, *solver)
                              : analyze_system(sys);
-#ifndef NDEBUG
-  // The solver path promises bit-identity with the sequential path; sample it
-  // with the same cadence as hits.
-  if (solver != nullptr &&
-      verify_tick_.fetch_add(1, std::memory_order_relaxed) % 16 == 0) {
-    assert(reports_bit_identical(report, analyze_system(sys)) &&
-           "EvalCache: CSR solver report diverges from sequential analysis");
-  }
-#endif
   insert(fingerprint, report);
   return report;
 }
@@ -347,11 +338,9 @@ std::vector<PerformanceReport> EvalCache::analyze_batch(
   const std::size_t k = systems.size();
   std::vector<PerformanceReport> out(k);
   if (k == 0) return out;
-  if (solver == nullptr) {
-    for (std::size_t i = 0; i < k; ++i) out[i] = analyze(*systems[i]);
-    return out;
-  }
   obs::ObsSpan span("analysis.analyze_batch", "analysis");
+  tmg::CycleMeanSolver local_solver;
+  if (solver == nullptr) solver = &local_solver;
 
   // Pass 1: fingerprint and probe every system once, in order. The first
   // occurrence of a fingerprint (its "leader") resolves as the serial loop's

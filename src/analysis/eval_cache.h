@@ -98,10 +98,11 @@ class EvalCache {
   /// fingerprint of `sys` was seen before, computes and stores it otherwise.
   /// Thread-safe; results are bit-identical to the uncached path.
   ///
-  /// When `solver` is non-null, cache misses are computed through it (see
-  /// tmg/csr.h) so repeated same-topology misses reuse the compiled CSR and
-  /// workspaces. The solver is NOT internally synchronized: concurrent
-  /// callers must pass distinct solvers (e.g. one per pool worker).
+  /// Cache misses are computed through `solver` (see tmg/csr.h), so
+  /// repeated same-topology misses reuse the compiled CSR and workspaces; a
+  /// null solver means a call-local one. The solver is NOT internally
+  /// synchronized: concurrent callers must pass distinct solvers (e.g. one
+  /// per pool worker).
   PerformanceReport analyze(const sysmodel::SystemModel& sys,
                             tmg::CycleMeanSolver* solver = nullptr);
 
@@ -113,7 +114,7 @@ class EvalCache {
   /// cost one structure prepare plus one batched solve instead of k full
   /// prepare+solve round trips. Duplicate systems within the batch are
   /// computed once and served to the remainder as memo hits, exactly as the
-  /// serial loop would. A null solver falls back to serial analyze() calls.
+  /// serial loop would. A null solver means a call-local one.
   std::vector<PerformanceReport> analyze_batch(
       std::span<const sysmodel::SystemModel* const> systems,
       tmg::CycleMeanSolver* solver);

@@ -7,43 +7,25 @@
 #include "obs/request_context.h"
 #include "obs/span.h"
 #include "tmg/csr.h"
-#include "tmg/howard.h"
 #include "tmg/liveness.h"
 #include "util/table.h"
 
 namespace ermes::analysis {
 
 PerformanceReport analyze(const SystemTmg& stmg) {
-  obs::ObsSpan span("analysis.analyze", "analysis");
-  obs::count("analysis.analyses");
-  PerformanceReport report;
-
-  const tmg::LivenessResult liveness = tmg::check_liveness(stmg.graph);
-  if (!liveness.live) {
-    report.live = false;
-    report.dead_cycle = liveness.dead_cycle;
-    return report;
-  }
-  report.live = true;
-
-  const tmg::RatioGraph rg = tmg::to_ratio_graph(stmg.graph);
-  obs::StageTimer solve_timer(obs::Stage::kSolve);
-  return report_from_ratio(stmg, tmg::max_cycle_ratio_howard(rg));
+  tmg::CycleMeanSolver solver;
+  return analyze(stmg, solver);
 }
 
 PerformanceReport analyze(const SystemTmg& stmg, tmg::CycleMeanSolver& solver) {
   obs::ObsSpan span("analysis.analyze", "analysis");
   obs::count("analysis.analyses");
-  PerformanceReport report;
-
   const tmg::LivenessResult liveness = tmg::check_liveness(stmg.graph);
   if (!liveness.live) {
-    report.live = false;
+    PerformanceReport report;
     report.dead_cycle = liveness.dead_cycle;
     return report;
   }
-  report.live = true;
-
   solver.prepare(stmg.graph);
   obs::StageTimer solve_timer(obs::Stage::kSolve);
   return report_from_ratio(stmg, solver.solve());

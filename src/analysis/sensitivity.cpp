@@ -6,6 +6,7 @@
 
 #include "analysis/eval_cache.h"
 #include "analysis/performance.h"
+#include "tmg/csr.h"
 
 namespace ermes::analysis {
 
@@ -20,17 +21,16 @@ SensitivityReport latency_sensitivity(const SystemModel& sys,
   SensitivityReport report;
   const bool parallel = pool != nullptr && pool->jobs() > 1 &&
                         sys.num_processes() > 1;
-  // The solver is not synchronized, so only the serial path may touch it.
-  const auto analyze = [&](const SystemModel& candidate) {
-    if (cache != nullptr) {
-      return cache->analyze(candidate, parallel ? nullptr : solver);
-    }
-    if (!parallel && solver != nullptr) {
-      return analyze_system(candidate, *solver);
-    }
-    return analyze_system(candidate);
+  // The solver is not synchronized: the calling thread solves through
+  // `solver` (or a call-local one), pool workers through their own.
+  tmg::CycleMeanSolver local_solver;
+  if (solver == nullptr) solver = &local_solver;
+  const auto analyze = [&](const SystemModel& candidate,
+                           tmg::CycleMeanSolver& with) {
+    return cache != nullptr ? cache->analyze(candidate, &with)
+                            : analyze_system(candidate, with);
   };
-  const PerformanceReport base = analyze(sys);
+  const PerformanceReport base = analyze(sys, *solver);
   if (!base.live) return report;
   report.base_cycle_time = base.cycle_time;
   const std::set<ProcessId> critical(base.critical_processes.begin(),
@@ -40,7 +40,8 @@ SensitivityReport latency_sensitivity(const SystemModel& sys,
   report.processes.resize(n);
   // Each perturbation is an independent one-change analysis; entry i only
   // ever depends on (sys, i), so fanning out cannot change any value.
-  const auto perturb = [&](std::size_t i, SystemModel& scratch) {
+  const auto perturb = [&](std::size_t i, SystemModel& scratch,
+                           tmg::CycleMeanSolver& with) {
     const auto p = static_cast<ProcessId>(i);
     ProcessSensitivity entry;
     entry.process = p;
@@ -51,7 +52,7 @@ SensitivityReport latency_sensitivity(const SystemModel& sys,
       entry.ct_after_step = base.cycle_time;
     } else {
       scratch.set_latency(p, reduced);
-      entry.ct_after_step = analyze(scratch).cycle_time;
+      entry.ct_after_step = analyze(scratch, with).cycle_time;
       scratch.set_latency(p, original);
       entry.ct_gain_per_cycle =
           (base.cycle_time - entry.ct_after_step) /
@@ -66,9 +67,10 @@ SensitivityReport latency_sensitivity(const SystemModel& sys,
     // trivially data-race-free at any grain.
     pool->parallel_for(n, [&](std::size_t i) {
       SystemModel scratch = sys;
-      perturb(i, scratch);
+      tmg::CycleMeanSolver task_solver;
+      perturb(i, scratch, task_solver);
     });
-  } else if (cache != nullptr && solver != nullptr) {
+  } else if (cache != nullptr) {
     // Batched serial path: stage every real perturbation as its own
     // candidate and sweep them through one analyze_batch call. Orders are
     // held fixed, so all candidates share the base topology and the misses
@@ -111,7 +113,7 @@ SensitivityReport latency_sensitivity(const SystemModel& sys,
     }
   } else {
     SystemModel scratch = sys;
-    for (std::size_t i = 0; i < n; ++i) perturb(i, scratch);
+    for (std::size_t i = 0; i < n; ++i) perturb(i, scratch, *solver);
   }
 
   std::stable_sort(report.processes.begin(), report.processes.end(),

@@ -47,12 +47,13 @@ struct SensitivityReport {
 /// report identical to the serial uncached one (entries are slotted by
 /// process, then stably sorted).
 ///
-/// `solver`, when given, warms the analyses through one caller-owned CSR
-/// solver; with a cache it upgrades the serial path to a single
+/// Every analysis runs on the CSR engine. `solver`, when given, warms the
+/// calling thread's analyses through one caller-owned solver; a null solver
+/// means a call-local one, and pool workers solve on their own per-task
+/// solvers. With a cache the serial path is a single
 /// EvalCache::analyze_batch sweep (orders are held fixed, so every
 /// perturbation shares the base topology and the misses collapse into one
-/// prepared structure + one solve_batch call). The solver is not used from
-/// pool workers — it is only read on the serial path.
+/// prepared structure + one solve_batch call).
 SensitivityReport latency_sensitivity(const sysmodel::SystemModel& sys,
                                       std::int64_t step = 1,
                                       exec::ThreadPool* pool = nullptr,

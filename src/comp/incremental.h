@@ -2,9 +2,9 @@
 // Incremental re-analysis across component patches.
 //
 // An IncrementalAnalyzer owns a system plus the derived state a full
-// analysis would rebuild from scratch — the elaborated TMG, its ratio
-// graph, the SCC partition, the liveness verdict, and one solved
-// CycleRatioResult per component. A patch (implementation swap, latency
+// analysis would rebuild from scratch — the elaborated TMG, its compiled
+// CSR solver (which owns the SCC partition), the liveness verdict, and one
+// solved CycleRatioResult per component. A patch (implementation swap, latency
 // change, channel retarget) dirties only the components it touches:
 //
 //  * latency-class patches (select_implementation, set_latency,
@@ -28,7 +28,6 @@
 #include "analysis/tmg_builder.h"
 #include "comp/partition.h"
 #include "exec/thread_pool.h"
-#include "graph/scc.h"
 #include "sysmodel/system.h"
 #include "tmg/csr.h"
 #include "tmg/cycle_ratio.h"
@@ -93,8 +92,8 @@ class IncrementalAnalyzer {
 
  private:
   void rebuild();
-  /// Rewrites transition `t`'s delay in the TMG and ratio graph, dirtying
-  /// the component(s) whose internal arcs carry it.
+  /// Rewrites transition `t`'s delay in the TMG and the solver's weights,
+  /// dirtying the component whose internal arcs carry it.
   void apply_delay(tmg::TransitionId t, std::int64_t delay);
 
   sysmodel::SystemModel sys_;
@@ -103,11 +102,9 @@ class IncrementalAnalyzer {
 
   // Derived state (valid when !structure_dirty_).
   analysis::SystemTmg stmg_;
-  tmg::RatioGraph rg_;
-  graph::SccResult sccs_;
-  /// CSR mirror of rg_: compiled on rebuild, weight-patched in lockstep by
-  /// apply_delay, and the engine behind every per-component solve. Its SCC
-  /// partition is identical to sccs_ by construction.
+  /// Compiled from stmg_.graph on rebuild, weight-patched by apply_delay,
+  /// and the engine behind every per-component solve; solver_.sccs() is the
+  /// SCC partition.
   tmg::CycleMeanSolver solver_;
   bool live_ = false;
   std::vector<tmg::PlaceId> dead_cycle_;

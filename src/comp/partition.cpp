@@ -10,7 +10,6 @@
 #include "obs/metrics.h"
 #include "obs/request_context.h"
 #include "obs/span.h"
-#include "tmg/howard.h"
 #include "tmg/liveness.h"
 #include "util/table.h"
 
@@ -60,38 +59,12 @@ bool reports_bit_identical(const PerformanceReport& a,
 
 }  // namespace
 
-std::uint64_t scc_fingerprint(const tmg::RatioGraph& rg,
+std::uint64_t scc_fingerprint(const tmg::CsrGraph& csr,
                               const std::vector<std::int32_t>& component,
                               std::int32_t comp_id,
                               const std::vector<NodeId>& members) {
   // Tag separates this memo family from the DSE solver keys sharing the aux
   // memo; FNV offset basis as the seed, like system_fingerprint.
-  std::uint64_t h = analysis::fingerprint_mix(0xcbf29ce484222325ULL, 0x5cc);
-  h = analysis::fingerprint_mix(h, members.size());
-  for (const NodeId n : members) {
-    h = analysis::fingerprint_mix(h, static_cast<std::uint64_t>(n));
-    for (const ArcId a : rg.g.out_arcs(n)) {
-      const NodeId head = rg.g.head(a);
-      if (component[static_cast<std::size_t>(head)] != comp_id) continue;
-      h = analysis::fingerprint_mix(h, static_cast<std::uint64_t>(a));
-      h = analysis::fingerprint_mix(h, static_cast<std::uint64_t>(head));
-      h = analysis::fingerprint_mix(
-          h, static_cast<std::uint64_t>(rg.arc_weight(a)));
-      h = analysis::fingerprint_mix(
-          h, static_cast<std::uint64_t>(rg.arc_tokens(a)));
-    }
-  }
-  return h;
-}
-
-std::uint64_t scc_fingerprint(const tmg::CsrGraph& csr,
-                              const std::vector<std::int32_t>& component,
-                              std::int32_t comp_id,
-                              const std::vector<NodeId>& members) {
-  // Must hash the exact word sequence of the RatioGraph overload above so
-  // memo entries are interchangeable between the two paths. CSR slots
-  // preserve out_arcs order, so walking [row_ptr[n], row_ptr[n+1]) visits
-  // the same arcs in the same order.
   std::uint64_t h = analysis::fingerprint_mix(0xcbf29ce484222325ULL, 0x5cc);
   h = analysis::fingerprint_mix(h, members.size());
   for (const NodeId n : members) {
@@ -150,41 +123,6 @@ bool decode_scc_result(const std::vector<std::int64_t>& payload,
   return true;
 }
 
-tmg::CycleRatioResult solve_scc(const tmg::RatioGraph& rg,
-                                const graph::SccResult& sccs,
-                                std::int32_t comp_id,
-                                analysis::EvalCache* cache,
-                                bool* from_cache) {
-  if (from_cache != nullptr) *from_cache = false;
-  const std::vector<NodeId>& members =
-      sccs.members[static_cast<std::size_t>(comp_id)];
-  std::uint64_t key = 0;
-  if (cache != nullptr) {
-    key = scc_fingerprint(rg, sccs.component, comp_id, members);
-    std::vector<std::int64_t> payload;
-    if (cache->lookup_aux(key, &payload)) {
-      tmg::CycleRatioResult out;
-      if (decode_scc_result(payload, &out)) {
-#ifndef NDEBUG
-        if (g_verify_tick.fetch_add(1, std::memory_order_relaxed) % 16 == 0) {
-          assert(results_bit_identical(
-                     out, tmg::max_cycle_ratio_howard_scc(
-                              rg, sccs.component, comp_id, members)) &&
-                 "stale or colliding per-SCC memo entry");
-        }
-#endif
-        if (from_cache != nullptr) *from_cache = true;
-        return out;
-      }
-    }
-  }
-  obs::StageTimer solve_timer(obs::Stage::kSolve);
-  tmg::CycleRatioResult result =
-      tmg::max_cycle_ratio_howard_scc(rg, sccs.component, comp_id, members);
-  if (cache != nullptr) cache->insert_aux(key, encode_scc_result(result));
-  return result;
-}
-
 tmg::CycleRatioResult solve_scc(const tmg::CycleMeanSolver& solver,
                                 std::int32_t comp_id,
                                 analysis::EvalCache* cache, bool* from_cache) {
@@ -233,7 +171,8 @@ PartitionedReport assemble_partitioned(
   assert(per_scc.size() == n);
 
   // Fold in ascending component id — the exact order and rule of the
-  // monolithic max_cycle_ratio_howard — tracking which component wins.
+  // whole-graph solve (CycleMeanSolver::solve) — tracking which component
+  // wins.
   tmg::CycleRatioResult folded;
   std::int32_t critical = -1;
   for (std::size_t c = 0; c < n; ++c) {
@@ -297,57 +236,29 @@ PartitionedReport analyze_partitioned(const SystemTmg& stmg,
     return part;
   }
 
-  std::vector<tmg::CycleRatioResult> per;
-  std::vector<char> hit;
-  tmg::RatioGraph rg;          // legacy path only
-  graph::SccResult owned_sccs;  // legacy path only
-  const graph::SccResult* sccs = nullptr;
-
-  if (options.solver != nullptr) {
-    // CSR path: compile once per structure, re-read weights on warm calls,
-    // solve components on per-worker workspaces. Bit-identical (asserted
-    // below on a sampled subset).
-    tmg::CycleMeanSolver& solver = *options.solver;
-    const std::size_t jobs =
-        options.pool != nullptr ? options.pool->jobs() : 1;
-    solver.prepare(stmg.graph, jobs);
-    sccs = &solver.sccs();
-    const auto n = static_cast<std::size_t>(sccs->num_components);
-    per.resize(n);
-    hit.assign(n, 0);
-    const auto solve_one = [&](std::size_t i) {
-      bool from = false;
-      per[i] = solve_scc(solver, static_cast<std::int32_t>(i), options.cache,
-                         &from);
-      hit[i] = from ? 1 : 0;
-    };
-    if (options.pool != nullptr && n > 1) {
-      options.pool->parallel_for(n, solve_one, /*grain=*/1);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) solve_one(i);
-    }
+  // Compile once per structure (a caller-owned solver re-reads only the
+  // weights on warm calls) and solve components on per-worker workspaces.
+  tmg::CycleMeanSolver local_solver;
+  tmg::CycleMeanSolver& solver =
+      options.solver != nullptr ? *options.solver : local_solver;
+  solver.prepare(stmg.graph,
+                 options.pool != nullptr ? options.pool->jobs() : 1);
+  const auto n = static_cast<std::size_t>(solver.sccs().num_components);
+  std::vector<tmg::CycleRatioResult> per(n);
+  std::vector<char> hit(n, 0);
+  const auto solve_one = [&](std::size_t i) {
+    bool from = false;
+    per[i] = solve_scc(solver, static_cast<std::int32_t>(i), options.cache,
+                       &from);
+    hit[i] = from ? 1 : 0;
+  };
+  if (options.pool != nullptr && n > 1) {
+    options.pool->parallel_for(n, solve_one, /*grain=*/1);
   } else {
-    rg = tmg::to_ratio_graph(stmg.graph);
-    owned_sccs = graph::strongly_connected_components(rg.g);
-    sccs = &owned_sccs;
-    const auto n = static_cast<std::size_t>(sccs->num_components);
-    per.resize(n);
-    hit.assign(n, 0);
-    const auto solve_one = [&](std::size_t i) {
-      bool from = false;
-      per[i] = solve_scc(rg, *sccs, static_cast<std::int32_t>(i),
-                         options.cache, &from);
-      hit[i] = from ? 1 : 0;
-    };
-    if (options.pool != nullptr && n > 1) {
-      options.pool->parallel_for(n, solve_one, /*grain=*/1);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) solve_one(i);
-    }
+    for (std::size_t i = 0; i < n; ++i) solve_one(i);
   }
 
-  const auto n = per.size();
-  part = assemble_partitioned(stmg, *sccs, per);
+  part = assemble_partitioned(stmg, solver.sccs(), per);
   for (std::size_t i = 0; i < n; ++i) {
     part.sccs[i].from_cache = hit[i] != 0;
     if (hit[i] != 0) {

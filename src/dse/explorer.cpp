@@ -40,9 +40,6 @@ namespace {
 struct EvalContext {
   EvalCache* cache = nullptr;
   exec::ThreadPool* pool = nullptr;
-  // Route memoized analyses through the SCC-partitioned engine. Bit-identical
-  // either way; see ExplorerOptions::partitioned_eval.
-  bool partitioned = true;
   // Fingerprint of the Pareto sets (constant across a run); folded into the
   // selection-solver memo keys because system_fingerprint excludes areas.
   std::uint64_t impl_fp = 0;
@@ -96,18 +93,14 @@ struct EvalContext {
   }
 };
 
-// Memoized analysis of one candidate system, through the SCC-partitioned
-// engine (adds per-component reuse under the same whole-report memo) or the
-// plain report memo. The two are bit-identical and share cache entries.
+// Memoized analysis of one candidate system through the SCC-partitioned
+// engine: per-component reuse under the whole-report memo.
 PerformanceReport analyze_memo(const SystemModel& sys, EvalContext& ctx) {
   // No pool: this runs inside evaluation workers, and exec::ThreadPool
   // rejects nested parallelism. Cache misses solve through the calling
   // worker's CSR solver, which stays warm across candidates (same topology,
   // different latencies).
-  if (ctx.partitioned) {
-    return comp::analyze_cached(sys, *ctx.cache, &ctx.solver());
-  }
-  return ctx.cache->analyze(sys, &ctx.solver());
+  return comp::analyze_cached(sys, *ctx.cache, &ctx.solver());
 }
 
 // Reorders `sys` in place (when asked) and analyzes it through the memo.
@@ -420,7 +413,6 @@ ExplorationResult explore(SystemModel sys, const ExplorerOptions& options) {
   std::set<SelectionVector> visited;
   EvalContext ctx(options.jobs, options.cache, options.pool,
                   options.solver);
-  ctx.partitioned = options.partitioned_eval;
   ctx.impl_fp = analysis::implementation_fingerprint(sys);
 
   // Best state seen so far: a target-meeting state with minimal area beats
@@ -605,7 +597,6 @@ ExplorationResult explore_area_constrained(
   std::set<SelectionVector> visited;
   EvalContext ctx(options.jobs, options.cache, options.pool,
                   options.solver);
-  ctx.partitioned = options.partitioned_eval;
   ctx.impl_fp = analysis::implementation_fingerprint(sys);
 
   auto record = [&](int iteration, Action action,

@@ -54,16 +54,14 @@ struct ExplorerOptions {
   int jobs = 1;
   /// Memo for candidate evaluations. nullptr = a fresh per-run cache (still
   /// reuses results across iterations); pass a shared cache to also reuse
-  /// across runs, e.g. the points of a multi-TCT sweep.
+  /// across runs, e.g. the points of a multi-TCT sweep. Single-candidate and
+  /// pooled analyses go through the SCC-partitioned engine
+  /// (comp::analyze_cached): per-component memoization on top of the
+  /// whole-report memo, so a candidate that only perturbs one component of a
+  /// decoupled system re-solves only that component.
   analysis::EvalCache* cache = nullptr;
   /// Worker pool to evaluate on. nullptr = a per-run pool when jobs > 1.
   exec::ThreadPool* pool = nullptr;
-  /// Route candidate analyses through the SCC-partitioned engine
-  /// (comp::analyze_cached): per-component memoization on top of the
-  /// whole-report memo, so a candidate that only perturbs one component of a
-  /// decoupled system re-solves only that component. Bit-identical to the
-  /// monolithic path at every setting.
-  bool partitioned_eval = true;
   /// External CSR solver for the calling thread's evaluation slot (slot 0).
   /// nullptr = a per-run solver. A sweep driver passes one solver per worker
   /// slot so adjacent targets executed on that slot share a warm compiled
@@ -104,7 +102,6 @@ struct DualExplorerOptions {
   int jobs = 1;
   analysis::EvalCache* cache = nullptr;
   exec::ThreadPool* pool = nullptr;
-  bool partitioned_eval = true;
   tmg::CycleMeanSolver* solver = nullptr;
   std::function<bool()> should_stop;
 };

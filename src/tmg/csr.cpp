@@ -1,12 +1,12 @@
 #include "tmg/csr.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <limits>
 
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "tmg/howard.h"
 #include "tmg/marked_graph.h"
 #include "util/log.h"
 
@@ -63,13 +63,13 @@ std::uint64_t mix64(std::uint64_t x) {
 }
 
 // Howard policy iteration on one strongly connected component of the CSR
-// view. A line-for-line port of howard.cpp's SccSolver: same member
-// iteration order, same slot (== out_arcs) order, same floating-point
-// expressions and 1e-9 epsilon — so given the same initial policy it follows
-// the identical trajectory and reports bit-identical results. The only
-// changes are representation (slots instead of ArcIds, workspace-owned
-// scratch instead of per-solve assigns) and the externally supplied seed
-// policy.
+// view. It mirrors the reference oracle's SccSolver (howard.cpp) line for
+// line: same member iteration order, same slot (== out_arcs) order, same
+// floating-point expressions and 1e-9 epsilon — so given the same initial
+// policy it follows the identical trajectory and reports bit-identical
+// results. The only differences are representation (slots instead of
+// ArcIds, workspace-owned scratch instead of per-solve assigns) and the
+// externally supplied seed policy.
 class CsrSccSolver {
  public:
   CsrSccSolver(const CsrGraph& csr, const std::vector<std::int32_t>& comp_of,
@@ -103,7 +103,7 @@ class CsrSccSolver {
       if (!evaluate()) {
         // Zero-token cycle: infinite ratio (deadlocked TMG). Unreachable
         // after the compile-time zero-token screen, kept to mirror the
-        // legacy solver exactly.
+        // oracle exactly.
         out.has_cycle = true;
         out.ratio = std::numeric_limits<double>::infinity();
         out.ratio_num = best_w_;
@@ -291,7 +291,7 @@ class CsrSccSolver {
 
 // Port of cycle_ratio.cpp's find_zero_token_cycle onto the CSR view: same
 // root order (0..n-1), same out-arc (slot) order, so the reported witness is
-// the one the legacy global screen finds.
+// the one the oracle's global screen finds.
 bool csr_zero_token_cycle(const CsrGraph& csr, std::vector<ArcId>* cycle) {
   enum class Color : unsigned char { kWhite, kGray, kBlack };
   const auto n = static_cast<std::size_t>(csr.num_nodes);
@@ -410,7 +410,43 @@ bool csr_zero_token_cycle_in_scc(const CsrGraph& csr,
   return false;
 }
 
+std::atomic<int> g_iteration_cap_override{0};
+
 }  // namespace
+
+void set_howard_iteration_cap_for_testing(int cap) {
+  g_iteration_cap_override.store(cap, std::memory_order_relaxed);
+}
+
+namespace detail {
+
+int howard_iteration_cap(std::size_t members) {
+  const int override_cap =
+      g_iteration_cap_override.load(std::memory_order_relaxed);
+  if (override_cap > 0) return override_cap;
+  return 64 + 2 * static_cast<int>(members);
+}
+
+// Publishes one solve's worth of telemetry in a single batch; the statics
+// cache the registry lookups (registrations are never erased, so the
+// references stay valid across Registry::reset()).
+void publish_howard_metrics(int iterations) {
+  static obs::Counter& solves =
+      obs::Registry::global().counter("howard.solves");
+  static obs::Histogram& per_solve =
+      obs::Registry::global().histogram("howard.iterations_per_solve");
+  solves.add(1);
+  per_solve.observe(iterations);
+}
+
+void note_iteration_cap_exhausted(int iterations, std::size_t members) {
+  ERMES_LOG(kWarn) << "Howard: iteration cap exhausted after " << iterations
+                   << " iterations on SCC of " << members
+                   << " nodes; result may be suboptimal";
+  if (obs::enabled()) obs::count("howard.cap_hits");
+}
+
+}  // namespace detail
 
 void CsrGraph::compile(const RatioGraph& rg) {
   num_nodes = rg.g.num_nodes();

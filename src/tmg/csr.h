@@ -1,14 +1,15 @@
 #pragma once
-// Flat CSR solver core for the analysis hot path.
+// Flat CSR cycle-mean engine: the one Howard implementation production runs.
 //
 // Every throughput query in the methodology loop bottoms out in a maximum
-// cycle ratio solve, and the DSE/sweep/serve/incremental layers issue
-// thousands of them on graphs that differ only in arc weights. The legacy
-// path rebuilds a pointer-chasing Digraph (vector-of-vectors adjacency,
-// string names) and re-initializes all solver scratch per solve. This header
-// splits that cost by change frequency:
+// cycle ratio solve (Howard's policy iteration, paper Section 3), and the
+// DSE/sweep/serve/incremental layers issue thousands of them on graphs that
+// differ only in arc weights. Each policy iteration is O(V+E) and few are
+// needed in practice, which is what makes the methodology scale to the
+// 10,000-process synthetic benchmarks of Section 6. This header splits the
+// remaining cost by change frequency:
 //
-//  * CsrGraph — a flat, string-free snapshot of a RatioGraph: SoA arrays for
+//  * CsrGraph — a flat, string-free snapshot of a ratio graph: SoA arrays for
 //    arc tails/heads/tokens plus offset-indexed adjacency (row_ptr + slot
 //    arrays). Compiled once per *structure*; the weight array is separately
 //    swappable, so weight-only re-solves skip graph construction entirely.
@@ -19,18 +20,19 @@
 //    warm-started re-solves.
 //
 // Determinism contract: `solve()` and `solve_component()` are bit-identical
-// to tmg::max_cycle_ratio_howard / max_cycle_ratio_howard_scc — same
-// ratio_num/ratio_den, same critical cycle under the existing tie-break, and
-// the same double `ratio` value. This holds because (a) CSR slots preserve
-// Digraph::out_arcs order exactly, (b) the canonical initial policy (first
-// internal out-arc per node) is structure-only, so warm solves start from
-// the same policy the cold path would, and (c) every floating-point
-// expression is evaluated in the same order with the same 1e-9 epsilon.
-// `solve_seeded()` trades the witness guarantee for speed: it seeds policy
-// iteration from the previous optimal policy, which converges to the *exact
-// same maximum ratio* (compare_ratios == 0) but may report a different
-// co-optimal critical cycle. The differential harness enforces both
-// contracts (tests/test_differential.cpp).
+// to the reference oracle tmg::max_cycle_ratio_howard /
+// max_cycle_ratio_howard_scc (tmg/howard.h, used only by tests and
+// benchmarks) — same ratio_num/ratio_den, same critical cycle under the
+// existing tie-break, and the same double `ratio` value. This holds because
+// (a) CSR slots preserve Digraph::out_arcs order exactly, (b) the canonical
+// initial policy (first internal out-arc per node) is structure-only, so
+// warm solves start from the same policy a cold solve would, and (c) every
+// floating-point expression is evaluated in the same order with the same
+// 1e-9 epsilon. `solve_seeded()` trades the witness guarantee for speed: it
+// seeds policy iteration from the previous optimal policy, which converges
+// to the *exact same maximum ratio* (compare_ratios == 0) but may report a
+// different co-optimal critical cycle. The differential harness enforces
+// both contracts (tests/test_differential.cpp).
 //
 // solve_batch() sweeps k weight scenarios over the prepared structure in one
 // pass and is bit-identical to k serial install+solve() calls. Each scenario
@@ -132,8 +134,8 @@ struct BatchSolveReport {
 ///
 /// Usage:
 ///   CycleMeanSolver solver;
-///   solver.prepare(rg);        // compiles the CSR (cold) ...
-///   auto r0 = solver.solve();  // ... bit-identical to the legacy path
+///   solver.prepare(g);         // compiles the CSR (cold) ...
+///   auto r0 = solver.solve();  // ... bit-identical to the oracle
 ///   solver.set_arc_weight(a, w);
 ///   auto r1 = solver.solve();  // weight-only re-solve: no construction
 ///
@@ -178,7 +180,8 @@ class CycleMeanSolver {
   bool prepare(const MarkedGraph& g, std::size_t workers = 1);
 
   /// Whole-graph solve from the canonical initial policy; bit-identical to
-  /// max_cycle_ratio_howard on the prepared graph. Requires prepared().
+  /// the max_cycle_ratio_howard oracle on the prepared graph. Requires
+  /// prepared().
   CycleRatioResult solve();
 
   /// prepare + solve in one call.
@@ -208,11 +211,11 @@ class CycleMeanSolver {
   /// critical cycle, so it is opt-in rather than the default.
   CycleRatioResult solve_seeded();
 
-  /// One component's solve on caller-provided scratch; bit-identical to
-  /// max_cycle_ratio_howard_scc. Safe to call concurrently for different
-  /// (comp_id, ws) pairs. `capped`, when non-null, reports whether the
-  /// defensive iteration cap was exhausted (result then reflects the last
-  /// evaluated policy and may be suboptimal).
+  /// One component's solve on caller-provided scratch; bit-identical to the
+  /// max_cycle_ratio_howard_scc oracle. Safe to call concurrently for
+  /// different (comp_id, ws) pairs. `capped`, when non-null, reports whether
+  /// the defensive iteration cap was exhausted (result then reflects the
+  /// last evaluated policy and may be suboptimal).
   CycleRatioResult solve_component(std::int32_t comp_id, HowardWorkspace& ws,
                                    int* iterations = nullptr,
                                    bool* capped = nullptr) const;
@@ -291,5 +294,23 @@ class CycleMeanSolver {
   std::vector<std::unique_ptr<HowardWorkspace>> workspaces_;
   Stats stats_;
 };
+
+/// Test-only override of the defensive policy-iteration cap. `cap` > 0
+/// replaces the default 64 + 2*|SCC| bound for every subsequent solve; 0
+/// restores the default. The legacy oracle (tmg/howard.h) honors it too, so
+/// the two stay bit-identical even when capped.
+void set_howard_iteration_cap_for_testing(int cap);
+
+namespace detail {
+/// Effective cap for an SCC of `members` nodes (honors the test override).
+int howard_iteration_cap(std::size_t members);
+/// Publishes one solve's telemetry batch: howard.solves and the
+/// howard.iterations_per_solve histogram. Policy-iteration rounds are
+/// counted separately by each caller (tmg.solver.iterations for the engine),
+/// so no round is counted twice.
+void publish_howard_metrics(int iterations);
+/// Logs the cap-exhaustion warning and bumps howard.cap_hits.
+void note_iteration_cap_exhausted(int iterations, std::size_t members);
+}  // namespace detail
 
 }  // namespace ermes::tmg

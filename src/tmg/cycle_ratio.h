@@ -66,6 +66,14 @@ struct CycleRatioResult {
 int compare_ratios(std::int64_t a_num, std::int64_t a_den, std::int64_t b_num,
                    std::int64_t b_den);
 
+/// Folds one strongly connected component's result into an accumulated
+/// whole-graph result. Cycles never cross components, so the global maximum
+/// is the fold of the per-component maxima: an infinite ratio dominates and
+/// is never overwritten; otherwise the incoming result replaces the
+/// accumulator iff it is strictly larger (ties keep the earlier component).
+/// Every whole-graph solve folds in ascending component index.
+void fold_cycle_ratio(const CycleRatioResult& scc, CycleRatioResult* out);
+
 /// Finds a cycle whose arcs all carry zero tokens (a deadlock witness for
 /// TMGs; makes the max ratio infinite). Returns true and fills `cycle` (if
 /// non-null) when one exists.

@@ -1,6 +1,5 @@
 #include "tmg/howard.h"
 
-#include <atomic>
 #include <cassert>
 #include <limits>
 #include <vector>
@@ -8,6 +7,7 @@
 #include "graph/scc.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
+#include "tmg/csr.h"
 #include "util/log.h"
 
 namespace ermes::tmg {
@@ -314,46 +314,7 @@ bool find_zero_token_cycle_in_scc(const RatioGraph& rg,
   return false;
 }
 
-std::atomic<int> g_iteration_cap_override{0};
-
 }  // namespace
-
-void set_howard_iteration_cap_for_testing(int cap) {
-  g_iteration_cap_override.store(cap, std::memory_order_relaxed);
-}
-
-namespace detail {
-
-int howard_iteration_cap(std::size_t members) {
-  const int override_cap =
-      g_iteration_cap_override.load(std::memory_order_relaxed);
-  if (override_cap > 0) return override_cap;
-  return 64 + 2 * static_cast<int>(members);
-}
-
-// Publishes one solve's worth of telemetry in a single batch; the statics
-// cache the registry lookups (registrations are never erased, so the
-// references stay valid across Registry::reset()).
-void publish_howard_metrics(int iterations) {
-  static obs::Counter& solves =
-      obs::Registry::global().counter("howard.solves");
-  static obs::Counter& iters =
-      obs::Registry::global().counter("howard.iterations");
-  static obs::Histogram& per_solve =
-      obs::Registry::global().histogram("howard.iterations_per_solve");
-  solves.add(1);
-  iters.add(iterations);
-  per_solve.observe(iterations);
-}
-
-void note_iteration_cap_exhausted(int iterations, std::size_t members) {
-  ERMES_LOG(kWarn) << "Howard: iteration cap exhausted after " << iterations
-                   << " iterations on SCC of " << members
-                   << " nodes; result may be suboptimal";
-  if (obs::enabled()) obs::count("howard.cap_hits");
-}
-
-}  // namespace detail
 
 CycleRatioResult max_cycle_ratio_howard_scc(
     const RatioGraph& rg, const std::vector<std::int32_t>& component,
@@ -403,16 +364,6 @@ CycleRatioResult max_cycle_ratio_howard_scc(
   return result;
 }
 
-void fold_cycle_ratio(const CycleRatioResult& scc, CycleRatioResult* out) {
-  if (!scc.has_cycle) return;
-  if (out->is_infinite()) return;  // an earlier deadlock dominates
-  if (!out->has_cycle || scc.is_infinite() ||
-      compare_ratios(scc.ratio_num, scc.ratio_den, out->ratio_num,
-                     out->ratio_den) > 0) {
-    *out = scc;
-  }
-}
-
 CycleRatioResult max_cycle_ratio_howard(const RatioGraph& rg) {
   obs::ObsSpan span("howard.solve", "tmg");
   CycleRatioResult result;
@@ -445,7 +396,12 @@ CycleRatioResult max_cycle_ratio_howard(const RatioGraph& rg) {
     fold_cycle_ratio(scc, &result);
     if (result.is_infinite()) break;  // deadlock dominates
   }
-  if (obs::enabled()) detail::publish_howard_metrics(total_iterations);
+  if (obs::enabled()) {
+    // The engine counts its rounds under tmg.solver.iterations only, so
+    // howard.iterations is this oracle's share and no round counts twice.
+    detail::publish_howard_metrics(total_iterations);
+    obs::count("howard.iterations", total_iterations);
+  }
   ERMES_LOG(kDebug) << "howard: converged after " << total_iterations
                     << " policy iterations over " << sccs.num_components
                     << " SCCs";

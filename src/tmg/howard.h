@@ -1,7 +1,13 @@
 #pragma once
-// Howard's policy-iteration algorithm for the maximum cycle ratio
-// (Cochet-Terrasson et al. 1998, the algorithm the paper adopts for
-// computing the TMG cycle time).
+// Legacy Howard policy iteration for the maximum cycle ratio — a reference
+// oracle; production solves go through tmg::CycleMeanSolver (tmg/csr.h).
+//
+// This is the straightforward Digraph-based form of the algorithm the paper
+// adopts for the TMG cycle time (Cochet-Terrasson et al. 1998). It stays
+// beside Karp, Lawler and brute-force enumeration so the differential tests
+// can pin the CSR engine to it bit for bit: the engine promises the same
+// ratio_num/ratio_den, the same critical cycle and the same double `ratio`.
+// Only tests and benchmarks call it.
 //
 // Given a ratio graph (arc weight w, arc tokens tau), computes
 //   lambda* = max over directed cycles c of W(c) / T(c)
@@ -9,15 +15,9 @@
 // infinite ratio (for TMGs this is exactly a deadlock; run the liveness
 // check first for a structured diagnosis).
 //
-// Runs in O(V+E) per policy iteration; the number of iterations is small in
-// practice (near-linear total), which is what makes the methodology scale to
-// the 10,000-process synthetic benchmarks of Section 6.
-//
 // Cycles never cross strongly connected components, so the global maximum is
-// the fold of independent per-SCC maxima. max_cycle_ratio_howard_scc exposes
-// one component's solve (the unit the SCC-partitioned engine in src/comp
-// memoizes and parallelizes) and fold_cycle_ratio the exact combination rule;
-// max_cycle_ratio_howard(rg) is the fold over all components.
+// the fold (tmg::fold_cycle_ratio) of independent per-SCC maxima;
+// max_cycle_ratio_howard_scc exposes one component's solve.
 
 #include <vector>
 
@@ -42,35 +42,11 @@ CycleRatioResult max_cycle_ratio_howard(const RatioGraph& rg);
 /// `capped`, when non-null, receives true iff the defensive iteration cap
 /// was exhausted before policy iteration converged (the result then reflects
 /// the last evaluated policy and may be suboptimal; a warning is logged and
-/// the howard.cap_hits counter bumped).
+/// the howard.cap_hits counter bumped). The cap and its test override are
+/// the engine's (tmg/csr.h), so capped solves stay bit-identical too.
 CycleRatioResult max_cycle_ratio_howard_scc(
     const RatioGraph& rg, const std::vector<std::int32_t>& component,
     std::int32_t comp_id, const std::vector<graph::NodeId>& members,
     int* iterations = nullptr, bool* capped = nullptr);
-
-/// Folds one component's result into an accumulated whole-graph result using
-/// the exact rule of the global pass: an infinite ratio dominates and is
-/// never overwritten; otherwise the incoming result replaces the accumulator
-/// iff it is strictly larger (ties keep the earlier component). Folding the
-/// per-SCC results in ascending component index reproduces
-/// max_cycle_ratio_howard bit for bit.
-void fold_cycle_ratio(const CycleRatioResult& scc, CycleRatioResult* out);
-
-/// Test-only override of the defensive policy-iteration cap. `cap` > 0
-/// replaces the default 64 + 2*|SCC| bound for every subsequent solve; 0
-/// restores the default. Applies to both the legacy solver here and the CSR
-/// solver (tmg::CycleMeanSolver), so the two stay bit-identical even when
-/// capped.
-void set_howard_iteration_cap_for_testing(int cap);
-
-namespace detail {
-/// Effective cap for an SCC of `members` nodes (honors the test override).
-int howard_iteration_cap(std::size_t members);
-/// Publishes one solve's telemetry batch (howard.solves / iterations /
-/// iterations_per_solve). Shared by the legacy and CSR entry points.
-void publish_howard_metrics(int iterations);
-/// Logs the cap-exhaustion warning and bumps howard.cap_hits.
-void note_iteration_cap_exhausted(int iterations, std::size_t members);
-}  // namespace detail
 
 }  // namespace ermes::tmg

@@ -474,10 +474,10 @@ TEST(Partitioned, BitIdenticalToMonolithicAtEverySetting) {
 }
 
 TEST(Partitioned, CsrSolverBitIdenticalAcrossPoolAndCache) {
-  // The CSR solver branch of analyze_partitioned: per-worker workspaces on
+  // A caller-owned solver in analyze_partitioned: per-worker workspaces on
   // the pool path (this test runs under TSan in CI), warm re-prepares on
-  // repeated solves, and memo interchangeability with the legacy branch
-  // through a shared EvalCache.
+  // repeated solves, and memo sharing with call-local solvers through a
+  // shared EvalCache.
   std::vector<SystemModel> systems;
   systems.push_back(sysmodel::make_dac14_motivating_example());
   systems.push_back(pipeline_flat());
@@ -506,15 +506,15 @@ TEST(Partitioned, CsrSolverBitIdenticalAcrossPoolAndCache) {
   }
   EXPECT_GT(solver.stats().weight_refreshes, 0);
 
-  // Memo entries written by the legacy branch are replayed by the solver
-  // branch (and vice versa): the CSR fingerprint hashes the identical word
-  // sequence, so a shared cache sees one key space.
+  // Memo entries written through a call-local solver are replayed through
+  // a caller-owned one: the key depends only on the component's solve
+  // inputs, so a shared cache sees one key space.
   analysis::EvalCache cache;
   const SystemModel& sys = systems[0];
   const PerformanceReport mono = analysis::analyze_system(sys);
-  const PartitionedReport legacy_cold =
+  const PartitionedReport local_cold =
       analyze_partitioned(sys, {.cache = &cache});
-  expect_report_eq(legacy_cold.report, mono, "legacy cold");
+  expect_report_eq(local_cold.report, mono, "call-local solver cold");
   const PartitionedReport solver_warm =
       analyze_partitioned(sys, {.cache = &cache, .solver = &solver});
   expect_report_eq(solver_warm.report, mono, "solver replay");
@@ -594,12 +594,14 @@ TEST(Partitioned, AnalyzeCachedInteroperatesWithEvalCache) {
 TEST(Partitioned, FingerprintIsSensitiveToSolveInputs) {
   const SystemModel sys = pipeline_flat();
   const analysis::SystemTmg stmg = analysis::build_tmg(sys);
-  tmg::RatioGraph rg = tmg::to_ratio_graph(stmg.graph);
-  const graph::SccResult sccs = graph::strongly_connected_components(rg.g);
+  tmg::CycleMeanSolver solver;
+  solver.prepare(stmg.graph);
+  const graph::SccResult& sccs = solver.sccs();
   ASSERT_GT(sccs.num_components, 1);
+  tmg::CsrGraph csr = solver.csr();  // a copy the test may perturb
 
   const auto fp = [&](std::int32_t comp) {
-    return scc_fingerprint(rg, sccs.component, comp,
+    return scc_fingerprint(csr, sccs.component, comp,
                            sccs.members[static_cast<std::size_t>(comp)]);
   };
   // Deterministic, and distinct across components.
@@ -612,17 +614,19 @@ TEST(Partitioned, FingerprintIsSensitiveToSolveInputs) {
         sccs.members[static_cast<std::size_t>(comp)];
     if (members.size() < 2) continue;
     const std::uint64_t base = fp(comp);
-    for (graph::ArcId a = 0; a < rg.g.num_arcs(); ++a) {
-      if (sccs.component[static_cast<std::size_t>(rg.g.tail(a))] != comp ||
-          sccs.component[static_cast<std::size_t>(rg.g.head(a))] != comp) {
+    for (graph::ArcId a = 0; a < csr.num_arcs; ++a) {
+      const auto ai = static_cast<std::size_t>(a);
+      if (sccs.component[static_cast<std::size_t>(csr.arc_tail[ai])] != comp ||
+          sccs.component[static_cast<std::size_t>(csr.arc_head[ai])] != comp) {
         continue;
       }
-      rg.weight[static_cast<std::size_t>(a)] += 1;
+      const auto slot = static_cast<std::size_t>(csr.arc_slot[ai]);
+      csr.slot_weight[slot] += 1;
       EXPECT_NE(fp(comp), base) << "weight change must change the key";
-      rg.weight[static_cast<std::size_t>(a)] -= 1;
-      rg.tokens[static_cast<std::size_t>(a)] += 1;
+      csr.slot_weight[slot] -= 1;
+      csr.slot_tokens[slot] += 1;
       EXPECT_NE(fp(comp), base) << "token change must change the key";
-      rg.tokens[static_cast<std::size_t>(a)] -= 1;
+      csr.slot_tokens[slot] -= 1;
       EXPECT_EQ(fp(comp), base) << "restored graph must restore the key";
       return;
     }

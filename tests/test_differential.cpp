@@ -29,6 +29,11 @@
 //      one solver never diverge from a serial reference solver.
 // D10. One solver batching across differently-shaped graphs (workspaces,
 //      staging, and memo state reused) stays bit-identical per structure.
+// D11. Every production entry point that reaches the CSR engine — analyze,
+//      the partitioned engine (serial, pooled, cache-cold and cache-warm),
+//      EvalCache::analyze_batch and IncrementalAnalyzer under random patch
+//      streams — reports bit-identically to the legacy Howard oracle on
+//      seeded synthetic SoCs. Production never runs the oracle itself.
 //
 // Failures shrink the offending instance (dropping extra arcs, zeroing
 // delays, trimming tokens) while the disagreement persists, then print the
@@ -41,10 +46,22 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <iterator>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "analysis/eval_cache.h"
+#include "analysis/performance.h"
+#include "analysis/tmg_builder.h"
+#include "comp/incremental.h"
+#include "comp/partition.h"
+#include "exec/thread_pool.h"
+#include "ordering/channel_ordering.h"
+#include "ordering/repair.h"
+#include "synth/generator.h"
+#include "sysmodel/system.h"
 #include "tmg/brute_force.h"
 #include "tmg/csr.h"
 #include "tmg/cycle_ratio.h"
@@ -611,6 +628,194 @@ TEST(DifferentialCsrSolver, BatchSolverReusedAcrossStructures) {
       report_failure(shard, spec, fails,
                      "cross-structure solve_batch diverged from serial solves");
       return;
+    }
+  }
+}
+
+// --- D11 (production entry points vs the legacy oracle) ---------------------
+
+using analysis::PerformanceReport;
+using sysmodel::SystemModel;
+
+bool reports_bit_identical(const PerformanceReport& a,
+                           const PerformanceReport& b) {
+  return a.live == b.live && bits_equal(a.cycle_time, b.cycle_time) &&
+         a.ct_num == b.ct_num && a.ct_den == b.ct_den &&
+         bits_equal(a.throughput, b.throughput) &&
+         a.dead_cycle == b.dead_cycle &&
+         a.critical_processes == b.critical_processes &&
+         a.critical_channels == b.critical_channels &&
+         a.critical_places == b.critical_places;
+}
+
+// The analysis every production entry point must reproduce: the liveness
+// gate they all apply, then the legacy oracle on the ratio graph.
+PerformanceReport oracle_report(const analysis::SystemTmg& stmg) {
+  const LivenessResult liveness = check_liveness(stmg.graph);
+  if (!liveness.live) {
+    PerformanceReport dead;
+    dead.dead_cycle = liveness.dead_cycle;
+    return dead;
+  }
+  return analysis::report_from_ratio(
+      stmg, max_cycle_ratio_howard(to_ratio_graph(stmg.graph)));
+}
+
+PerformanceReport oracle_report(const SystemModel& sys) {
+  return oracle_report(analysis::build_tmg(sys));
+}
+
+// Seeded synthetic SoCs of 16-256 processes with feedback loops, ordered by
+// Algorithm 1 and repaired to liveness. Two channels in three are unbounded
+// (they split the TMG into many SCCs, as decoupled subsystems do), the rest
+// two-deep FIFOs (places holding more than one token) on odd seeds and
+// rendezvous on even ones.
+struct OracleModel {
+  std::uint64_t seed = 0;
+  SystemModel sys;
+};
+
+const std::vector<OracleModel>& oracle_models() {
+  static const std::vector<OracleModel> models = [] {
+    const std::int32_t sizes[] = {16, 24, 32, 48, 64, 96, 128, 192, 256};
+    std::vector<OracleModel> out;
+    for (std::size_t i = 0; i < std::size(sizes); ++i) {
+      synth::GeneratorConfig config;
+      config.num_processes = sizes[i];
+      config.num_channels = sizes[i] * 3 / 2;
+      config.feedback_fraction = 0.3;
+      config.seed = 9100 + i;
+      SystemModel generated = synth::generate_soc(config);
+      for (sysmodel::ChannelId c = 0; c < generated.num_channels(); ++c) {
+        if (c % 3 != 0) {
+          generated.set_channel_capacity(c, sysmodel::kUnboundedCapacity);
+        } else if (i % 2 == 1) {
+          generated.set_channel_capacity(c, 2);
+        }
+      }
+      SystemModel sys = ordering::with_optimal_ordering(std::move(generated));
+      ordering::ensure_live(sys);
+      out.push_back(OracleModel{config.seed, std::move(sys)});
+    }
+    return out;
+  }();
+  return models;
+}
+
+std::string model_tag(const OracleModel& model) {
+  return "seed " + std::to_string(model.seed) + " (" +
+         std::to_string(model.sys.num_processes()) + " processes)";
+}
+
+TEST(DifferentialProduction, AnalyzeMatchesOracle) {
+  CycleMeanSolver reused;  // one solver across every model, in turn
+  for (const OracleModel& model : oracle_models()) {
+    const analysis::SystemTmg stmg = analysis::build_tmg(model.sys);
+    const PerformanceReport want = oracle_report(stmg);
+    ASSERT_TRUE(want.live) << model_tag(model);
+    EXPECT_TRUE(reports_bit_identical(analysis::analyze(stmg), want))
+        << "analyze(stmg), " << model_tag(model);
+    EXPECT_TRUE(reports_bit_identical(analysis::analyze(stmg, reused), want))
+        << "analyze(stmg, solver), " << model_tag(model);
+  }
+}
+
+TEST(DifferentialProduction, PartitionedMatchesOracle) {
+  exec::ThreadPool pool(4);
+  for (const OracleModel& model : oracle_models()) {
+    const analysis::SystemTmg stmg = analysis::build_tmg(model.sys);
+    const PerformanceReport want = oracle_report(stmg);
+    EXPECT_TRUE(
+        reports_bit_identical(comp::analyze_partitioned(stmg).report, want))
+        << "no pool, " << model_tag(model);
+
+    comp::PartitionOptions pooled;
+    pooled.pool = &pool;
+    EXPECT_TRUE(reports_bit_identical(
+        comp::analyze_partitioned(stmg, pooled).report, want))
+        << "4-worker pool, " << model_tag(model);
+
+    analysis::EvalCache cache;
+    comp::PartitionOptions cached;
+    cached.cache = &cache;
+    const comp::PartitionedReport cold = comp::analyze_partitioned(stmg, cached);
+    EXPECT_TRUE(reports_bit_identical(cold.report, want))
+        << "cache-cold, " << model_tag(model);
+    EXPECT_EQ(cold.reused, 0) << model_tag(model);
+    const comp::PartitionedReport warm = comp::analyze_partitioned(stmg, cached);
+    EXPECT_TRUE(reports_bit_identical(warm.report, want))
+        << "cache-warm, " << model_tag(model);
+    EXPECT_EQ(warm.solved, 0) << "every component must come from the memo, "
+                              << model_tag(model);
+  }
+}
+
+TEST(DifferentialProduction, AnalyzeBatchMatchesOracle) {
+  util::Rng rng(kBaseSeed ^ 0xba7cULL);
+  for (const OracleModel& model : oracle_models()) {
+    // Latency variants share the model's structure (one solve_batch run);
+    // the repeated base exercises in-batch duplicates.
+    std::vector<SystemModel> variants(4, model.sys);
+    for (SystemModel& variant : variants) {
+      for (int k = 0; k < 3; ++k) {
+        const auto p = static_cast<sysmodel::ProcessId>(
+            rng.index(static_cast<std::size_t>(variant.num_processes())));
+        variant.set_latency(p, rng.uniform_int(1, 80));
+      }
+    }
+    std::vector<const SystemModel*> batch = {&model.sys};
+    for (const SystemModel& variant : variants) batch.push_back(&variant);
+    batch.push_back(&model.sys);
+
+    analysis::EvalCache cache;
+    CycleMeanSolver solver;
+    const std::vector<PerformanceReport> with_solver = cache.analyze_batch(
+        std::span<const SystemModel* const>(batch), &solver);
+    analysis::EvalCache fresh;
+    const std::vector<PerformanceReport> without_solver = fresh.analyze_batch(
+        std::span<const SystemModel* const>(batch), nullptr);
+    ASSERT_EQ(with_solver.size(), batch.size());
+    ASSERT_EQ(without_solver.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const PerformanceReport want = oracle_report(*batch[i]);
+      EXPECT_TRUE(reports_bit_identical(with_solver[i], want))
+          << "batch entry " << i << " with a solver, " << model_tag(model);
+      EXPECT_TRUE(reports_bit_identical(without_solver[i], want))
+          << "batch entry " << i << " without a solver, " << model_tag(model);
+    }
+  }
+}
+
+TEST(DifferentialProduction, IncrementalPatchStreamMatchesOracle) {
+  constexpr int kPatches = 24;
+  util::Rng rng(kBaseSeed ^ 0x1dc7ULL);
+  for (const OracleModel& model : oracle_models()) {
+    comp::IncrementalAnalyzer inc(model.sys);
+    SystemModel mirror = model.sys;
+    EXPECT_TRUE(reports_bit_identical(inc.analyze().report,
+                                      oracle_report(mirror)))
+        << "cold, " << model_tag(model);
+    for (int k = 0; k < kPatches; ++k) {
+      const auto p = static_cast<sysmodel::ProcessId>(
+          rng.index(static_cast<std::size_t>(mirror.num_processes())));
+      const auto c = static_cast<sysmodel::ChannelId>(
+          rng.index(static_cast<std::size_t>(mirror.num_channels())));
+      const std::int64_t roll = rng.uniform_int(0, 5);
+      if (roll <= 2) {
+        const std::int64_t latency = rng.uniform_int(1, 80);
+        ASSERT_TRUE(inc.set_latency(p, latency));
+        mirror.set_latency(p, latency);
+      } else if (roll <= 4) {
+        const std::int64_t latency = rng.uniform_int(0, 40);
+        ASSERT_TRUE(inc.set_channel_latency(c, latency));
+        mirror.set_channel_latency(c, latency);
+      } else {
+        ASSERT_TRUE(inc.retarget_channel(c, p));
+        mirror.retarget_channel(c, p);
+      }
+      EXPECT_TRUE(reports_bit_identical(inc.analyze().report,
+                                        oracle_report(mirror)))
+          << "patch " << k << " (roll " << roll << "), " << model_tag(model);
     }
   }
 }

@@ -2,13 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
+#include "analysis/eval_cache.h"
 #include "analysis/performance.h"
 #include "analysis/sensitivity.h"
 #include "apps/mpeg2/characterization.h"
 #include "dse/explorer.h"
 #include "dse/report.h"
+#include "exec/thread_pool.h"
 #include "ordering/channel_ordering.h"
+#include "ordering/repair.h"
+#include "synth/generator.h"
 #include "sysmodel/builder.h"
+#include "tmg/csr.h"
 
 namespace ermes {
 namespace {
@@ -61,6 +69,80 @@ TEST(SensitivityTest, CriticalProcessesCarryTheGain) {
       EXPECT_TRUE(entry.on_critical_cycle)
           << sys.process_name(entry.process);
     }
+  }
+}
+
+bool bits_equal(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+void expect_same_sensitivity(const analysis::SensitivityReport& got,
+                             const analysis::SensitivityReport& want,
+                             const std::string& what) {
+  EXPECT_TRUE(bits_equal(got.base_cycle_time, want.base_cycle_time)) << what;
+  ASSERT_EQ(got.processes.size(), want.processes.size()) << what;
+  for (std::size_t i = 0; i < want.processes.size(); ++i) {
+    const analysis::ProcessSensitivity& g = got.processes[i];
+    const analysis::ProcessSensitivity& w = want.processes[i];
+    EXPECT_EQ(g.process, w.process) << what << ", entry " << i;
+    EXPECT_TRUE(bits_equal(g.ct_gain_per_cycle, w.ct_gain_per_cycle))
+        << what << ", entry " << i;
+    EXPECT_TRUE(bits_equal(g.ct_after_step, w.ct_after_step))
+        << what << ", entry " << i;
+    EXPECT_EQ(g.on_critical_cycle, w.on_critical_cycle)
+        << what << ", entry " << i;
+  }
+}
+
+TEST(SensitivityTest, EveryExecutionPathGivesTheSameReport) {
+  // The serial, pooled (per-task solvers), batched serial (cache + solver)
+  // and call-local-solver (cache only) paths must agree bit for bit. Each
+  // call gets its own cache so no path is served from another's memo.
+  struct Case {
+    std::string name;
+    SystemModel sys;
+    std::int64_t step;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"mpeg2",
+                   ordering::with_optimal_ordering(
+                       mpeg2::make_characterized_mpeg2_encoder()),
+                   1000});
+  for (const std::uint64_t seed : {31ULL, 47ULL}) {
+    synth::GeneratorConfig config;
+    config.num_processes = 48;
+    config.num_channels = 72;
+    config.feedback_fraction = 0.3;
+    config.seed = seed;
+    SystemModel sys =
+        ordering::with_optimal_ordering(synth::generate_soc(config));
+    ASSERT_TRUE(ordering::ensure_live(sys).live) << "seed " << seed;
+    cases.push_back({"synthetic seed " + std::to_string(seed), std::move(sys),
+                     5});
+  }
+  exec::ThreadPool pool(4);
+  for (const Case& c : cases) {
+    const analysis::SensitivityReport plain =
+        analysis::latency_sensitivity(c.sys, c.step);
+    ASSERT_FALSE(plain.processes.empty()) << c.name;
+    EXPECT_GT(plain.processes.front().ct_gain_per_cycle, 0.0) << c.name;
+
+    analysis::EvalCache pooled_cache;
+    expect_same_sensitivity(
+        analysis::latency_sensitivity(c.sys, c.step, &pool, &pooled_cache),
+        plain, c.name + ": pool(4) + cache");
+
+    analysis::EvalCache batched_cache;
+    tmg::CycleMeanSolver solver;
+    expect_same_sensitivity(
+        analysis::latency_sensitivity(c.sys, c.step, nullptr, &batched_cache,
+                                      &solver),
+        plain, c.name + ": cache + solver");
+
+    analysis::EvalCache local_cache;
+    expect_same_sensitivity(
+        analysis::latency_sensitivity(c.sys, c.step, nullptr, &local_cache),
+        plain, c.name + ": cache, no solver");
   }
 }
 

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "graph/scc.h"
+#include "obs/metrics.h"
 #include "tmg/csr.h"
 #include "tmg/cycle_ratio.h"
 #include "tmg/howard.h"
@@ -269,6 +270,45 @@ TEST(CycleMeanSolver, WorkspaceBankGrowsAndIsIndexable) {
   EXPECT_EQ(solver.num_workspaces(), 5u);
   // Distinct slots are distinct objects (one per worker, no sharing).
   EXPECT_NE(&solver.workspace(0), &solver.workspace(4));
+}
+
+// --- telemetry ---------------------------------------------------------------
+
+TEST(CycleMeanSolver, EachPolicyIterationIsCountedOnce) {
+  // howard.iterations and tmg.solver.iterations are summed into one
+  // iteration figure downstream, so every round the engine runs must land in
+  // exactly one of them. howard.solves and the per-solve histogram still see
+  // every solve()/solve_batch() call.
+  obs::Registry& reg = obs::Registry::global();
+  obs::Counter& howard_iters = reg.counter("howard.iterations");
+  obs::Counter& solver_iters = reg.counter("tmg.solver.iterations");
+  obs::Counter& solves = reg.counter("howard.solves");
+  obs::Histogram& per_solve = reg.histogram("howard.iterations_per_solve");
+  obs::set_enabled(true);
+  const std::int64_t howard_before = howard_iters.value();
+  const std::int64_t solver_before = solver_iters.value();
+  const std::int64_t solves_before = solves.value();
+  const std::int64_t hist_count_before = per_solve.count();
+  const std::int64_t hist_sum_before = per_solve.sum();
+
+  const RatioGraph rg = sample_graph();
+  CycleMeanSolver solver;
+  solver.prepare(rg);
+  solver.solve();
+  WeightVector lighter = rg.weight;
+  lighter[4] = 1;  // the self-loop stops dominating: a different optimum
+  const std::vector<WeightVector> scenarios = {rg.weight, lighter};
+  solver.solve_batch(scenarios);
+  obs::set_enabled(false);
+
+  const std::int64_t iterations = solver.stats().iterations;
+  ASSERT_GT(iterations, 0);
+  EXPECT_EQ((howard_iters.value() - howard_before) +
+                (solver_iters.value() - solver_before),
+            iterations);
+  EXPECT_EQ(solves.value() - solves_before, 2);
+  EXPECT_EQ(per_solve.count() - hist_count_before, 2);
+  EXPECT_EQ(per_solve.sum() - hist_sum_before, iterations);
 }
 
 // --- iteration-cap exhaustion ------------------------------------------------
