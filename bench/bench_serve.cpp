@@ -484,7 +484,6 @@ struct HighConcResult {
   long long mismatches = 0;
   long long transport_errors = 0;
   std::int64_t coalesced = 0;
-  std::int64_t batched = 0;
 };
 
 HighConcResult run_high_concurrency(const Config& config,
@@ -612,7 +611,6 @@ HighConcResult run_high_concurrency(const Config& config,
   result.transport_errors = transport_errors.load();
   const svc::Broker::Stats stats = server.broker().stats();
   result.coalesced = stats.coalesced;
-  result.batched = stats.batched;
 
   conns.clear();
   server.request_stop();
@@ -760,12 +758,11 @@ int main(int argc, char** argv) {
   const HighConcResult hc =
       run_high_concurrency(config, hc_sys, "dac14_motivating", fd_limit);
   std::printf("  high concurrency: %zu conns live (gauge %lld), %lld req in "
-              "%.2f s = %.0f rps, %lld coalesced, %lld batched\n",
+              "%.2f s = %.0f rps, %lld coalesced\n",
               hc.server_connections,
               static_cast<long long>(hc.connections_gauge),
               hc.total_requests, hc.elapsed_s, hc.throughput_rps,
-              static_cast<long long>(hc.coalesced),
-              static_cast<long long>(hc.batched));
+              static_cast<long long>(hc.coalesced));
 
   const OverloadResult overload = run_overload(soc);
   std::printf("  overload: %d/%d rejected `overloaded`, burst submitted in "
@@ -852,7 +849,6 @@ int main(int argc, char** argv) {
   high.set("elapsed_s", svc::JsonValue::number(hc.elapsed_s));
   high.set("throughput_rps", svc::JsonValue::number(hc.throughput_rps));
   high.set("coalesced", svc::JsonValue::integer(hc.coalesced));
-  high.set("batched", svc::JsonValue::integer(hc.batched));
   report.set("high_concurrency", std::move(high));
 
   // Top-level convenience mirrors (the headline numbers).

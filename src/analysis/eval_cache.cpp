@@ -7,9 +7,7 @@
 #include "cache/snapshot.h"
 #include "obs/metrics.h"
 #include "obs/request_context.h"
-#include "obs/span.h"
 #include "tmg/csr.h"
-#include "tmg/liveness.h"
 #include "util/build_info.h"
 #include "util/rng.h"
 
@@ -330,115 +328,6 @@ PerformanceReport EvalCache::analyze(const sysmodel::SystemModel& sys,
                              : analyze_system(sys);
   insert(fingerprint, report);
   return report;
-}
-
-std::vector<PerformanceReport> EvalCache::analyze_batch(
-    std::span<const sysmodel::SystemModel* const> systems,
-    tmg::CycleMeanSolver* solver) {
-  const std::size_t k = systems.size();
-  std::vector<PerformanceReport> out(k);
-  if (k == 0) return out;
-  obs::ObsSpan span("analysis.analyze_batch", "analysis");
-  tmg::CycleMeanSolver local_solver;
-  if (solver == nullptr) solver = &local_solver;
-
-  // Pass 1: fingerprint and probe every system once, in order. The first
-  // occurrence of a fingerprint (its "leader") resolves as the serial loop's
-  // first call would (hit or miss); later duplicates defer to pass 3, which
-  // copies the leader's report from out[] once it is computed.
-  std::vector<std::uint64_t> fps(k);
-  std::vector<char> resolved(k, 0);
-  std::vector<std::size_t> misses;
-  std::unordered_map<std::uint64_t, std::size_t> first_seen;
-  first_seen.reserve(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    fps[i] = system_fingerprint(*systems[i]);
-    if (!first_seen.emplace(fps[i], i).second) continue;  // in-batch duplicate
-    if (lookup(fps[i], &out[i])) {
-      resolved[i] = 1;
-#ifndef NDEBUG
-      if (verify_tick_.fetch_add(1, std::memory_order_relaxed) % 16 == 0) {
-        assert(reports_bit_identical(out[i], analyze_system(*systems[i])) &&
-               "EvalCache: cached report diverges from sequential re-analysis "
-               "(fingerprint collision or stale entry)");
-      }
-#endif
-    } else {
-      misses.push_back(i);
-    }
-  }
-
-  // Pass 2: elaborate the misses, then sweep runs of consecutive live misses
-  // that share one TMG structure through a single solve_batch call each.
-  struct Miss {
-    std::size_t idx;
-    SystemTmg stmg;
-  };
-  std::vector<Miss> live;
-  live.reserve(misses.size());
-  for (const std::size_t i : misses) {
-    obs::count("analysis.analyses");
-    SystemTmg stmg = build_tmg(*systems[i]);
-    const tmg::LivenessResult liveness = tmg::check_liveness(stmg.graph);
-    if (!liveness.live) {
-      out[i].live = false;
-      out[i].dead_cycle = liveness.dead_cycle;
-      resolved[i] = 1;
-      insert(fps[i], out[i]);
-      continue;
-    }
-    live.push_back(Miss{i, std::move(stmg)});
-  }
-  std::vector<tmg::WeightVector> weights;
-  std::vector<tmg::BatchSolveReport> reports;
-  std::size_t g = 0;
-  while (g < live.size()) {
-    solver->prepare(live[g].stmg.graph);
-    std::size_t end = g + 1;
-    while (end < live.size() && solver->csr().matches(live[end].stmg.graph)) {
-      ++end;
-    }
-    weights.assign(end - g, tmg::WeightVector());
-    for (std::size_t j = g; j < end; ++j) {
-      const tmg::MarkedGraph& graph = live[j].stmg.graph;
-      tmg::WeightVector& w = weights[j - g];
-      w.resize(static_cast<std::size_t>(graph.num_places()));
-      for (tmg::PlaceId p = 0; p < graph.num_places(); ++p) {
-        w[static_cast<std::size_t>(p)] = graph.delay(graph.producer(p));
-      }
-    }
-    reports.assign(end - g, tmg::BatchSolveReport());
-    solver->solve_batch(std::span<const tmg::WeightVector>(weights),
-                        std::span<tmg::BatchSolveReport>(reports));
-    for (std::size_t j = g; j < end; ++j) {
-      const std::size_t i = live[j].idx;
-      out[i] = report_from_ratio(live[j].stmg, reports[j - g].result);
-      resolved[i] = 1;
-#ifndef NDEBUG
-      // The batch promises bit-identity with the sequential path; sample it
-      // with the same cadence as hits.
-      if (verify_tick_.fetch_add(1, std::memory_order_relaxed) % 16 == 0) {
-        assert(reports_bit_identical(out[i], analyze_system(*systems[i])) &&
-               "EvalCache: batched solver report diverges from sequential "
-               "analysis");
-      }
-#endif
-      insert(fps[i], out[i]);
-    }
-    g = end;
-  }
-
-  // Pass 3: in-batch duplicates copy their leader's report directly — the
-  // leader's insert() may have been refused by the byte budget (oversized
-  // entry, pinned shard) or its entry evicted by concurrent inserts, so the
-  // result must not depend on a cache round trip. The probe is still issued
-  // so hit/miss accounting matches what the serial loop would record.
-  for (std::size_t i = 0; i < k; ++i) {
-    if (resolved[i]) continue;
-    lookup(fps[i], nullptr);
-    out[i] = out[first_seen.at(fps[i])];
-  }
-  return out;
 }
 
 void EvalCache::clear() {

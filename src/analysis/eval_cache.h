@@ -42,7 +42,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -99,25 +98,12 @@ class EvalCache {
   /// Thread-safe; results are bit-identical to the uncached path.
   ///
   /// Cache misses are computed through `solver` (see tmg/csr.h), so
-  /// repeated same-topology misses reuse the compiled CSR and workspaces; a
+  /// repeated same-topology misses reuse the compiled CSR and workspace; a
   /// null solver means a call-local one. The solver is NOT internally
   /// synchronized: concurrent callers must pass distinct solvers (e.g. one
   /// per pool worker).
   PerformanceReport analyze(const sysmodel::SystemModel& sys,
                             tmg::CycleMeanSolver* solver = nullptr);
-
-  /// Batched memoized analysis: one report per system, bit-identical to
-  /// calling analyze(sys, solver) on each in order. Hits are served from the
-  /// memo; misses are elaborated, grouped into runs that share one TMG
-  /// structure, and solved through one CycleMeanSolver::solve_batch sweep
-  /// per run — so a sensitivity or DSE sweep's k same-topology candidates
-  /// cost one structure prepare plus one batched solve instead of k full
-  /// prepare+solve round trips. Duplicate systems within the batch are
-  /// computed once and served to the remainder as memo hits, exactly as the
-  /// serial loop would. A null solver means a call-local one.
-  std::vector<PerformanceReport> analyze_batch(
-      std::span<const sysmodel::SystemModel* const> systems,
-      tmg::CycleMeanSolver* solver);
 
   /// Direct probe (no computation). Returns true and fills *out on a hit.
   /// Counts toward the hit/miss statistics.

@@ -47,7 +47,7 @@ struct PerformanceReport {
 PerformanceReport analyze(const SystemTmg& stmg);
 
 /// Same analysis through a caller-owned CSR solver: the solver's compiled
-/// structure and workspaces are reused across calls, so repeated analyses
+/// structure and workspace are reused across calls, so repeated analyses
 /// of the same topology with different latencies skip graph construction
 /// entirely. Results are bit-identical to analyze().
 PerformanceReport analyze(const SystemTmg& stmg, tmg::CycleMeanSolver& solver);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <set>
-#include <span>
 
 #include "analysis/eval_cache.h"
 #include "analysis/performance.h"
@@ -70,47 +69,6 @@ SensitivityReport latency_sensitivity(const SystemModel& sys,
       tmg::CycleMeanSolver task_solver;
       perturb(i, scratch, task_solver);
     });
-  } else if (cache != nullptr) {
-    // Batched serial path: stage every real perturbation as its own
-    // candidate and sweep them through one analyze_batch call. Orders are
-    // held fixed, so all candidates share the base topology and the misses
-    // collapse into one prepared structure + one solve_batch sweep. Entry
-    // values are computed exactly as perturb() would, from reports that
-    // analyze_batch guarantees bit-identical to the serial loop's.
-    std::vector<SystemModel> candidates;
-    std::vector<std::size_t> candidate_slot;
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto p = static_cast<ProcessId>(i);
-      ProcessSensitivity entry;
-      entry.process = p;
-      entry.on_critical_cycle = critical.count(p) != 0;
-      const std::int64_t original = sys.latency(p);
-      const std::int64_t reduced = std::max<std::int64_t>(0, original - step);
-      if (reduced == original) {
-        entry.ct_after_step = base.cycle_time;
-      } else {
-        candidates.emplace_back(sys).set_latency(p, reduced);
-        candidate_slot.push_back(i);
-      }
-      report.processes[i] = entry;
-    }
-    std::vector<const SystemModel*> pointers;
-    pointers.reserve(candidates.size());
-    for (const SystemModel& candidate : candidates) {
-      pointers.push_back(&candidate);
-    }
-    const std::vector<PerformanceReport> analyzed = cache->analyze_batch(
-        std::span<const SystemModel* const>(pointers), solver);
-    for (std::size_t j = 0; j < candidate_slot.size(); ++j) {
-      const std::size_t i = candidate_slot[j];
-      ProcessSensitivity& entry = report.processes[i];
-      const auto p = static_cast<ProcessId>(i);
-      const std::int64_t original = sys.latency(p);
-      const std::int64_t reduced = std::max<std::int64_t>(0, original - step);
-      entry.ct_after_step = analyzed[j].cycle_time;
-      entry.ct_gain_per_cycle = (base.cycle_time - entry.ct_after_step) /
-                                static_cast<double>(original - reduced);
-    }
   } else {
     SystemModel scratch = sys;
     for (std::size_t i = 0; i < n; ++i) perturb(i, scratch, *solver);

@@ -50,10 +50,7 @@ struct SensitivityReport {
 /// Every analysis runs on the CSR engine. `solver`, when given, warms the
 /// calling thread's analyses through one caller-owned solver; a null solver
 /// means a call-local one, and pool workers solve on their own per-task
-/// solvers. With a cache the serial path is a single
-/// EvalCache::analyze_batch sweep (orders are held fixed, so every
-/// perturbation shares the base topology and the misses collapse into one
-/// prepared structure + one solve_batch call).
+/// solvers.
 SensitivityReport latency_sensitivity(const sysmodel::SystemModel& sys,
                                       std::int64_t step = 1,
                                       exec::ThreadPool* pool = nullptr,

@@ -56,8 +56,7 @@ void IncrementalAnalyzer::rebuild() {
   dead_cycle_ = liveness.dead_cycle;
   // Warm when only weights changed since the last rebuild (e.g. a channel
   // retargeted and retargeted back); recompiles otherwise.
-  solver_.prepare(stmg_.graph,
-                  options_.pool != nullptr ? options_.pool->jobs() : 1);
+  solver_.prepare(stmg_.graph);
   const auto n = static_cast<std::size_t>(solver_.sccs().num_components);
   res_.assign(n, tmg::CycleRatioResult{});
   dirty_.assign(n, 1);
@@ -183,16 +182,11 @@ const PartitionedReport& IncrementalAnalyzer::analyze() {
   }
 
   std::vector<char> hit(todo.size(), 0);
-  const auto solve_one = [&](std::size_t i) {
+  for (std::size_t i = 0; i < todo.size(); ++i) {
     bool from = false;
     const auto c = static_cast<std::int32_t>(todo[i]);
     res_[todo[i]] = solve_scc(solver_, c, options_.cache, &from);
     hit[i] = from ? 1 : 0;
-  };
-  if (options_.pool != nullptr && todo.size() > 1) {
-    options_.pool->parallel_for(todo.size(), solve_one, /*grain=*/1);
-  } else {
-    for (std::size_t i = 0; i < todo.size(); ++i) solve_one(i);
   }
   dirty_.assign(dirty_.size(), 0);
 

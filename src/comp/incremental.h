@@ -27,7 +27,6 @@
 #include "analysis/eval_cache.h"
 #include "analysis/tmg_builder.h"
 #include "comp/partition.h"
-#include "exec/thread_pool.h"
 #include "sysmodel/system.h"
 #include "tmg/csr.h"
 #include "tmg/cycle_ratio.h"
@@ -40,9 +39,6 @@ class IncrementalAnalyzer {
   struct Options {
     /// Memoize per-component solves (shared across analyzers/sessions).
     analysis::EvalCache* cache = nullptr;
-    /// Solve dirty components in parallel. Must not be a pool this analyzer
-    /// is itself running inside of (nested parallelism is rejected).
-    exec::ThreadPool* pool = nullptr;
   };
 
   struct Stats {

@@ -123,21 +123,14 @@ bool decode_scc_result(const std::vector<std::int64_t>& payload,
   return true;
 }
 
-tmg::CycleRatioResult solve_scc(const tmg::CycleMeanSolver& solver,
+tmg::CycleRatioResult solve_scc(tmg::CycleMeanSolver& solver,
                                 std::int32_t comp_id,
                                 analysis::EvalCache* cache, bool* from_cache) {
   if (from_cache != nullptr) *from_cache = false;
   const graph::SccResult& sccs = solver.sccs();
   const std::vector<NodeId>& members =
       sccs.members[static_cast<std::size_t>(comp_id)];
-  // Pool-driven solves index one workspace per worker (the bank was sized to
-  // the pool in prepare()). A solver used serially from inside some *other*
-  // pool's worker (e.g. a service session: one analyzer per request task,
-  // bank of 1) sees an arbitrary worker slot — clamp to 0, which is safe
-  // precisely because such a solver has a single caller at a time.
-  std::size_t slot = exec::current_worker_slot();
-  if (slot >= solver.num_workspaces()) slot = 0;
-  tmg::HowardWorkspace& ws = solver.workspace(slot);
+  tmg::HowardWorkspace& ws = solver.workspace();
   std::uint64_t key = 0;
   if (cache != nullptr) {
     key = scc_fingerprint(solver.csr(), sccs.component, comp_id, members);
@@ -237,25 +230,19 @@ PartitionedReport analyze_partitioned(const SystemTmg& stmg,
   }
 
   // Compile once per structure (a caller-owned solver re-reads only the
-  // weights on warm calls) and solve components on per-worker workspaces.
+  // weights on warm calls) and solve the components one by one.
   tmg::CycleMeanSolver local_solver;
   tmg::CycleMeanSolver& solver =
       options.solver != nullptr ? *options.solver : local_solver;
-  solver.prepare(stmg.graph,
-                 options.pool != nullptr ? options.pool->jobs() : 1);
+  solver.prepare(stmg.graph);
   const auto n = static_cast<std::size_t>(solver.sccs().num_components);
   std::vector<tmg::CycleRatioResult> per(n);
   std::vector<char> hit(n, 0);
-  const auto solve_one = [&](std::size_t i) {
+  for (std::size_t i = 0; i < n; ++i) {
     bool from = false;
     per[i] = solve_scc(solver, static_cast<std::int32_t>(i), options.cache,
                        &from);
     hit[i] = from ? 1 : 0;
-  };
-  if (options.pool != nullptr && n > 1) {
-    options.pool->parallel_for(n, solve_one, /*grain=*/1);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) solve_one(i);
   }
 
   part = assemble_partitioned(stmg, solver.sccs(), per);

@@ -5,10 +5,9 @@
 // system is the fold of independent per-SCC maximum cycle ratios
 // (tmg::fold_cycle_ratio). This module compiles the elaborated TMG into the
 // CSR engine (tmg::CycleMeanSolver, whose plan holds the Tarjan partition),
-// solves each component with Howard independently — in parallel on an
-// exec::ThreadPool, and memoized per component through the EvalCache aux
-// memo — and assembles a PerformanceReport that is bit-identical to the
-// monolithic analysis::analyze, plus per-component provenance: which
+// solves each component with Howard independently — memoized per component
+// through the EvalCache aux memo — and assembles a PerformanceReport that is
+// bit-identical to the monolithic analysis::analyze, plus per-component provenance: which
 // processes and channels each SCC spans, each component's own cycle ratio,
 // and its slack against the critical component.
 //
@@ -25,7 +24,6 @@
 #include "analysis/eval_cache.h"
 #include "analysis/performance.h"
 #include "analysis/tmg_builder.h"
-#include "exec/thread_pool.h"
 #include "graph/scc.h"
 #include "sysmodel/system.h"
 #include "tmg/csr.h"
@@ -74,20 +72,13 @@ struct PartitionedReport {
 };
 
 struct PartitionOptions {
-  /// Solve components in parallel when non-null. Must not be set when the
-  /// caller already runs inside a task of the same pool (nested parallelism
-  /// is rejected by exec::ThreadPool).
-  exec::ThreadPool* pool = nullptr;
   /// Memoize per-component solves through the aux memo when non-null.
   analysis::EvalCache* cache = nullptr;
   /// Caller-owned CSR solver (see tmg/csr.h); nullptr = a call-local one.
   /// A caller-owned solver keeps the compiled structure, SCC partition, and
-  /// per-worker workspaces across calls, so repeated analyses of the same
-  /// topology skip compilation and Tarjan entirely. Results are identical
-  /// either way. The solver must not be shared with a concurrent analysis;
-  /// its workspace bank is sized to the pool. When `pool` is set, call from
-  /// a thread that is not a worker of some other pool — the calling thread
-  /// claims workspace slot 0.
+  /// workspace across calls, so repeated analyses of the same topology skip
+  /// compilation and Tarjan entirely. Results are identical either way. The
+  /// solver must not be shared with a concurrent analysis.
   tmg::CycleMeanSolver* solver = nullptr;
 };
 
@@ -125,12 +116,10 @@ std::vector<std::int64_t> encode_scc_result(const tmg::CycleRatioResult& r);
 bool decode_scc_result(const std::vector<std::int64_t>& payload,
                        tmg::CycleRatioResult* out);
 
-/// Solves one component through the prepared solver using the calling
-/// thread's workspace slot (exec::current_worker_slot), consulting and
-/// filling the cache's aux memo when `cache` is non-null. `*from_cache`
-/// (optional) reports a memo hit. Safe to call concurrently for different
-/// components from distinct worker slots.
-tmg::CycleRatioResult solve_scc(const tmg::CycleMeanSolver& solver,
+/// Solves one component through the prepared solver and its workspace,
+/// consulting and filling the cache's aux memo when `cache` is non-null.
+/// `*from_cache` (optional) reports a memo hit.
+tmg::CycleRatioResult solve_scc(tmg::CycleMeanSolver& solver,
                                 std::int32_t comp_id,
                                 analysis::EvalCache* cache,
                                 bool* from_cache = nullptr);

@@ -9,12 +9,12 @@
 #include <set>
 
 #include "analysis/performance.h"
-#include "comp/partition.h"
 #include "dse/area_recovery.h"
 #include "dse/timing_opt.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "ordering/channel_ordering.h"
+#include "tmg/csr.h"
 #include "util/log.h"
 
 namespace ermes::dse {
@@ -93,17 +93,9 @@ struct EvalContext {
   }
 };
 
-// Memoized analysis of one candidate system through the SCC-partitioned
-// engine: per-component reuse under the whole-report memo.
-PerformanceReport analyze_memo(const SystemModel& sys, EvalContext& ctx) {
-  // No pool: this runs inside evaluation workers, and exec::ThreadPool
-  // rejects nested parallelism. Cache misses solve through the calling
-  // worker's CSR solver, which stays warm across candidates (same topology,
-  // different latencies).
-  return comp::analyze_cached(sys, *ctx.cache, &ctx.solver());
-}
-
-// Reorders `sys` in place (when asked) and analyzes it through the memo.
+// Reorders `sys` in place (when asked) and analyzes it through the memo;
+// cache misses solve through the calling worker's CSR solver, which stays
+// warm across candidates (same topology, different latencies).
 // The whole reorder+analyze tail is memoized under the fingerprint of the
 // *pre-reorder* system: Algorithm 1 is deterministic, so a repeat candidate
 // (another sweep point, a warm re-run) skips both the ordering pass and
@@ -113,7 +105,7 @@ PerformanceReport reorder_and_analyze(SystemModel& sys, bool reorder,
   EvalCache& cache = *ctx.cache;
   if (!reorder) {
     obs::ObsSpan analyze_span("dse.analyze", "dse");
-    return analyze_memo(sys, ctx);
+    return cache.analyze(sys, &ctx.solver());
   }
   const std::uint64_t pre_fp = analysis::system_fingerprint(sys);
   analysis::OrderedEval memo;
@@ -130,7 +122,7 @@ PerformanceReport reorder_and_analyze(SystemModel& sys, bool reorder,
   }
   {
     obs::ObsSpan analyze_span("dse.analyze", "dse");
-    memo.report = analyze_memo(sys, ctx);
+    memo.report = cache.analyze(sys, &ctx.solver());
   }
   memo.input_orders.reserve(sys.num_processes());
   memo.output_orders.reserve(sys.num_processes());
@@ -161,72 +153,6 @@ struct Evaluated {
   PerformanceReport report;
 };
 
-// Serial multi-candidate evaluation with a batched analyze stage:
-// per-candidate apply + ordered-eval memo probe + reorder stay sequential
-// (they are cheap and order-dependent), then every candidate still needing
-// analysis is swept through one EvalCache::analyze_batch call. Reordering
-// changes the TMG *structure*, so analyze_batch regroups internally; when
-// orders repeat across candidates (the common case — Algorithm 1 is
-// deterministic over near-identical latencies) the misses collapse into one
-// prepared structure + one solve_batch sweep. Reports are bit-identical to
-// the per-candidate path (analyze_batch's contract).
-void evaluate_candidates_batched(const SystemModel& sys,
-                                 const std::vector<SelectionVector>& selections,
-                                 bool reorder, EvalContext& ctx,
-                                 std::vector<Evaluated>& out) {
-  const std::size_t k = selections.size();
-  std::vector<std::uint64_t> pre_fps(k, 0);
-  std::vector<std::size_t> pending;
-  pending.reserve(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    out[i].system = sys;
-    apply_selection(out[i].system, selections[i]);
-    obs::count("dse.candidates_evaluated");
-    if (!reorder) {
-      pending.push_back(i);
-      continue;
-    }
-    pre_fps[i] = analysis::system_fingerprint(out[i].system);
-    analysis::OrderedEval memo;
-    if (ctx.cache->lookup_eval(pre_fps[i], &memo)) {
-      for (sysmodel::ProcessId p = 0; p < out[i].system.num_processes(); ++p) {
-        out[i].system.set_input_order(p, memo.input_orders[p]);
-        out[i].system.set_output_order(p, memo.output_orders[p]);
-      }
-      out[i].report = memo.report;
-      continue;
-    }
-    obs::ObsSpan reorder_span("dse.reorder", "dse");
-    ordering::apply_ordering(out[i].system,
-                             ordering::channel_ordering(out[i].system));
-    pending.push_back(i);
-  }
-  if (!pending.empty()) {
-    obs::ObsSpan analyze_span("dse.analyze", "dse");
-    std::vector<const SystemModel*> pointers;
-    pointers.reserve(pending.size());
-    for (const std::size_t i : pending) pointers.push_back(&out[i].system);
-    const std::vector<PerformanceReport> reports = ctx.cache->analyze_batch(
-        std::span<const SystemModel* const>(pointers), &ctx.solver());
-    for (std::size_t j = 0; j < pending.size(); ++j) {
-      out[pending[j]].report = reports[j];
-    }
-  }
-  if (reorder) {
-    for (const std::size_t i : pending) {
-      analysis::OrderedEval memo;
-      memo.report = out[i].report;
-      memo.input_orders.reserve(out[i].system.num_processes());
-      memo.output_orders.reserve(out[i].system.num_processes());
-      for (sysmodel::ProcessId p = 0; p < out[i].system.num_processes(); ++p) {
-        memo.input_orders.push_back(out[i].system.input_order(p));
-        memo.output_orders.push_back(out[i].system.output_order(p));
-      }
-      ctx.cache->insert_eval(pre_fps[i], memo);
-    }
-  }
-}
-
 // Evaluates every candidate selection of an iteration, fanning across the
 // pool when one is available. Result slot i always corresponds to
 // selection i, and each evaluation is a pure function of (sys, selection),
@@ -241,8 +167,6 @@ std::vector<Evaluated> evaluate_candidates(
   };
   if (ctx.pool != nullptr && selections.size() > 1) {
     ctx.pool->parallel_for(selections.size(), eval_one, /*grain=*/1);
-  } else if (selections.size() > 1) {
-    evaluate_candidates_batched(sys, selections, reorder, ctx, out);
   } else {
     for (std::size_t i = 0; i < selections.size(); ++i) eval_one(i);
   }

@@ -54,19 +54,16 @@ struct ExplorerOptions {
   int jobs = 1;
   /// Memo for candidate evaluations. nullptr = a fresh per-run cache (still
   /// reuses results across iterations); pass a shared cache to also reuse
-  /// across runs, e.g. the points of a multi-TCT sweep. Single-candidate and
-  /// pooled analyses go through the SCC-partitioned engine
-  /// (comp::analyze_cached): per-component memoization on top of the
-  /// whole-report memo, so a candidate that only perturbs one component of a
-  /// decoupled system re-solves only that component.
+  /// across runs, e.g. the points of a multi-TCT sweep. Every candidate is
+  /// analyzed through EvalCache::analyze, memoized by the fingerprint of its
+  /// labeling.
   analysis::EvalCache* cache = nullptr;
   /// Worker pool to evaluate on. nullptr = a per-run pool when jobs > 1.
   exec::ThreadPool* pool = nullptr;
   /// External CSR solver for the calling thread's evaluation slot (slot 0).
   /// nullptr = a per-run solver. A sweep driver passes one solver per worker
   /// slot so adjacent targets executed on that slot share a warm compiled
-  /// structure (and its batch staging) across the sweep's serial
-  /// explorations. Not internally synchronized — the caller must ensure one
+  /// structure across the sweep's serial explorations. Not internally synchronized — the caller must ensure one
   /// thread at a time, which per-slot ownership gives for free.
   tmg::CycleMeanSolver* solver = nullptr;
   /// Cooperative cancellation, polled between iterations. Returning true

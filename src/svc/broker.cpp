@@ -100,11 +100,10 @@ Broker::Broker(BrokerOptions options)
       }
     }
   }
-  // Register the serving counters CI and dashboards scrape even before the
-  // first coalesce/batch happens — a missing series is indistinguishable
-  // from a scrape bug, a zero is not.
+  // Register the serving counter CI and dashboards scrape even before the
+  // first coalesce happens — a missing series is indistinguishable from a
+  // scrape bug, a zero is not.
   obs::Registry::global().counter("coalesced");
-  obs::Registry::global().counter("batched");
   saved_misses_ = cache_.misses();
   if (options_.cache_save_secs > 0 && !options_.cache_file.empty()) {
     saver_ = std::thread([this] { saver_loop(); });
@@ -188,7 +187,6 @@ Broker::Stats Broker::stats() const {
   s.waiting = waiting_.load(std::memory_order_relaxed);
   s.in_flight = in_flight_.load(std::memory_order_relaxed);
   s.coalesced = coalesced_.load(std::memory_order_relaxed);
-  s.batched = batched_.load(std::memory_order_relaxed);
   s.cache_saves = cache_saves_.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
@@ -256,75 +254,6 @@ void Broker::fan_out(std::vector<Waiter> followers, const Outcome& outcome) {
                    : encode_error(waiter.id, outcome.code, outcome.message,
                                   waiter.version);
     waiter.done(std::move(response));
-    finish_one();
-  }
-}
-
-void Broker::drain_analyze_queue() {
-  std::vector<PendingAnalyze> batch;
-  {
-    std::lock_guard<std::mutex> lock(analyze_mu_);
-    const std::size_t take = std::min<std::size_t>(
-        analyze_queue_.size(), std::max<std::size_t>(options_.analyze_batch_max,
-                                                     1));
-    batch.reserve(take);
-    for (std::size_t i = 0; i < take; ++i) {
-      batch.push_back(std::move(analyze_queue_.front()));
-      analyze_queue_.pop_front();
-    }
-  }
-  if (batch.empty()) return;  // a sibling drain task took our request
-
-  if (batch.size() > 1) {
-    // Cross-request batch staging: parse every (not-yet-expired) model and
-    // push their misses through one EvalCache::analyze_batch — internally
-    // one CycleMeanSolver::solve_batch per shared CSR structure. Each
-    // request below then answers from the memo, bit-identical to a serial
-    // run by cache purity; this stage only changes how the misses are paid.
-    std::vector<io::ParseResult> parsed(batch.size());
-    std::vector<const sysmodel::SystemModel*> systems;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const PendingAnalyze& pending = batch[i];
-      if (pending.has_deadline && Clock::now() >= pending.deadline) continue;
-      parsed[i] = parse_model(pending.request);
-      if (parsed[i].ok) systems.push_back(&parsed[i].system);
-    }
-    if (systems.size() > 1) {
-      std::size_t slot = exec::current_worker_slot();
-      if (slot >= sweep_solvers_.size()) slot = 0;
-      cache_.analyze_batch(systems, sweep_solvers_[slot].get());
-      batched_.fetch_add(static_cast<std::int64_t>(systems.size()),
-                         std::memory_order_relaxed);
-      obs::count("batched", static_cast<std::int64_t>(systems.size()));
-    }
-  }
-
-  for (PendingAnalyze& pending : batch) {
-    const std::int64_t now_waiting =
-        waiting_.fetch_sub(1, std::memory_order_acq_rel) - 1;
-    obs::gauge_set("svc.queue.waiting", now_waiting);
-    const std::int64_t queue_wait_ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            Clock::now() - pending.admitted)
-            .count();
-    Outcome outcome;
-    if (pending.entry == nullptr) {
-      execute(pending.request, pending.has_deadline, pending.deadline,
-              queue_wait_ns, pending.done, nullptr);
-    } else {
-      // Detach followers before the leader's response leaves the broker —
-      // a client that has seen the reply may immediately resubmit, and that
-      // request must become a fresh leader, not attach to a finished solve.
-      execute(pending.request, pending.has_deadline, pending.deadline,
-              queue_wait_ns,
-              [&](std::string response) {
-                std::vector<Waiter> followers =
-                    detach_followers(pending.key, pending.entry);
-                pending.done(std::move(response));
-                fan_out(std::move(followers), outcome);
-              },
-              &outcome);
-    }
     finish_one();
   }
 }
@@ -444,20 +373,6 @@ void Broker::handle_line(const std::string& line, DoneFn done) {
       Clock::now() + std::chrono::milliseconds(has_deadline ? deadline_ms : 0);
   const Clock::time_point admitted = Clock::now();
 
-  // Analyze requests park in the batch queue; one drain task per enqueue
-  // keeps the pool self-balancing (an idle pool answers each alone, a
-  // backlog forms real solve_batch groups).
-  if (parsed.request.op == Op::kAnalyze) {
-    {
-      std::lock_guard<std::mutex> lock(analyze_mu_);
-      analyze_queue_.push_back(PendingAnalyze{
-          std::move(parsed.request), has_deadline, deadline, admitted,
-          std::move(done), key, entry});
-    }
-    pool_.submit([this] { drain_analyze_queue(); });
-    return;
-  }
-
   pool_.submit([this, request = std::move(parsed.request), has_deadline,
                 deadline, admitted, done = std::move(done), key, entry] {
     const std::int64_t now_waiting =
@@ -471,8 +386,9 @@ void Broker::handle_line(const std::string& line, DoneFn done) {
     if (entry == nullptr) {
       execute(request, has_deadline, deadline, queue_wait_ns, done, nullptr);
     } else {
-      // Same ordering contract as drain_analyze_queue: erase the coalesce
-      // entry before the leader's response is visible to its client.
+      // Detach followers before the leader's response leaves the broker —
+      // a client that has seen the reply may immediately resubmit, and that
+      // request must become a fresh leader, not attach to a finished solve.
       execute(request, has_deadline, deadline, queue_wait_ns,
               [&](std::string response) {
                 std::vector<Waiter> followers = detach_followers(key, entry);
@@ -509,7 +425,7 @@ void Broker::execute(const Request& request, bool has_deadline,
   util::Stopwatch sw;
   if (options_.test_exec_delay_ms > 0) {
     // Test hook: hold the leader in flight so identical requests pile onto
-    // its coalesce entry (and analyze backlogs form) deterministically.
+    // its coalesce entry deterministically.
     std::this_thread::sleep_for(
         std::chrono::milliseconds(options_.test_exec_delay_ms));
   }
@@ -799,26 +715,16 @@ JsonValue Broker::run_sweep(const Request& request,
     *soc_error = parsed.error;
     return JsonValue::null();
   }
-  std::int64_t step = request.step;
-  if (step <= 0) {
-    step = std::max<std::int64_t>(1, (request.hi - request.lo) / 7);
-  }
-  // parse_request bounds the target count to kMaxSweepTargets; the cap here
-  // is defense in depth, and the `hi - step` comparison stops the walk
-  // before `tct += step` could overflow when hi is near INT64_MAX.
-  std::vector<std::int64_t> targets;
-  for (std::int64_t tct = request.lo;;) {
-    targets.push_back(tct);
-    if (static_cast<std::int64_t>(targets.size()) >= kMaxSweepTargets) break;
-    if (tct > request.hi - step) break;
-    tct += step;
-  }
+  // parse_request already rejected invalid and oversized ranges.
+  std::string range_error;
+  const std::vector<std::int64_t> targets =
+      sweep_targets(request.lo, request.hi, request.step, &range_error);
   // Serial within the request (requests are the unit of parallelism); the
   // shared warm cache still makes later targets mostly memo replays, and
-  // the slot's warm solver batches each exploration's candidate analyses
-  // (adjacent targets reuse its compiled structure). Requests execute on
-  // pool workers, so the slot solver is single-threaded by construction.
-  // The deadline is polled between targets and inside each exploration.
+  // adjacent targets reuse the slot's warm solver and its compiled
+  // structure. Requests execute on pool workers, so the slot solver is
+  // single-threaded by construction. The deadline is polled between
+  // targets and inside each exploration.
   std::size_t slot = exec::current_worker_slot();
   if (slot >= sweep_solvers_.size()) slot = 0;
   std::vector<dse::ExplorationResult> results;
@@ -901,7 +807,7 @@ JsonValue Broker::run_open_session(const Request& request, std::string* error,
     return JsonValue::null();
   }
   comp::IncrementalAnalyzer::Options options;
-  options.cache = &cache_;  // no pool: requests are the unit of parallelism
+  options.cache = &cache_;
   auto session =
       std::make_shared<Session>(std::move(parsed.system), options);
   {
@@ -1143,7 +1049,6 @@ JsonValue Broker::run_stats(int version) {
   // that snapshot or diff it.
   if (version >= 2) {
     broker.set("coalesced", JsonValue::integer(s.coalesced));
-    broker.set("batched", JsonValue::integer(s.batched));
     broker.set("cache_saves", JsonValue::integer(s.cache_saves));
   }
 
@@ -1239,8 +1144,7 @@ JsonValue Broker::run_stats(int version) {
     JsonValue solver = JsonValue::object();
     for (const char* key :
          {"compiles", "weight_refreshes", "solves", "seeded_solves",
-          "iterations", "cap_hits", "batch_solves", "batch_scenarios",
-          "batch_scc_solves", "batch_scc_reuses"}) {
+          "iterations", "cap_hits"}) {
       solver.set(key, JsonValue::integer(
                           registry.counter(std::string("tmg.solver.") + key)
                               .value()));

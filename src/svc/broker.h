@@ -28,12 +28,6 @@
 //     worker, and the leader fans its outcome (success or error alike) out
 //     to each under the follower's own wire id. A thundering herd asking
 //     one question costs one solve.
-//   * Cross-request batching: admitted analyze requests park briefly in a
-//     drain queue; the worker that picks them up stages every distinct
-//     model of the backlog through one EvalCache::analyze_batch call (one
-//     CycleMeanSolver::solve_batch per shared CSR structure), then answers
-//     each request from the memo — bit-identical to serial execution by
-//     cache purity, but paying one structure compile for the whole batch.
 //   * Drain: begin_drain() atomically flips admission off (subsequent
 //     requests get `shutting_down`); drain() blocks until the in-flight set
 //     is empty. The `shutdown` op responds, then begins the drain.
@@ -63,7 +57,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -123,13 +116,9 @@ struct BrokerOptions {
   /// in which nothing new was inserted. 0 (the default) = save only on
   /// clean shutdown and explicit `cache_save` requests.
   std::int64_t cache_save_secs = 0;
-  /// Upper bound on analyze requests drained into one cross-request
-  /// solve_batch staging pass (see handle_line). Bounded so one worker
-  /// never serializes an arbitrarily long backlog.
-  std::size_t analyze_batch_max = 16;
   /// Test hook: sleep this long at the start of every request execution so
   /// concurrent identical requests deterministically pile onto an in-flight
-  /// leader (coalescing tests) and analyze backlogs form (batching tests).
+  /// leader (coalescing tests).
   std::int64_t test_exec_delay_ms = 0;
 };
 
@@ -186,7 +175,6 @@ class Broker {
     std::int64_t in_flight = 0;  // admitted, not yet responded
     std::int64_t sessions = 0;   // open incremental sessions
     std::int64_t coalesced = 0;  // requests answered from another's solve
-    std::int64_t batched = 0;    // analyze requests staged via solve_batch
     std::int64_t cache_saves = 0;  // background snapshot writes
   };
   Stats stats() const;
@@ -228,17 +216,6 @@ class Broker {
     std::vector<Waiter> followers;
   };
 
-  /// An admitted analyze request parked for cross-request batch staging.
-  struct PendingAnalyze {
-    Request request;
-    bool has_deadline = false;
-    Clock::time_point deadline{};
-    Clock::time_point admitted{};
-    DoneFn done;
-    std::uint64_t key = 0;                  // coalesce key (0 = none)
-    std::shared_ptr<CoalesceEntry> entry;   // leader's fan-out entry
-  };
-
   /// Executes an admitted request (worker thread) and emits the response.
   /// `queue_wait_ns` is the admission -> execution-start delay, attributed
   /// to the request's queue_wait stage. When `outcome` is non-null it is
@@ -267,12 +244,6 @@ class Broker {
   /// Answers every detached follower from the leader's outcome, each
   /// re-encoded with its own id and protocol version.
   void fan_out(std::vector<Waiter> followers, const Outcome& outcome);
-
-  /// Worker task: takes up to analyze_batch_max parked analyze requests,
-  /// pre-stages their misses through one EvalCache::analyze_batch call
-  /// (one solve_batch per shared CSR structure), then executes each request
-  /// normally — the memo now answers them bit-identically to serial runs.
-  void drain_analyze_queue();
 
   /// Background saver thread body (cache_save_secs > 0).
   void saver_loop();
@@ -311,7 +282,7 @@ class Broker {
   // pool worker (slots [1, jobs())); each target explored on that worker
   // passes its slot's solver to dse::explore, so adjacent targets of a
   // sweep — and sweeps across requests landing on the same worker — reuse a
-  // compiled structure and its batch staging. Slot ownership means no two
+  // compiled structure. Slot ownership means no two
   // threads ever share a solver, so none of them need locks.
   std::vector<std::unique_ptr<tmg::CycleMeanSolver>> sweep_solvers_;
 
@@ -327,12 +298,6 @@ class Broker {
   // consuming a queue slot and a worker.
   std::mutex coalesce_mu_;
   std::unordered_map<std::uint64_t, std::shared_ptr<CoalesceEntry>> coalesce_;
-
-  // Cross-request analyze batching: admitted analyze requests park here;
-  // every enqueue also submits one drain task, so workers self-balance
-  // (an idle pool serves each request alone, a backlog forms real batches).
-  std::mutex analyze_mu_;
-  std::deque<PendingAnalyze> analyze_queue_;
 
   // Snapshot writes share one fixed tmp path (path + ".tmp"), so the
   // background saver, the shutdown save, and `cache_save` requests must
@@ -357,7 +322,6 @@ class Broker {
   std::atomic<std::int64_t> deadline_exceeded_{0};
   std::atomic<std::int64_t> internal_errors_{0};
   std::atomic<std::int64_t> coalesced_{0};
-  std::atomic<std::int64_t> batched_{0};
   std::atomic<std::int64_t> cache_saves_{0};
   std::atomic<std::int64_t> trace_tick_{0};  // span-sampling cursor
   obs::WindowRate window_requests_;  // completed requests, last ~10 s
@@ -368,16 +332,11 @@ class Broker {
   bool drain_callback_fired_ = false;
 
   // Declared last on purpose: members are destroyed in reverse declaration
-  // order, so ~ThreadPool runs FIRST — it joins the workers and discards
-  // still-queued tasks before anything a task touches (mailboxes, solvers,
-  // the drain cv — nearly every member above) is destroyed. ~Broker's
-  // drain() is not enough by itself: it only waits for in_flight_ == 0, and
-  // drain_analyze_queue submits one task per enqueued analyze — when a
-  // sibling task takes the whole batch, the later "empty-batch" tasks stay
-  // queued holding no in-flight slot, and such a straggler may still be
-  // running (locking analyze_mu_, reading analyze_queue_) as ~Broker
-  // proceeds. With the pool destroyed first, stragglers finish against
-  // live members.
+  // order, so ~ThreadPool runs FIRST — it joins the workers before anything
+  // a task touches (solvers, sessions, the drain cv — nearly every member
+  // above) is destroyed. A task still finishing after it released its
+  // in-flight slot (finish_one() wakes ~Broker's drain()) therefore runs
+  // against live members.
   exec::ThreadPool pool_;
 };
 

@@ -1,5 +1,7 @@
 #include "svc/protocol.h"
 
+#include <algorithm>
+
 namespace ermes::svc {
 
 const char* to_string(ErrorCode code) {
@@ -242,19 +244,10 @@ RequestParse parse_request(std::string_view line) {
     if (!read_i64(obj, "lo", &out.request.lo, &out.error)) return out;
     if (!read_i64(obj, "hi", &out.request.hi, &out.error)) return out;
     if (!read_i64(obj, "step", &out.request.step, &out.error)) return out;
-    if (out.request.lo <= 0 || out.request.hi < out.request.lo) {
-      out.error = "op 'sweep' needs 0 < lo <= hi";
-      return out;
-    }
-    // With an explicit step, bound the target count up front (a defaulted
-    // step is derived from the span and lands at ~8 targets). lo > 0 and
-    // hi >= lo make the span arithmetic overflow-free.
-    if (out.request.step > 0 &&
-        (out.request.hi - out.request.lo) / out.request.step + 1 >
-            kMaxSweepTargets) {
-      out.error = "op 'sweep' expands to more than " +
-                  std::to_string(kMaxSweepTargets) +
-                  " targets; raise 'step' or narrow [lo, hi]";
+    std::string error;
+    if (sweep_targets(out.request.lo, out.request.hi, out.request.step, &error)
+            .empty()) {
+      out.error = "op 'sweep' " + error;
       return out;
     }
   }
@@ -305,6 +298,29 @@ RequestParse parse_request(std::string_view line) {
 
   out.ok = true;
   return out;
+}
+
+std::vector<std::int64_t> sweep_targets(std::int64_t lo, std::int64_t hi,
+                                        std::int64_t step, std::string* error) {
+  if (lo <= 0 || hi < lo) {
+    *error = "needs 0 < lo <= hi";
+    return {};
+  }
+  // lo > 0 and hi >= lo make the span arithmetic overflow-free.
+  if (step <= 0) step = std::max<std::int64_t>(1, (hi - lo) / 7);
+  if ((hi - lo) / step + 1 > kMaxSweepTargets) {
+    *error = "expands to more than " + std::to_string(kMaxSweepTargets) +
+             " targets; raise 'step' or narrow [lo, hi]";
+    return {};
+  }
+  std::vector<std::int64_t> targets;
+  // Comparing against `hi - step` stops the walk before `tct += step` could
+  // overflow when hi is near INT64_MAX.
+  for (std::int64_t tct = lo;; tct += step) {
+    targets.push_back(tct);
+    if (tct > hi - step) break;
+  }
+  return targets;
 }
 
 namespace {

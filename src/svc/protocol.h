@@ -153,6 +153,14 @@ struct RequestParse {
 /// Parses and schema-validates one request line. Never throws.
 RequestParse parse_request(std::string_view line);
 
+/// Expands a sweep range into its targets: lo, lo + step, ... up to hi. A
+/// non-positive step defaults to ~8 targets over the span. Returns an empty
+/// vector and sets *error when the range is invalid (not 0 < lo <= hi) or
+/// expands to more than kMaxSweepTargets targets; the walk never overflows,
+/// even when hi is near INT64_MAX. Shared by the `sweep` op and the CLI.
+std::vector<std::int64_t> sweep_targets(std::int64_t lo, std::int64_t hi,
+                                        std::int64_t step, std::string* error);
+
 /// Serializes a success response line (no trailing newline). `version` is
 /// the request's (echoed) protocol version.
 std::string encode_ok(const JsonValue& id, JsonValue result,

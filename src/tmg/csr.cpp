@@ -31,10 +31,6 @@ struct SolverCounters {
   obs::Counter& seeded_solves;
   obs::Counter& iterations;
   obs::Counter& cap_hits;
-  obs::Counter& batch_solves;
-  obs::Counter& batch_scenarios;
-  obs::Counter& batch_scc_solves;
-  obs::Counter& batch_scc_reuses;
 
   static SolverCounters& get() {
     static SolverCounters counters{
@@ -43,24 +39,10 @@ struct SolverCounters {
         obs::Registry::global().counter("tmg.solver.solves"),
         obs::Registry::global().counter("tmg.solver.seeded_solves"),
         obs::Registry::global().counter("tmg.solver.iterations"),
-        obs::Registry::global().counter("tmg.solver.cap_hits"),
-        obs::Registry::global().counter("tmg.solver.batch_solves"),
-        obs::Registry::global().counter("tmg.solver.batch_scenarios"),
-        obs::Registry::global().counter("tmg.solver.batch_scc_solves"),
-        obs::Registry::global().counter("tmg.solver.batch_scc_reuses")};
+        obs::Registry::global().counter("tmg.solver.cap_hits")};
     return counters;
   }
 };
-
-// splitmix64 finalizer; the batch slice hash feeds each weight word through
-// it so low-entropy integer delays still spread across 64 bits. Collisions
-// are harmless (a full slice comparison confirms every replay).
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 // Howard policy iteration on one strongly connected component of the CSR
 // view. It mirrors the reference oracle's SccSolver (howard.cpp) line for
@@ -566,17 +548,6 @@ void CsrGraph::refresh_weights(const MarkedGraph& g) {
   }
 }
 
-void CycleMeanSolver::ensure_workspaces(std::size_t count) {
-  if (count == 0) count = 1;
-  while (workspaces_.size() < count) {
-    workspaces_.push_back(std::make_unique<HowardWorkspace>());
-  }
-  if (prepared_) {
-    const auto n = static_cast<std::size_t>(csr_.num_nodes);
-    for (const auto& ws : workspaces_) ws->ensure(n);
-  }
-}
-
 void CycleMeanSolver::compile_plan() {
   const auto n = static_cast<std::size_t>(csr_.num_nodes);
   sccs_ =
@@ -632,46 +603,11 @@ void CycleMeanSolver::compile_plan() {
     }
   }
 
-  // Per-SCC internal slot slices (tail and head inside the component), in
-  // member-row order. Everything an SCC solve reads lives on these slots.
-  scc_slot_ptr_.assign(static_cast<std::size_t>(sccs_.num_components) + 1, 0);
-  scc_slots_.clear();
-  scc_arcs_.clear();
-  for (std::int32_t c = 0; c < sccs_.num_components; ++c) {
-    scc_slot_ptr_[static_cast<std::size_t>(c)] =
-        static_cast<std::int32_t>(scc_slots_.size());
-    for (const NodeId u : sccs_.members[static_cast<std::size_t>(c)]) {
-      const auto ui = static_cast<std::size_t>(u);
-      for (std::int32_t s = csr_.row_ptr[ui]; s < csr_.row_ptr[ui + 1]; ++s) {
-        if (sccs_.component[static_cast<std::size_t>(
-                csr_.slot_head[static_cast<std::size_t>(s)])] == c) {
-          scc_slots_.push_back(s);
-          scc_arcs_.push_back(csr_.slot_arc[static_cast<std::size_t>(s)]);
-        }
-      }
-    }
-  }
-  scc_slot_ptr_[static_cast<std::size_t>(sccs_.num_components)] =
-      static_cast<std::int32_t>(scc_slots_.size());
-
-  // Arc -> owning SCC (-1 for inter-SCC arcs). Weight changes on inter-SCC
-  // arcs cannot move any result, so solve_batch's dirty scan ignores them.
-  arc_scc_.assign(static_cast<std::size_t>(csr_.num_arcs), -1);
-  for (ArcId a = 0; a < csr_.num_arcs; ++a) {
-    const auto ai = static_cast<std::size_t>(a);
-    const std::int32_t comp =
-        sccs_.component[static_cast<std::size_t>(csr_.arc_tail[ai])];
-    if (sccs_.component[static_cast<std::size_t>(csr_.arc_head[ai])] == comp) {
-      arc_scc_[ai] = comp;
-    }
-  }
-
   last_policy_.assign(n, -1);
   have_last_policy_ = false;
 }
 
-bool CycleMeanSolver::prepare(const RatioGraph& rg, std::size_t workers) {
-  ensure_workspaces(workers);
+bool CycleMeanSolver::prepare(const RatioGraph& rg) {
   if (prepared_ && csr_.matches(rg)) {
     csr_.refresh_weights(rg);
     ++stats_.weight_refreshes;
@@ -683,12 +619,10 @@ bool CycleMeanSolver::prepare(const RatioGraph& rg, std::size_t workers) {
   prepared_ = true;
   ++stats_.compiles;
   if (obs::enabled()) SolverCounters::get().compiles.add();
-  ensure_workspaces(workspaces_.size());  // grow workspaces to the new n
   return false;
 }
 
-bool CycleMeanSolver::prepare(const MarkedGraph& g, std::size_t workers) {
-  ensure_workspaces(workers);
+bool CycleMeanSolver::prepare(const MarkedGraph& g) {
   if (prepared_ && csr_.matches(g)) {
     csr_.refresh_weights(g);
     ++stats_.weight_refreshes;
@@ -700,7 +634,6 @@ bool CycleMeanSolver::prepare(const MarkedGraph& g, std::size_t workers) {
   prepared_ = true;
   ++stats_.compiles;
   if (obs::enabled()) SolverCounters::get().compiles.add();
-  ensure_workspaces(workspaces_.size());
   return false;
 }
 
@@ -801,14 +734,12 @@ CycleRatioResult CycleMeanSolver::run(bool seeded) {
     if (obs::enabled()) detail::publish_howard_metrics(0);
     return result;
   }
-  ensure_workspaces(1);
-  HowardWorkspace& ws = *workspaces_.front();
   int total_iterations = 0;
   for (std::int32_t c = 0; c < sccs_.num_components; ++c) {
     int iters = 0;
     bool capped = false;
     const CycleRatioResult scc =
-        solve_component_impl(c, ws, &iters, &capped, seeded);
+        solve_component_impl(c, ws_, &iters, &capped, seeded);
     total_iterations += iters;
     if (capped) {
       ++stats_.cap_hits;
@@ -819,7 +750,7 @@ CycleRatioResult CycleMeanSolver::run(bool seeded) {
     if (plans_[static_cast<std::size_t>(c)].kind == SccKind::kHoward) {
       for (const NodeId u : sccs_.members[static_cast<std::size_t>(c)]) {
         last_policy_[static_cast<std::size_t>(u)] =
-            ws.policy[static_cast<std::size_t>(u)];
+            ws_.policy[static_cast<std::size_t>(u)];
       }
     }
     fold_cycle_ratio(scc, &result);
@@ -835,209 +766,6 @@ CycleRatioResult CycleMeanSolver::run(bool seeded) {
                     << " policy iterations over " << sccs_.num_components
                     << " SCCs";
   return result;
-}
-
-void CycleMeanSolver::solve_batch(std::span<const WeightVector> weights,
-                                  std::span<BatchSolveReport> out) {
-  assert(prepared_);
-  assert(out.size() >= weights.size());
-  const std::size_t k = weights.size();
-  if (k == 0) return;
-  obs::ObsSpan span("howard.solve_batch", "tmg");
-  const auto m = static_cast<std::size_t>(csr_.num_arcs);
-  const auto num_sccs = static_cast<std::size_t>(sccs_.num_components);
-  ++stats_.batch_solves;
-  stats_.batch_scenarios += static_cast<std::int64_t>(k);
-
-  ensure_workspaces(1);
-  HowardWorkspace& ws = *workspaces_.front();
-
-  // Per-SCC replay memo for this batch: an SCC result is a pure function of
-  // the weights on its internal slots, so a slice seen earlier in the batch
-  // replays its stored result (bit-identical by construction — the serial
-  // path would rerun the identical trajectory). Sliced identity is tracked
-  // by *diffing* adjacent scenarios (one flat SIMD-friendly pass over the
-  // arc-indexed vectors): an SCC with no internal-arc change keeps its
-  // current entry with no per-slot work at all, and only dirty slices pay
-  // for a hash + memo probe. Entries remember the scenario that first
-  // solved them, so a hash hit is confirmed against the caller's own
-  // vectors without keeping slice copies.
-  struct MemoEntry {
-    std::uint64_t hash = 0;
-    std::size_t scenario = 0;  // first scenario that solved this slice
-    CycleRatioResult result;
-    int iterations = 0;
-    bool capped = false;
-  };
-  std::vector<std::vector<MemoEntry>> memo(num_sccs);
-  std::vector<std::int32_t> current(num_sccs, -1);  // entry replayed per SCC
-  std::vector<std::size_t> dirty_at(num_sccs, 0);   // scenario stamp (j + 1)
-
-  std::int64_t total_iterations = 0;
-  std::int64_t scc_solves = 0, scc_reuses = 0, cap_hits = 0;
-  for (std::size_t j = 0; j < k; ++j) {
-    const WeightVector& w = weights[j];
-    assert(w.size() == m);
-    BatchSolveReport& rep = out[j];
-    rep = BatchSolveReport{};
-    CycleRatioResult& result = rep.result;
-    if (has_zero_witness_) {
-      // Mirrors run(): the structure-level witness decides every scenario;
-      // only the witness weight sum varies. Read straight from the
-      // arc-indexed vector — nothing is installed until the batch ends.
-      result.has_cycle = true;
-      result.ratio = std::numeric_limits<double>::infinity();
-      result.ratio_den = 0;
-      for (const ArcId a : zero_witness_) {
-        result.ratio_num += w[static_cast<std::size_t>(a)];
-      }
-      result.critical_cycle = zero_witness_;
-      continue;
-    }
-    if (j > 0) {
-      // Dirty scan: stamp the SCCs whose internal weights moved since the
-      // previous scenario. Tokens are structure, so a clean SCC's slice is
-      // byte-identical to the one its current entry solved (transitively:
-      // it has been unchanged since that entry's stamp). Chunked so the
-      // common all-equal chunk is one vectorized XOR-reduce; only chunks
-      // that actually differ pay the per-arc SCC mapping (sweep mutations
-      // cluster on a few processes, i.e. a few contiguous arc ranges).
-      const std::int64_t* wa = w.data();
-      const std::int64_t* pa = weights[j - 1].data();
-      const std::int32_t* arc_scc = arc_scc_.data();
-      const auto scan = [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t a = lo; a < hi; ++a) {
-          if (wa[a] != pa[a] && arc_scc[a] >= 0) {
-            dirty_at[static_cast<std::size_t>(arc_scc[a])] = j;
-          }
-        }
-      };
-      constexpr std::size_t kChunk = 16;
-      std::size_t a = 0;
-      for (; a + kChunk <= m; a += kChunk) {
-        std::uint64_t any = 0;
-        for (std::size_t i = 0; i < kChunk; ++i) {
-          any |= static_cast<std::uint64_t>(wa[a + i] ^ pa[a + i]);
-        }
-        if (any != 0) scan(a, a + kChunk);
-      }
-      scan(a, m);
-    }
-    rep.reused = num_sccs > 0;
-    for (std::int32_t c = 0; c < sccs_.num_components; ++c) {
-      const auto ci = static_cast<std::size_t>(c);
-      auto& entries = memo[ci];
-      std::int32_t hit = -1;
-      const bool clean = j > 0 && dirty_at[ci] != j && current[ci] >= 0;
-      if (clean) {
-        hit = current[ci];
-      } else {
-        // Dirty (or first) scenario: hash the slice and probe the memo; a
-        // hash hit is confirmed against the first-solver scenario's vector.
-        const auto begin = static_cast<std::size_t>(scc_slot_ptr_[ci]);
-        const auto end = static_cast<std::size_t>(scc_slot_ptr_[ci + 1]);
-        std::uint64_t h = 0xcbf29ce484222325ULL;
-        for (std::size_t i = begin; i < end; ++i) {
-          const auto a = static_cast<std::size_t>(scc_arcs_[i]);
-          h = mix64(h ^ static_cast<std::uint64_t>(w[a]));
-        }
-        for (std::size_t e = 0; e < entries.size(); ++e) {
-          if (entries[e].hash != h) continue;
-          const WeightVector& seen = weights[entries[e].scenario];
-          bool equal = true;
-          for (std::size_t i = begin; i < end; ++i) {
-            const auto a = static_cast<std::size_t>(scc_arcs_[i]);
-            if (w[a] != seen[a]) {
-              equal = false;
-              break;
-            }
-          }
-          if (equal) {
-            hit = static_cast<std::int32_t>(e);
-            break;
-          }
-        }
-        if (hit < 0) {
-          // Install only this SCC's slots (all a solve reads), run it, and
-          // memoize. The full scenario is installed once, after the sweep.
-          for (std::size_t i = begin; i < end; ++i) {
-            csr_.slot_weight[static_cast<std::size_t>(scc_slots_[i])] =
-                w[static_cast<std::size_t>(scc_arcs_[i])];
-          }
-          int iters = 0;
-          bool capped = false;
-          CycleRatioResult solved =
-              solve_component_impl(c, ws, &iters, &capped, /*seeded=*/false);
-          if (plans_[ci].kind == SccKind::kHoward) {
-            for (const NodeId u : sccs_.members[ci]) {
-              last_policy_[static_cast<std::size_t>(u)] =
-                  ws.policy[static_cast<std::size_t>(u)];
-            }
-          }
-          entries.push_back(MemoEntry{h, j, std::move(solved), iters, capped});
-          hit = static_cast<std::int32_t>(entries.size()) - 1;
-          current[ci] = hit;
-          ++scc_solves;
-          rep.reused = false;
-          const MemoEntry& made = entries[static_cast<std::size_t>(hit)];
-          rep.iterations += made.iterations;
-          if (made.capped) {
-            rep.cap_hit = true;
-            ++stats_.cap_hits;
-            ++cap_hits;
-          }
-          fold_cycle_ratio(made.result, &result);
-          if (result.is_infinite()) break;  // deadlock dominates, as in run()
-          continue;
-        }
-        current[ci] = hit;
-      }
-      const MemoEntry& entry = entries[static_cast<std::size_t>(hit)];
-      ++scc_reuses;
-      rep.iterations += entry.iterations;
-      if (entry.capped) {
-        rep.cap_hit = true;
-        ++stats_.cap_hits;
-        ++cap_hits;
-      }
-      fold_cycle_ratio(entry.result, &result);
-      if (result.is_infinite()) break;  // deadlock dominates, as in run()
-    }
-    have_last_policy_ = true;
-    total_iterations += rep.iterations;
-  }
-  // End-state contract: the solver holds the last scenario's weights, as k
-  // serial install+solve passes would leave it.
-  {
-    const WeightVector& last = weights[k - 1];
-    for (std::size_t s = 0; s < m; ++s) {
-      csr_.slot_weight[s] =
-          last[static_cast<std::size_t>(csr_.slot_arc[s])];
-    }
-  }
-  stats_.iterations += total_iterations;
-  stats_.batch_scc_solves += scc_solves;
-  stats_.batch_scc_reuses += scc_reuses;
-  if (obs::enabled()) {
-    SolverCounters& counters = SolverCounters::get();
-    counters.batch_solves.add();
-    counters.batch_scenarios.add(static_cast<std::int64_t>(k));
-    counters.batch_scc_solves.add(scc_solves);
-    counters.batch_scc_reuses.add(scc_reuses);
-    counters.iterations.add(total_iterations);
-    counters.cap_hits.add(cap_hits);
-    detail::publish_howard_metrics(static_cast<int>(total_iterations));
-  }
-  ERMES_LOG(kDebug) << "howard(csr): batch of " << k << " scenarios, "
-                    << scc_solves << " scc solves + " << scc_reuses
-                    << " replays, " << total_iterations << " iterations";
-}
-
-std::vector<BatchSolveReport> CycleMeanSolver::solve_batch(
-    std::span<const WeightVector> weights) {
-  std::vector<BatchSolveReport> reports(weights.size());
-  solve_batch(weights, std::span<BatchSolveReport>(reports));
-  return reports;
 }
 
 CycleRatioResult CycleMeanSolver::solve() { return run(/*seeded=*/false); }

@@ -13,11 +13,10 @@
 //    arc tails/heads/tokens plus offset-indexed adjacency (row_ptr + slot
 //    arrays). Compiled once per *structure*; the weight array is separately
 //    swappable, so weight-only re-solves skip graph construction entirely.
-//  * CycleMeanSolver — a reusable batch solver owning the CSR snapshot, a
+//  * CycleMeanSolver — a reusable solver owning the CSR snapshot, a
 //    structure-derived solve plan (SCC partition, zero-token witnesses,
-//    trivial-SCC self-loops, canonical initial policy), caller-growable
-//    HowardWorkspaces (one per pool worker), and the last optimal policy for
-//    warm-started re-solves.
+//    trivial-SCC self-loops, canonical initial policy), one HowardWorkspace,
+//    and the last optimal policy for warm-started re-solves.
 //
 // Determinism contract: `solve()` and `solve_component()` are bit-identical
 // to the reference oracle tmg::max_cycle_ratio_howard /
@@ -33,24 +32,8 @@
 // to the *exact same maximum ratio* (compare_ratios == 0) but may report a
 // different co-optimal critical cycle. The differential harness enforces
 // both contracts (tests/test_differential.cpp).
-//
-// solve_batch() sweeps k weight scenarios over the prepared structure in one
-// pass and is bit-identical to k serial install+solve() calls. Each scenario
-// replays the canonical-start trajectory (seeded starts could report a
-// different co-optimal witness, which would break bit-identity), so the
-// batch's speed comes from everything *around* policy iteration. The
-// scenario span is already an SoA scenario-major weight block; one flat
-// SIMD-friendly diff pass against the previous scenario stamps the SCCs
-// whose internal arc weights actually moved. Because an SCC's solve is a
-// pure function of the weights on its internal slots, every clean SCC
-// replays its current result with no per-slot work, and dirty slices probe
-// a per-batch hash memo before re-iterating — only a genuinely new slice
-// installs its slots and runs Howard (DSE sweeps mutate a few processes per
-// scenario, so most components stay clean).
 
 #include <cstdint>
-#include <memory>
-#include <span>
 #include <vector>
 
 #include "graph/digraph.h"
@@ -106,31 +89,7 @@ struct CsrGraph {
   }
 };
 
-/// One scenario's arc-indexed weight valuation for solve_batch. Index is the
-/// ArcId of the prepared graph (== PlaceId when compiled from a
-/// MarkedGraph); size must equal csr().num_arcs.
-using WeightVector = std::vector<std::int64_t>;
-
-/// Per-scenario outcome of CycleMeanSolver::solve_batch. `result` is
-/// bit-identical to what install-weights + solve() would have returned at
-/// the same point of the sweep.
-struct BatchSolveReport {
-  CycleRatioResult result;
-  /// Policy-improvement rounds this scenario was charged. Replayed SCC
-  /// results charge the rounds their original solve ran, mirroring what the
-  /// serial path would have spent.
-  int iterations = 0;
-  /// True iff some SCC solve feeding this scenario (original or replayed)
-  /// exhausted the defensive iteration cap; the result then reflects the
-  /// last evaluated policy, exactly like the serial path.
-  bool cap_hit = false;
-  /// True iff every SCC result was replayed from an earlier scenario of the
-  /// same batch (always false for the first scenario and for graphs with a
-  /// zero-token witness, where no per-SCC solves run at all).
-  bool reused = false;
-};
-
-/// Reusable batch solver for repeated maximum-cycle-ratio queries.
+/// Reusable solver for repeated maximum-cycle-ratio queries.
 ///
 /// Usage:
 ///   CycleMeanSolver solver;
@@ -140,11 +99,8 @@ struct BatchSolveReport {
 ///   auto r1 = solver.solve();  // weight-only re-solve: no construction
 ///
 /// prepare() on an unchanged structure is a warm weight refresh; on a
-/// changed structure it recompiles. Workspaces are owned by the solver, one
-/// per worker slot (see exec::current_worker_slot), so comp::partition can
-/// run solve_component() from pool workers without locks. Not thread-safe
-/// for concurrent prepare/solve; concurrent *const* solve_component calls
-/// with distinct workspaces are safe.
+/// changed structure it recompiles. The solver owns one workspace and is not
+/// internally synchronized: one thread at a time.
 class CycleMeanSolver {
  public:
   /// Lifetime totals. Every field accumulates for the life of the solver —
@@ -158,12 +114,8 @@ class CycleMeanSolver {
     std::int64_t solves = 0;            // canonical full-graph solves
     std::int64_t seeded_solves = 0;     // warm-policy full-graph solves
     std::int64_t iterations = 0;        // policy-improvement rounds, total
-                                        // (solve/solve_seeded/solve_batch)
+                                        // (solve/solve_seeded)
     std::int64_t cap_hits = 0;          // SCC solves that exhausted the cap
-    std::int64_t batch_solves = 0;      // non-empty solve_batch calls
-    std::int64_t batch_scenarios = 0;   // scenarios swept by solve_batch
-    std::int64_t batch_scc_solves = 0;  // scenario-SCC solves actually run
-    std::int64_t batch_scc_reuses = 0;  // scenario-SCC results replayed
   };
 
   CycleMeanSolver() = default;
@@ -174,10 +126,9 @@ class CycleMeanSolver {
 
   /// Snapshots `rg` (or re-reads its weights when the structure is
   /// unchanged). Returns true on a warm (weight-only) prepare, false when
-  /// the structure was (re)compiled. `workers` sizes the workspace bank
-  /// (never shrinks it).
-  bool prepare(const RatioGraph& rg, std::size_t workers = 1);
-  bool prepare(const MarkedGraph& g, std::size_t workers = 1);
+  /// the structure was (re)compiled.
+  bool prepare(const RatioGraph& rg);
+  bool prepare(const MarkedGraph& g);
 
   /// Whole-graph solve from the canonical initial policy; bit-identical to
   /// the max_cycle_ratio_howard oracle on the prepared graph. Requires
@@ -188,22 +139,6 @@ class CycleMeanSolver {
   CycleRatioResult solve(const RatioGraph& rg);
   CycleRatioResult solve(const MarkedGraph& g);
 
-  /// Sweeps weights.size() scenarios over the prepared structure in one
-  /// pass, writing one report per scenario into `out` (which must be at
-  /// least as large). Bit-identical to installing each WeightVector and
-  /// calling solve() in order: same ratio_num/ratio_den, same double bits,
-  /// same critical cycle. Requires prepared(); every WeightVector must hold
-  /// exactly csr().num_arcs entries, indexed by arc id. After the call the
-  /// solver holds the last scenario's weights (as the serial loop would),
-  /// and last_policy_ reflects the most recently *executed* SCC solves — a
-  /// valid solve_seeded() seed, though not necessarily the serial
-  /// end-state policy when slices were replayed. An empty batch is a no-op.
-  void solve_batch(std::span<const WeightVector> weights,
-                   std::span<BatchSolveReport> out);
-  /// Convenience overload returning the reports.
-  std::vector<BatchSolveReport> solve_batch(
-      std::span<const WeightVector> weights);
-
   /// Whole-graph solve seeded from the previous solve's optimal policy
   /// (falls back to the canonical policy where no previous policy exists).
   /// Converges to the exact same maximum ratio as solve() — compare_ratios
@@ -212,10 +147,9 @@ class CycleMeanSolver {
   CycleRatioResult solve_seeded();
 
   /// One component's solve on caller-provided scratch; bit-identical to the
-  /// max_cycle_ratio_howard_scc oracle. Safe to call concurrently for
-  /// different (comp_id, ws) pairs. `capped`, when non-null, reports whether
-  /// the defensive iteration cap was exhausted (result then reflects the
-  /// last evaluated policy and may be suboptimal).
+  /// max_cycle_ratio_howard_scc oracle. `capped`, when non-null, reports
+  /// whether the defensive iteration cap was exhausted (result then reflects
+  /// the last evaluated policy and may be suboptimal).
   CycleRatioResult solve_component(std::int32_t comp_id, HowardWorkspace& ws,
                                    int* iterations = nullptr,
                                    bool* capped = nullptr) const;
@@ -231,15 +165,8 @@ class CycleMeanSolver {
   /// graph::strongly_connected_components on the source Digraph.
   const graph::SccResult& sccs() const { return sccs_; }
 
-  /// Grows the workspace bank to `count` slots (never shrinks). Must not be
-  /// called concurrently with solve_component.
-  void ensure_workspaces(std::size_t count);
-  std::size_t num_workspaces() const { return workspaces_.size(); }
-  /// Workspace for one worker slot; index with exec::current_worker_slot()
-  /// inside pool workers. Each slot is owned by one thread at a time.
-  HowardWorkspace& workspace(std::size_t slot) const {
-    return *workspaces_[slot];
-  }
+  /// The solver's own scratch, for solve_component() callers.
+  HowardWorkspace& workspace() { return ws_; }
 
   const Stats& stats() const { return stats_; }
 
@@ -273,25 +200,12 @@ class CycleMeanSolver {
   std::vector<std::int32_t> plan_slots_;  // self-loop slots of trivial SCCs
   std::vector<graph::ArcId> plan_arcs_;   // per-SCC zero-token witnesses
 
-  // Internal slots (tail and head in the SCC) grouped per component, in
-  // member-row order: SCC c's slice is scc_slots_[scc_slot_ptr_[c] ..
-  // scc_slot_ptr_[c+1]). An SCC solve reads exactly these weights, so two
-  // scenarios agreeing on a slice produce bit-identical SCC results —
-  // the foundation of solve_batch's replay.
-  std::vector<std::int32_t> scc_slot_ptr_;
-  std::vector<std::int32_t> scc_slots_;
-  std::vector<graph::ArcId> scc_arcs_;  // slot_arc[scc_slots_[i]], precomputed
-  // Arc -> owning SCC, -1 for inter-SCC arcs (whose weights no solve ever
-  // reads): solve_batch's scenario-diff pass maps changed arcs to the SCCs
-  // they dirty through this.
-  std::vector<std::int32_t> arc_scc_;
-
   // Previous optimal policy (slot per node, -1 where unknown) for
   // solve_seeded(); invalidated by every recompile.
   std::vector<std::int32_t> last_policy_;
   bool have_last_policy_ = false;
 
-  std::vector<std::unique_ptr<HowardWorkspace>> workspaces_;
+  HowardWorkspace ws_;
   Stats stats_;
 };
 

@@ -21,12 +21,10 @@
 //    `evaluate` settles lambda/value/cyc_* for every member before `improve`
 //    reads them), so stale values from earlier solves are dead data.
 //
-// Ownership rules: a workspace belongs to exactly one thread at a time. The
-// batch API (CycleMeanSolver) keeps one workspace per pool worker slot and
-// indexes them with exec::current_worker_slot(), so parallel per-SCC solves
-// never share scratch. Workspaces may be reused across graphs of different
-// sizes; `ensure` grows the arrays and stamps the fresh tail as "never
-// marked".
+// Ownership rules: a workspace belongs to exactly one thread at a time;
+// each CycleMeanSolver owns one. Workspaces may be reused across graphs of
+// different sizes; `ensure` grows the arrays and stamps the fresh tail as
+// "never marked".
 
 #include <algorithm>
 #include <cstdint>

@@ -22,7 +22,6 @@
 #include "cache/clock_cache.h"
 #include "cache/snapshot.h"
 #include "sysmodel/builder.h"
-#include "tmg/csr.h"
 #include "util/rng.h"
 
 namespace ermes {
@@ -377,33 +376,6 @@ TEST(EvalCacheBounded, AnalyzeIsBitIdenticalToUncachedUnderEviction) {
     }
   }
   EXPECT_GT(cache.evictions(), 0);
-}
-
-TEST(EvalCacheBounded, BatchDuplicatesResolveWhenInsertsAreRejected) {
-  // In-batch duplicates must copy their leader's report even when the cache
-  // refuses every insert — a degenerate budget makes each family's shard
-  // budget 1 byte, so the leader's freshly computed report is never
-  // admitted and a cache round trip in pass 3 would miss (the old bug:
-  // duplicates silently returned a default report, live=false).
-  analysis::EvalCache cache(4, 3);
-  tmg::CycleMeanSolver solver;
-  const sysmodel::SystemModel a = variant(1);
-  const sysmodel::SystemModel b = variant(2);
-  const std::vector<const sysmodel::SystemModel*> batch = {&a, &a, &b, &a,
-                                                           &b};
-  const std::vector<analysis::PerformanceReport> reports =
-      cache.analyze_batch(batch, &solver);
-  ASSERT_EQ(reports.size(), batch.size());
-  EXPECT_EQ(cache.size(), 0u) << "degenerate budget should admit nothing";
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const analysis::PerformanceReport direct =
-        analysis::analyze_system(*batch[i]);
-    ASSERT_TRUE(reports[i].live) << "duplicate got a default report at " << i;
-    EXPECT_EQ(reports[i].ct_num, direct.ct_num);
-    EXPECT_EQ(reports[i].ct_den, direct.ct_den);
-    EXPECT_EQ(reports[i].cycle_time, direct.cycle_time);
-    EXPECT_EQ(reports[i].critical_channels, direct.critical_channels);
-  }
 }
 
 TEST(EvalCacheBounded, SnapshotRoundTripsAllThreeFamilies) {

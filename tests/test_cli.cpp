@@ -42,14 +42,15 @@ std::string temp_path(const std::string& name) {
          "_" + name;
 }
 
-// Runs `ermes <args>` through the shell, capturing stdout/stderr.
-RunResult run_cli(const std::string& args) {
+// Runs `ermes <args>` through the shell, capturing stdout/stderr. `prefix`
+// is shell text run first in the same shell (e.g. a ulimit).
+RunResult run_cli(const std::string& args, const std::string& prefix = "") {
   static int counter = 0;
   const std::string base = temp_path(std::to_string(counter++));
   const std::string out_path = base + ".out";
   const std::string err_path = base + ".err";
-  const std::string command = std::string(ERMES_CLI_PATH) + " " + args +
-                              " >" + out_path + " 2>" + err_path;
+  const std::string command = prefix + std::string(ERMES_CLI_PATH) + " " +
+                              args + " >" + out_path + " 2>" + err_path;
   const int status = std::system(command.c_str());
   RunResult result;
   result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
@@ -104,10 +105,56 @@ TEST(CliExitCodes, NonNumericPositionalIsUsage) {
   expect_error_line(result);
 }
 
+// Caps the CLI's address space so a command that tries to allocate without
+// bound fails fast instead of exhausting the machine. Sanitizer runtimes
+// reserve terabytes of shadow address space and cannot start under a cap, so
+// sanitized builds run uncapped.
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define ERMES_TEST_SANITIZED 1
+#endif
+#endif
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define ERMES_TEST_SANITIZED 1
+#endif
+#ifdef ERMES_TEST_SANITIZED
+const std::string kMemoryCap;
+#else
+const std::string kMemoryCap = "ulimit -v 1000000; ";
+#endif
+
 TEST(CliExitCodes, BadSweepRangeIsUsage) {
-  const RunResult result = run_cli("sweep " + demo_path() + " 9 3");
-  EXPECT_EQ(result.exit_code, 2);
-  expect_error_line(result);
+  const RunResult inverted = run_cli("sweep " + demo_path() + " 9 3");
+  EXPECT_EQ(inverted.exit_code, 2);
+  expect_error_line(inverted);
+
+  // 1001 targets: one over the bound the daemon's `sweep` op enforces.
+  const RunResult wide = run_cli("sweep " + demo_path() + " 1 1001 1");
+  EXPECT_EQ(wide.exit_code, 2);
+  expect_error_line(wide);
+  EXPECT_NE(wide.err.find("more than 1000 targets"), std::string::npos)
+      << wide.err;
+  EXPECT_TRUE(wide.out.empty()) << wide.out;
+
+  const RunResult huge =
+      run_cli("sweep " + demo_path() + " 1 100000000 1", kMemoryCap);
+  EXPECT_EQ(huge.exit_code, 2);
+  expect_error_line(huge);
+}
+
+TEST(CliExitCodes, SweepNearInt64MaxStopsBeforeOverflow) {
+  // lo + 2 * step overflows int64: the walk must stop at the last target
+  // that fits instead of wrapping around.
+  const RunResult result = run_cli(
+      "sweep " + demo_path() + " 9223372036854775000 9223372036854775807 500",
+      kMemoryCap);
+  EXPECT_EQ(result.exit_code, 0) << result.err;
+  EXPECT_TRUE(result.err.empty()) << result.err;
+  EXPECT_NE(result.out.find("9223372036854775000"), std::string::npos)
+      << result.out;
+  EXPECT_NE(result.out.find("9223372036854775500"), std::string::npos)
+      << result.out;
+  EXPECT_NE(result.out.find("2 targets"), std::string::npos) << result.out;
 }
 
 TEST(CliExitCodes, MissingFileIsParseError) {

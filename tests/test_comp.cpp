@@ -6,7 +6,7 @@
 //    flattened hierarchy against the same system hand-written flat
 //    (fixed case + randomized property over generated hierarchies);
 //  * analyze_partitioned: bit-identical reports vs the monolithic path at
-//    every (pool, cache) setting, per-component provenance and slack,
+//    every cache/solver setting, per-component provenance and slack,
 //    fingerprint sensitivity, the aux-memo payload codec;
 //  * IncrementalAnalyzer: patch-by-patch bit-identity against a cold
 //    analysis of a mirror model for randomized patch sequences, patch
@@ -28,7 +28,6 @@
 #include "comp/hierarchy.h"
 #include "comp/incremental.h"
 #include "comp/partition.h"
-#include "exec/thread_pool.h"
 #include "graph/dot.h"
 #include "graph/scc.h"
 #include "io/soc_format.h"
@@ -452,18 +451,15 @@ TEST(Partitioned, BitIdenticalToMonolithicAtEverySetting) {
     util::Rng rng = util::Rng::for_shard(0x9a97, static_cast<std::uint64_t>(iter));
     systems.push_back(random_hierarchy(rng).flat);
   }
-  exec::ThreadPool pool(4);
   analysis::EvalCache cache;
   for (std::size_t i = 0; i < systems.size(); ++i) {
     const SystemModel& sys = systems[i];
     const PerformanceReport mono = analysis::analyze_system(sys);
     const std::string what = "system " + std::to_string(i);
     expect_report_eq(analyze_partitioned(sys).report, mono, what);
-    expect_report_eq(analyze_partitioned(sys, {.pool = &pool}).report, mono,
-                     what + " +pool");
     const PartitionedReport cold =
-        analyze_partitioned(sys, {.pool = &pool, .cache = &cache});
-    expect_report_eq(cold.report, mono, what + " +pool+cache cold");
+        analyze_partitioned(sys, {.cache = &cache});
+    expect_report_eq(cold.report, mono, what + " +cache cold");
     // A second run replays every component from the aux memo.
     const PartitionedReport warm =
         analyze_partitioned(sys, {.cache = &cache});
@@ -473,9 +469,8 @@ TEST(Partitioned, BitIdenticalToMonolithicAtEverySetting) {
   }
 }
 
-TEST(Partitioned, CsrSolverBitIdenticalAcrossPoolAndCache) {
-  // A caller-owned solver in analyze_partitioned: per-worker workspaces on
-  // the pool path (this test runs under TSan in CI), warm re-prepares on
+TEST(Partitioned, CsrSolverBitIdenticalWarmAndAcrossCache) {
+  // A caller-owned solver in analyze_partitioned: warm re-prepares on
   // repeated solves, and memo sharing with call-local solvers through a
   // shared EvalCache.
   std::vector<SystemModel> systems;
@@ -485,7 +480,6 @@ TEST(Partitioned, CsrSolverBitIdenticalAcrossPoolAndCache) {
     util::Rng rng = util::Rng::for_shard(0xc5a, static_cast<std::uint64_t>(iter));
     systems.push_back(random_hierarchy(rng).flat);
   }
-  exec::ThreadPool pool(4);
   tmg::CycleMeanSolver solver;
   for (std::size_t i = 0; i < systems.size(); ++i) {
     const SystemModel& sys = systems[i];
@@ -493,15 +487,11 @@ TEST(Partitioned, CsrSolverBitIdenticalAcrossPoolAndCache) {
     const std::string what = "system " + std::to_string(i);
     expect_report_eq(analyze_partitioned(sys, {.solver = &solver}).report,
                      mono, what + " +solver");
-    expect_report_eq(
-        analyze_partitioned(sys, {.pool = &pool, .solver = &solver}).report,
-        mono, what + " +pool+solver");
     // Same structure again: the solver must stay warm (weight refresh, no
     // recompile) and still reproduce the report bit for bit.
     const std::int64_t compiles = solver.stats().compiles;
-    expect_report_eq(
-        analyze_partitioned(sys, {.pool = &pool, .solver = &solver}).report,
-        mono, what + " +pool+solver warm");
+    expect_report_eq(analyze_partitioned(sys, {.solver = &solver}).report,
+                     mono, what + " +solver warm");
     EXPECT_EQ(solver.stats().compiles, compiles) << what;
   }
   EXPECT_GT(solver.stats().weight_refreshes, 0);

@@ -22,18 +22,12 @@
 //      workspaces only ever grow) never contaminates a later solve.
 //  D7. solve_seeded() reaches the exact same maximum ratio as the canonical
 //      solve (compare_ratios == 0) and its witness reproduces that ratio.
-//  D8. A cold solve_batch over random weight scenarios is bit-identical to
-//      installing each scenario and calling solve() in order, including the
-//      weights the solver is left holding afterwards.
-//  D9. Warm mutation streams that interleave solve() and solve_batch() on
-//      one solver never diverge from a serial reference solver.
-// D10. One solver batching across differently-shaped graphs (workspaces,
-//      staging, and memo state reused) stays bit-identical per structure.
-// D11. Every production entry point that reaches the CSR engine — analyze,
-//      the partitioned engine (serial, pooled, cache-cold and cache-warm),
-//      EvalCache::analyze_batch and IncrementalAnalyzer under random patch
-//      streams — reports bit-identically to the legacy Howard oracle on
-//      seeded synthetic SoCs. Production never runs the oracle itself.
+//  D8. Every production entry point that reaches the CSR engine — analyze,
+//      the partitioned engine (cache-cold and cache-warm),
+//      EvalCache::analyze over latency variants with and without a warm
+//      solver, and IncrementalAnalyzer under random patch streams — reports
+//      bit-identically to the legacy Howard oracle on seeded synthetic SoCs.
+//      Production never runs the oracle itself.
 //
 // Failures shrink the offending instance (dropping extra arcs, zeroing
 // delays, trimming tokens) while the disagreement persists, then print the
@@ -47,7 +41,6 @@
 #include <cstring>
 #include <functional>
 #include <iterator>
-#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -57,7 +50,6 @@
 #include "analysis/tmg_builder.h"
 #include "comp/incremental.h"
 #include "comp/partition.h"
-#include "exec/thread_pool.h"
 #include "ordering/channel_ordering.h"
 #include "ordering/repair.h"
 #include "synth/generator.h"
@@ -485,154 +477,7 @@ TEST(DifferentialCsrSolver, SeededSolveReachesExactRatio) {
   }
 }
 
-// --- D8 (cold batch vs serial solves) ----------------------------------------
-
-// Random arc-indexed scenarios; a deliberate duplicate exercises the
-// slice-replay memo on every instance.
-std::vector<WeightVector> random_scenarios(util::Rng& rng, std::size_t k,
-                                           std::size_t num_arcs) {
-  std::vector<WeightVector> scenarios(k, WeightVector(num_arcs));
-  for (WeightVector& w : scenarios) {
-    for (std::int64_t& x : w) x = rng.uniform_int(0, 20);
-  }
-  if (k >= 2) scenarios.back() = scenarios.front();
-  return scenarios;
-}
-
-bool serial_reference_disagrees(CycleMeanSolver& serial,
-                                const std::vector<WeightVector>& scenarios,
-                                const std::vector<BatchSolveReport>& reports) {
-  const auto m = static_cast<std::size_t>(serial.csr().num_arcs);
-  for (std::size_t j = 0; j < scenarios.size(); ++j) {
-    for (std::size_t a = 0; a < m; ++a) {
-      serial.set_arc_weight(static_cast<graph::ArcId>(a), scenarios[j][a]);
-    }
-    if (!results_bit_identical(reports[j].result, serial.solve())) return true;
-  }
-  return false;
-}
-
-bool batch_cold_diverges(const TmgSpec& spec) {
-  const MarkedGraph g = spec.build();
-  const RatioGraph rg = to_ratio_graph(g);
-  // Deterministic per spec shape, so the shrinker can replay it.
-  util::Rng rng(kBaseSeed ^ 0xba7c8ULL ^
-                (static_cast<std::uint64_t>(spec.delays.size()) * 149) ^
-                (static_cast<std::uint64_t>(rg.weight.size()) * 157));
-  CycleMeanSolver batched;
-  batched.prepare(rg);
-  const std::vector<WeightVector> scenarios =
-      random_scenarios(rng, 8, rg.weight.size());
-  const std::vector<BatchSolveReport> reports = batched.solve_batch(scenarios);
-  CycleMeanSolver serial;
-  serial.prepare(rg);
-  if (serial_reference_disagrees(serial, scenarios, reports)) return true;
-  // The batch leaves the last scenario's weights installed, exactly like
-  // the serial loop would: one more canonical solve must agree too.
-  return !results_bit_identical(batched.solve(), serial.solve());
-}
-
-TEST(DifferentialCsrSolver, ColdBatchBitIdenticalToSerialSolves) {
-  for (std::uint64_t shard = 0; shard < 60; ++shard) {
-    util::Rng rng = util::Rng::for_shard(kBaseSeed ^ 0xba7c8ULL, shard);
-    const TmgSpec spec = random_spec(rng, /*unit_tokens=*/shard % 2 == 0);
-    if (batch_cold_diverges(spec)) {
-      report_failure(shard, spec, batch_cold_diverges,
-                     "cold solve_batch diverged from serial solves");
-      return;
-    }
-  }
-}
-
-// --- D9 (interleaved warm solve / solve_batch streams) -----------------------
-
-bool batch_interleaved_diverges(const TmgSpec& spec) {
-  MarkedGraph g = spec.build();
-  CycleMeanSolver batched;
-  CycleMeanSolver serial;
-  batched.prepare(g);
-  serial.prepare(g);
-  const auto m = static_cast<std::size_t>(batched.csr().num_arcs);
-  util::Rng rng(kBaseSeed ^ 0xba7c9ULL ^
-                (static_cast<std::uint64_t>(spec.delays.size()) * 151));
-  for (int round = 0; round < 10; ++round) {
-    const auto t = static_cast<TransitionId>(rng.index(spec.delays.size()));
-    g.set_delay(t, rng.uniform_int(0, 20));
-    // Re-prepares must stay warm (weight-only) even right after a batch
-    // left foreign scenario weights installed.
-    if (!batched.prepare(g) || !serial.prepare(g)) return true;
-    if (round % 3 == 0) {
-      if (!results_bit_identical(batched.solve(), serial.solve())) return true;
-      continue;
-    }
-    const std::vector<WeightVector> scenarios =
-        random_scenarios(rng, 1 + rng.index(4), m);
-    const std::vector<BatchSolveReport> reports =
-        batched.solve_batch(scenarios);
-    if (serial_reference_disagrees(serial, scenarios, reports)) return true;
-  }
-  return false;
-}
-
-TEST(DifferentialCsrSolver, InterleavedSolveAndBatchStayBitIdentical) {
-  for (std::uint64_t shard = 0; shard < 40; ++shard) {
-    util::Rng rng = util::Rng::for_shard(kBaseSeed ^ 0xba7c9ULL, shard);
-    const TmgSpec spec = random_spec(rng, /*unit_tokens=*/shard % 2 == 0);
-    if (batch_interleaved_diverges(spec)) {
-      report_failure(shard, spec, batch_interleaved_diverges,
-                     "interleaved solve/solve_batch stream diverged");
-      return;
-    }
-  }
-}
-
-// --- D10 (one solver batching across structures) -----------------------------
-
-TEST(DifferentialCsrSolver, BatchSolverReusedAcrossStructures) {
-  // One solver absorbs batches against a stream of unrelated graphs; its
-  // workspaces, staging block, and memo scaffolding are reused, so a large
-  // graph followed by a small one exercises stale tails in all of them.
-  CycleMeanSolver batched;
-  for (std::uint64_t shard = 0; shard < 40; ++shard) {
-    util::Rng rng = util::Rng::for_shard(kBaseSeed ^ 0xba7caULL, shard);
-    const TmgSpec spec = random_spec(rng, /*unit_tokens=*/shard % 2 == 0);
-    const MarkedGraph g = spec.build();
-    batched.prepare(g);
-    const auto m = static_cast<std::size_t>(batched.csr().num_arcs);
-    const std::vector<WeightVector> scenarios = random_scenarios(rng, 4, m);
-    const std::vector<BatchSolveReport> reports =
-        batched.solve_batch(scenarios);
-    CycleMeanSolver serial;
-    serial.prepare(g);
-    if (serial_reference_disagrees(serial, scenarios, reports)) {
-      const auto fails = [&](const TmgSpec& cand) {
-        // Re-create the cross-structure state: a fresh solver first sized by
-        // the *previous* shard's graph, then batched on the candidate.
-        CycleMeanSolver b2;
-        if (shard > 0) {
-          util::Rng prev_rng =
-              util::Rng::for_shard(kBaseSeed ^ 0xba7caULL, shard - 1);
-          b2.solve(random_spec(prev_rng, (shard - 1) % 2 == 0).build());
-        }
-        const MarkedGraph cg = cand.build();
-        b2.prepare(cg);
-        const auto cm = static_cast<std::size_t>(b2.csr().num_arcs);
-        util::Rng wr(kBaseSeed ^ 0xba7caULL ^
-                     (static_cast<std::uint64_t>(cm) * 163));
-        const std::vector<WeightVector> ws = random_scenarios(wr, 4, cm);
-        const std::vector<BatchSolveReport> reps = b2.solve_batch(ws);
-        CycleMeanSolver s2;
-        s2.prepare(cg);
-        return serial_reference_disagrees(s2, ws, reps);
-      };
-      report_failure(shard, spec, fails,
-                     "cross-structure solve_batch diverged from serial solves");
-      return;
-    }
-  }
-}
-
-// --- D11 (production entry points vs the legacy oracle) ---------------------
+// --- D8 (production entry points vs the legacy oracle) ---------------------
 
 using analysis::PerformanceReport;
 using sysmodel::SystemModel;
@@ -721,19 +566,12 @@ TEST(DifferentialProduction, AnalyzeMatchesOracle) {
 }
 
 TEST(DifferentialProduction, PartitionedMatchesOracle) {
-  exec::ThreadPool pool(4);
   for (const OracleModel& model : oracle_models()) {
     const analysis::SystemTmg stmg = analysis::build_tmg(model.sys);
     const PerformanceReport want = oracle_report(stmg);
     EXPECT_TRUE(
         reports_bit_identical(comp::analyze_partitioned(stmg).report, want))
-        << "no pool, " << model_tag(model);
-
-    comp::PartitionOptions pooled;
-    pooled.pool = &pool;
-    EXPECT_TRUE(reports_bit_identical(
-        comp::analyze_partitioned(stmg, pooled).report, want))
-        << "4-worker pool, " << model_tag(model);
+        << "no cache, " << model_tag(model);
 
     analysis::EvalCache cache;
     comp::PartitionOptions cached;
@@ -750,11 +588,11 @@ TEST(DifferentialProduction, PartitionedMatchesOracle) {
   }
 }
 
-TEST(DifferentialProduction, AnalyzeBatchMatchesOracle) {
+TEST(DifferentialProduction, CachedAnalyzeMatchesOracle) {
   util::Rng rng(kBaseSeed ^ 0xba7cULL);
   for (const OracleModel& model : oracle_models()) {
-    // Latency variants share the model's structure (one solve_batch run);
-    // the repeated base exercises in-batch duplicates.
+    // Latency variants share the model's structure, so the warm solver
+    // re-solves them without recompiling; the repeated base is a memo hit.
     std::vector<SystemModel> variants(4, model.sys);
     for (SystemModel& variant : variants) {
       for (int k = 0; k < 3; ++k) {
@@ -763,25 +601,20 @@ TEST(DifferentialProduction, AnalyzeBatchMatchesOracle) {
         variant.set_latency(p, rng.uniform_int(1, 80));
       }
     }
-    std::vector<const SystemModel*> batch = {&model.sys};
-    for (const SystemModel& variant : variants) batch.push_back(&variant);
-    batch.push_back(&model.sys);
+    std::vector<const SystemModel*> sequence = {&model.sys};
+    for (const SystemModel& variant : variants) sequence.push_back(&variant);
+    sequence.push_back(&model.sys);
 
     analysis::EvalCache cache;
     CycleMeanSolver solver;
-    const std::vector<PerformanceReport> with_solver = cache.analyze_batch(
-        std::span<const SystemModel* const>(batch), &solver);
     analysis::EvalCache fresh;
-    const std::vector<PerformanceReport> without_solver = fresh.analyze_batch(
-        std::span<const SystemModel* const>(batch), nullptr);
-    ASSERT_EQ(with_solver.size(), batch.size());
-    ASSERT_EQ(without_solver.size(), batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const PerformanceReport want = oracle_report(*batch[i]);
-      EXPECT_TRUE(reports_bit_identical(with_solver[i], want))
-          << "batch entry " << i << " with a solver, " << model_tag(model);
-      EXPECT_TRUE(reports_bit_identical(without_solver[i], want))
-          << "batch entry " << i << " without a solver, " << model_tag(model);
+    for (std::size_t i = 0; i < sequence.size(); ++i) {
+      const PerformanceReport want = oracle_report(*sequence[i]);
+      EXPECT_TRUE(
+          reports_bit_identical(cache.analyze(*sequence[i], &solver), want))
+          << "entry " << i << " with a solver, " << model_tag(model);
+      EXPECT_TRUE(reports_bit_identical(fresh.analyze(*sequence[i]), want))
+          << "entry " << i << " without a solver, " << model_tag(model);
     }
   }
 }

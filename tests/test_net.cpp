@@ -429,10 +429,9 @@ TEST(Coalesce, FailingLeaderPropagatesSameErrorToFollowers) {
   }
 }
 
-TEST(Coalesce, BatchedAndCoalescedResponsesByteIdenticalToSerial) {
-  // Request mix: four analyze variants (distinct cache keys -> a real
-  // analyze_batch group), three sweeps with distinct ranges, and one
-  // duplicated sweep (a coalesce pair).
+TEST(Coalesce, ConcurrentAndCoalescedResponsesByteIdenticalToSerial) {
+  // Request mix: four analyze variants (distinct cache keys), three sweeps
+  // with distinct ranges, and one duplicated sweep (a coalesce pair).
   const sysmodel::SystemModel sys = sysmodel::make_dac14_motivating_example();
   std::vector<std::string> lines;
   for (int v = 0; v < 4; ++v) {
@@ -458,8 +457,8 @@ TEST(Coalesce, BatchedAndCoalescedResponsesByteIdenticalToSerial) {
   }
 
   // Concurrent run: one worker + an execute delay, so the whole mix piles
-  // up behind the first request — the analyzes land in one batch drain and
-  // the duplicate sweep coalesces onto its twin.
+  // up behind the first request and the duplicate sweep coalesces onto its
+  // twin.
   svc::Broker broker({.workers = 1, .test_exec_delay_ms = 20});
   Collector collector(static_cast<int>(lines.size()));
   for (std::size_t i = 0; i < lines.size(); ++i) {
@@ -467,7 +466,6 @@ TEST(Coalesce, BatchedAndCoalescedResponsesByteIdenticalToSerial) {
   }
   collector.wait();
 
-  EXPECT_GE(broker.stats().batched, 2);    // the analyze variants grouped
   EXPECT_GE(broker.stats().coalesced, 1);  // the duplicated sweep
   for (std::size_t i = 0; i < lines.size(); ++i) {
     EXPECT_EQ(collector.responses[i], serial[i])
@@ -475,30 +473,32 @@ TEST(Coalesce, BatchedAndCoalescedResponsesByteIdenticalToSerial) {
   }
 }
 
-TEST(Coalesce, TeardownWithQueuedEmptyBatchDrainTasksIsClean) {
-  // Regression (shutdown UB): every analyze enqueue submits one drain task,
-  // and a single task may take the whole parked backlog — its siblings then
-  // run as "empty-batch" tasks holding no in-flight slot. ~Broker's drain()
-  // only waits for in_flight_ == 0, so it returns while those stragglers
-  // are still queued or running; the pool must therefore be the first
-  // member destroyed (joining workers, discarding the queue) or a straggler
-  // locks an already-destroyed analyze mailbox. Exercised under TSan in CI.
+TEST(Coalesce, TeardownWithQueuedRequestsIsClean) {
+  // Shutdown with a backlog: the broker is destroyed while most requests
+  // are still queued behind one slow worker. ~Broker must drain every
+  // admitted request (each gets its response) before the pool and the
+  // members its tasks touch are torn down. Exercised under TSan in CI.
   const sysmodel::SystemModel sys = sysmodel::make_dac14_motivating_example();
   for (int round = 0; round < 8; ++round) {
     constexpr int kRequests = 12;
     Collector collector(kRequests);
-    svc::Broker broker({.workers = 1, .test_exec_delay_ms = 2});
-    for (int v = 0; v < kRequests; ++v) {
-      // Distinct model names -> distinct coalesce keys: all twelve park in
-      // the analyze queue instead of attaching to one leader.
-      broker.handle_line(
-          svc::encode_request(svc::Op::kAnalyze, svc::JsonValue::integer(v),
-                              io::write_soc(sys, "td_" + std::to_string(v))),
-          collector.slot(v));
+    {
+      svc::Broker broker({.workers = 1, .test_exec_delay_ms = 2});
+      for (int v = 0; v < kRequests; ++v) {
+        // Distinct model names -> distinct coalesce keys: all twelve queue
+        // instead of attaching to one leader.
+        broker.handle_line(
+            svc::encode_request(svc::Op::kAnalyze, svc::JsonValue::integer(v),
+                                io::write_soc(sys, "td_" + std::to_string(v))),
+            collector.slot(v));
+      }
     }
     collector.wait();
-    // Destruction races the sibling drain tasks; TSan/ASan flag the old
-    // member order here.
+    for (const std::string& response : collector.responses) {
+      const svc::ResponseView view = svc::parse_response(response);
+      ASSERT_TRUE(view.ok) << view.parse_error;
+      EXPECT_TRUE(view.success) << response;
+    }
   }
 }
 

@@ -95,9 +95,9 @@ void expect_same_sensitivity(const analysis::SensitivityReport& got,
 }
 
 TEST(SensitivityTest, EveryExecutionPathGivesTheSameReport) {
-  // The serial, pooled (per-task solvers), batched serial (cache + solver)
-  // and call-local-solver (cache only) paths must agree bit for bit. Each
-  // call gets its own cache so no path is served from another's memo.
+  // The serial, pooled (per-task solvers), warm-solver serial (cache +
+  // solver) and call-local-solver (cache only) paths must agree bit for bit.
+  // Each call gets its own cache so no path is served from another's memo.
   struct Case {
     std::string name;
     SystemModel sys;
@@ -132,10 +132,10 @@ TEST(SensitivityTest, EveryExecutionPathGivesTheSameReport) {
         analysis::latency_sensitivity(c.sys, c.step, &pool, &pooled_cache),
         plain, c.name + ": pool(4) + cache");
 
-    analysis::EvalCache batched_cache;
+    analysis::EvalCache solver_cache;
     tmg::CycleMeanSolver solver;
     expect_same_sensitivity(
-        analysis::latency_sensitivity(c.sys, c.step, nullptr, &batched_cache,
+        analysis::latency_sensitivity(c.sys, c.step, nullptr, &solver_cache,
                                       &solver),
         plain, c.name + ": cache + solver");
 

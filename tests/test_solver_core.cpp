@@ -260,16 +260,43 @@ TEST(CycleMeanSolver, SolveComponentMatchesLegacyPerScc) {
   }
 }
 
-TEST(CycleMeanSolver, WorkspaceBankGrowsAndIsIndexable) {
+TEST(CycleMeanSolver, StatsAreLifetimeTotals) {
+  // Regression: Stats fields are lifetime totals. prepare() must never
+  // reset them — not on a warm weight refresh, and not on a structure
+  // recompile (a recompile invalidates the solve *plan*, not the traffic
+  // history; callers wanting per-phase deltas snapshot and subtract).
+  MarkedGraph g;
+  g.add_transition("a", 3);
+  g.add_transition("b", 2);
+  g.add_place(0, 1, 1);
+  g.add_place(1, 0, 1);
+
   CycleMeanSolver solver;
-  solver.prepare(sample_graph(), /*workers=*/3);
-  EXPECT_GE(solver.num_workspaces(), 3u);
-  solver.ensure_workspaces(5);
-  EXPECT_EQ(solver.num_workspaces(), 5u);
-  solver.ensure_workspaces(2);  // never shrinks
-  EXPECT_EQ(solver.num_workspaces(), 5u);
-  // Distinct slots are distinct objects (one per worker, no sharing).
-  EXPECT_NE(&solver.workspace(0), &solver.workspace(4));
+  solver.prepare(g);
+  solver.solve();
+  EXPECT_EQ(solver.stats().compiles, 1);
+  EXPECT_EQ(solver.stats().solves, 1);
+  const std::int64_t iters_after_first = solver.stats().iterations;
+  EXPECT_GT(iters_after_first, 0);
+
+  g.set_delay(0, 9);  // weight-only change: warm refresh, nothing reset
+  EXPECT_TRUE(solver.prepare(g));
+  EXPECT_EQ(solver.stats().weight_refreshes, 1);
+  EXPECT_EQ(solver.stats().iterations, iters_after_first);
+  solver.solve();
+
+  g.add_transition("c", 4);  // structure change: recompile, nothing reset
+  g.add_place(1, 2, 1);
+  g.add_place(2, 1, 1);
+  EXPECT_FALSE(solver.prepare(g));
+  EXPECT_EQ(solver.stats().compiles, 2);
+  EXPECT_EQ(solver.stats().solves, 2);
+  EXPECT_GE(solver.stats().iterations, iters_after_first);
+  EXPECT_EQ(solver.stats().weight_refreshes, 1);
+
+  solver.solve();
+  EXPECT_EQ(solver.stats().solves, 3);
+  EXPECT_GT(solver.stats().iterations, iters_after_first);
 }
 
 // --- telemetry ---------------------------------------------------------------
@@ -278,7 +305,7 @@ TEST(CycleMeanSolver, EachPolicyIterationIsCountedOnce) {
   // howard.iterations and tmg.solver.iterations are summed into one
   // iteration figure downstream, so every round the engine runs must land in
   // exactly one of them. howard.solves and the per-solve histogram still see
-  // every solve()/solve_batch() call.
+  // every solve()/solve_seeded() call.
   obs::Registry& reg = obs::Registry::global();
   obs::Counter& howard_iters = reg.counter("howard.iterations");
   obs::Counter& solver_iters = reg.counter("tmg.solver.iterations");
@@ -295,10 +322,10 @@ TEST(CycleMeanSolver, EachPolicyIterationIsCountedOnce) {
   CycleMeanSolver solver;
   solver.prepare(rg);
   solver.solve();
-  WeightVector lighter = rg.weight;
-  lighter[4] = 1;  // the self-loop stops dominating: a different optimum
-  const std::vector<WeightVector> scenarios = {rg.weight, lighter};
-  solver.solve_batch(scenarios);
+  // The self-loop stops dominating: a different optimum, reached from the
+  // previous policy.
+  solver.set_arc_weight(4, 1);
+  solver.solve_seeded();
   obs::set_enabled(false);
 
   const std::int64_t iterations = solver.stats().iterations;

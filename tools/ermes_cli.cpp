@@ -493,22 +493,21 @@ int cmd_dse(const char* path, std::int64_t tct, const GlobalOptions& global) {
 // constantly, so the warm cache does a large share of the work.
 int cmd_sweep(const char* path, std::int64_t lo, std::int64_t hi,
               std::int64_t step, const GlobalOptions& global) {
-  if (lo <= 0 || hi < lo) {
-    std::fprintf(stderr, "error: sweep needs 0 < lo <= hi\n");
+  std::string range_error;
+  const std::vector<std::int64_t> targets =
+      svc::sweep_targets(lo, hi, step, &range_error);
+  if (targets.empty()) {
+    std::fprintf(stderr, "error: sweep %s\n", range_error.c_str());
     return kExitUsage;
   }
   io::ParseResult parsed;
   if (!load(path, parsed)) return kExitParse;
-  if (step <= 0) step = std::max<std::int64_t>(1, (hi - lo) / 7);
-  std::vector<std::int64_t> targets;
-  for (std::int64_t tct = lo; tct <= hi; tct += step) targets.push_back(tct);
 
   analysis::EvalCache cache;
   exec::ThreadPool pool(effective_jobs(global));
   // One warm CSR solver per worker slot: every exploration a slot executes
-  // reuses that slot's compiled structure, and each exploration's candidate
-  // analyses sweep through its batched solve path. A slot is driven by one
-  // thread at a time, so no locking is needed.
+  // reuses that slot's compiled structure. A slot is driven by one thread at
+  // a time, so no locking is needed.
   exec::SlotLocal<tmg::CycleMeanSolver> solvers(pool.jobs());
   util::Stopwatch sw;
   const std::vector<dse::ExplorationResult> results =
@@ -538,20 +537,6 @@ int cmd_sweep(const char* path, std::int64_t lo, std::int64_t hi,
               pool.jobs(), static_cast<long long>(cache.hits()),
               static_cast<long long>(cache.misses()), cache.hit_rate() * 100.0,
               cache.size());
-  tmg::CycleMeanSolver::Stats solver_stats;
-  for (const tmg::CycleMeanSolver& solver : solvers) {
-    const tmg::CycleMeanSolver::Stats& s = solver.stats();
-    solver_stats.batch_solves += s.batch_solves;
-    solver_stats.batch_scenarios += s.batch_scenarios;
-    solver_stats.batch_scc_solves += s.batch_scc_solves;
-    solver_stats.batch_scc_reuses += s.batch_scc_reuses;
-  }
-  std::printf("solver: %lld batched sweeps over %lld scenarios (%lld scc "
-              "solves, %lld replayed)\n",
-              static_cast<long long>(solver_stats.batch_solves),
-              static_cast<long long>(solver_stats.batch_scenarios),
-              static_cast<long long>(solver_stats.batch_scc_solves),
-              static_cast<long long>(solver_stats.batch_scc_reuses));
   if (!all_met) {
     std::fprintf(stderr, "error: at least one sweep target not met\n");
     return kExitAnalysis;
@@ -654,8 +639,8 @@ int cmd_sensitivity(const char* path, const GlobalOptions& global) {
   if (!load(path, parsed)) return kExitParse;
   exec::ThreadPool pool(effective_jobs(global));
   analysis::EvalCache cache;
-  // Used only on the serial path (jobs=1): the perturbations then sweep
-  // through one batched solve instead of per-candidate round trips.
+  // Used only on the serial path (jobs=1): the perturbations then re-solve
+  // warm on one compiled structure.
   tmg::CycleMeanSolver solver;
   const analysis::SensitivityReport report =
       analysis::latency_sensitivity(parsed.system, 1, &pool, &cache, &solver);
