@@ -63,7 +63,7 @@ struct EvalContext {
       cache = owned_cache.get();
     }
     const std::size_t want =
-        jobs <= 0 ? exec::default_jobs() : static_cast<std::size_t>(jobs);
+        jobs <= 0 ? exec::hardware_jobs() : static_cast<std::size_t>(jobs);
     if (shared_pool != nullptr) {
       pool = shared_pool;
     } else if (want > 1) {
@@ -329,6 +329,54 @@ std::vector<SelectionVector> dedup_selections(
   return unique;
 }
 
+// Timing optimization, shared by both loops: cascade from the paper's
+// liberal formulation to progressively stricter ones. A liberal move can
+// slow a process that sits on a *different* near-critical cycle (the
+// per-cycle ILP cannot see the coupling), so each candidate is
+// trial-evaluated and the first non-degrading one — in policy order — wins;
+// under an area budget it must also fit the budget. Every ILP and every
+// evaluation is pure, so all the iteration's candidates are proposed up
+// front and analyzed together: the accepted move is identical to the
+// sequential cascade's. Plateaus (<=) are accepted: with several
+// co-critical cycles, fixing one keeps CT flat until the next iteration
+// attacks the twin cycle; the callers' visited sets guarantee termination.
+// Returns false when no candidate is accepted.
+bool timing_opt_move(const SystemModel& sys, const PerformanceReport& report,
+                     std::int64_t needed, std::optional<double> area_budget,
+                     std::int64_t ring_cap, bool reorder, EvalContext& ctx,
+                     SelectionVector* next, Evaluated* move) {
+  const TimingOptPolicy kPolicies[] = {
+      {/*allow_critical_slowdown=*/true, /*pin_non_critical=*/false},
+      {/*allow_critical_slowdown=*/false, /*pin_non_critical=*/false},
+      {/*allow_critical_slowdown=*/false, /*pin_non_critical=*/true},
+  };
+  std::vector<SelectionVector> proposals;
+  for (const TimingOptPolicy& policy : kPolicies) {
+    obs::ObsSpan select_span("dse.select", "dse");
+    obs::count("dse.timing_opts");
+    const TimingOptResult to =
+        memoized_timing_opt(sys, report.critical_processes, needed,
+                            area_budget, ring_cap, policy, ctx);
+    if (to.feasible && to.selection != current_selection(sys)) {
+      proposals.push_back(to.selection);
+    }
+  }
+  proposals = dedup_selections(std::move(proposals));
+  std::vector<Evaluated> evaluated =
+      evaluate_candidates(sys, proposals, reorder, ctx);
+  for (std::size_t i = 0; i < evaluated.size(); ++i) {
+    if (evaluated[i].report.live &&
+        evaluated[i].report.cycle_time <= report.cycle_time &&
+        (!area_budget ||
+         evaluated[i].system.total_area() <= *area_budget + 1e-9)) {
+      *next = std::move(proposals[i]);
+      *move = std::move(evaluated[i]);
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 ExplorationResult explore(SystemModel sys, const ExplorerOptions& options) {
@@ -426,46 +474,14 @@ ExplorationResult explore(SystemModel sys, const ExplorerOptions& options) {
         accepted = accepted_report.live;
       }
     } else {
-      // Timing optimization: cascade from the paper's liberal formulation
-      // to progressively stricter ones. A liberal move can slow a process
-      // that sits on a *different* near-critical cycle (the per-cycle ILP
-      // cannot see the coupling), so each candidate is trial-evaluated and
-      // the first non-degrading one — in policy order — wins. Every ILP and
-      // every evaluation is pure, so all the iteration's candidates can be
-      // proposed up front and analyzed concurrently: the accepted move is
-      // identical to the sequential cascade's.
-      const TimingOptPolicy kPolicies[] = {
-          {/*allow_critical_slowdown=*/true, /*pin_non_critical=*/false},
-          {/*allow_critical_slowdown=*/false, /*pin_non_critical=*/false},
-          {/*allow_critical_slowdown=*/false, /*pin_non_critical=*/true},
-      };
-      std::vector<SelectionVector> proposals;
-      for (const TimingOptPolicy& policy : kPolicies) {
-        obs::ObsSpan select_span("dse.select", "dse");
-        obs::count("dse.timing_opts");
-        const TimingOptResult to = memoized_timing_opt(
-            sys, report.critical_processes, -slack, std::nullopt,
-            options.target_cycle_time, policy, ctx);
-        if (to.feasible && to.selection != current_selection(sys)) {
-          proposals.push_back(to.selection);
-        }
-      }
-      proposals = dedup_selections(std::move(proposals));
-      std::vector<Evaluated> evaluated = evaluate_candidates(
-          sys, proposals, options.reorder_channels, ctx);
-      for (std::size_t i = 0; i < evaluated.size(); ++i) {
-        // Accept plateaus (<=): with several co-critical cycles, fixing one
-        // keeps CT flat until the next iteration attacks the twin cycle;
-        // the visited-set guarantees termination.
-        if (evaluated[i].report.live &&
-            evaluated[i].report.cycle_time <= report.cycle_time) {
-          next = proposals[i];
-          action = Action::kTimingOpt;
-          accepted_system = std::move(evaluated[i].system);
-          accepted_report = evaluated[i].report;
-          accepted = true;
-          break;
-        }
+      Evaluated move;
+      accepted = timing_opt_move(sys, report, -slack, std::nullopt,
+                                 options.target_cycle_time,
+                                 options.reorder_channels, ctx, &next, &move);
+      if (accepted) {
+        action = Action::kTimingOpt;
+        accepted_system = std::move(move.system);
+        accepted_report = move.report;
       }
     }
 
@@ -514,8 +530,9 @@ ExplorationResult explore(SystemModel sys, const ExplorerOptions& options) {
   return result;
 }
 
-ExplorationResult explore_area_constrained(
-    SystemModel sys, const DualExplorerOptions& options) {
+ExplorationResult explore_area_constrained(SystemModel sys,
+                                           double area_budget,
+                                           const ExplorerOptions& options) {
   obs::ObsSpan explore_span("dse.explore_area_constrained", "dse");
   ExplorationResult result;
   std::set<SelectionVector> visited;
@@ -532,7 +549,7 @@ ExplorationResult explore_area_constrained(
     rec.cycle_time = report.cycle_time;
     rec.area = sys.total_area();
     rec.slack = 0;
-    rec.meets_target = report.live && rec.area <= options.area_budget + 1e-9;
+    rec.meets_target = report.live && rec.area <= area_budget + 1e-9;
     rec.critical_processes = report.critical_processes;
     result.history.push_back(rec);
   };
@@ -550,44 +567,17 @@ ExplorationResult explore_area_constrained(
     }
     obs::ObsSpan iter_span("dse.iteration", "dse");
     obs::count("dse.iterations");
-    bool accepted = false;
-    SystemModel accepted_system;
-    PerformanceReport accepted_report;
     SelectionVector next;
-    const TimingOptPolicy kPolicies[] = {
-        {/*allow_critical_slowdown=*/true, /*pin_non_critical=*/false},
-        {/*allow_critical_slowdown=*/false, /*pin_non_critical=*/false},
-        {/*allow_critical_slowdown=*/false, /*pin_non_critical=*/true},
-    };
-    std::vector<SelectionVector> proposals;
-    for (const TimingOptPolicy& policy : kPolicies) {
-      const TimingOptResult to = memoized_timing_opt(
-          sys, report.critical_processes, /*needed=*/0, options.area_budget,
-          /*ring_cap=*/0, policy, ctx);
-      if (to.feasible && to.selection != current_selection(sys)) {
-        proposals.push_back(to.selection);
-      }
-    }
-    proposals = dedup_selections(std::move(proposals));
-    std::vector<Evaluated> evaluated =
-        evaluate_candidates(sys, proposals, options.reorder_channels, ctx);
-    for (std::size_t i = 0; i < evaluated.size(); ++i) {
-      if (evaluated[i].report.live &&
-          evaluated[i].report.cycle_time <= report.cycle_time &&
-          evaluated[i].system.total_area() <= options.area_budget + 1e-9) {
-        next = proposals[i];
-        accepted_system = std::move(evaluated[i].system);
-        accepted_report = evaluated[i].report;
-        accepted = true;
-        break;
-      }
-    }
-    if (!accepted || !visited.insert(next).second) {
+    Evaluated move;
+    if (!timing_opt_move(sys, report, /*needed=*/0, area_budget,
+                         /*ring_cap=*/0, options.reorder_channels, ctx, &next,
+                         &move) ||
+        !visited.insert(next).second) {
       result.converged = true;
       break;
     }
-    sys = std::move(accepted_system);
-    report = accepted_report;
+    sys = std::move(move.system);
+    report = move.report;
     record(iter, Action::kTimingOpt, report);
   }
 

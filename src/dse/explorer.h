@@ -39,7 +39,7 @@ struct IterationRecord {
 };
 
 struct ExplorerOptions {
-  std::int64_t target_cycle_time = 0;  // TCT
+  std::int64_t target_cycle_time = 0;  // TCT (explore only)
   int max_iterations = 32;
   bool reorder_channels = true;  // run Algorithm 1 after each selection
 
@@ -50,7 +50,7 @@ struct ExplorerOptions {
   // concurrently and memoized without changing any result: the exploration
   // trajectory is bit-identical at every jobs setting.
   //
-  /// Evaluation parallelism: 1 = serial (default), 0 = exec::default_jobs().
+  /// Evaluation parallelism: 1 = serial (default), <= 0 = all cores.
   int jobs = 1;
   /// Memo for candidate evaluations. nullptr = a fresh per-run cache (still
   /// reuses results across iterations); pass a shared cache to also reuse
@@ -87,24 +87,14 @@ ExplorationResult explore(sysmodel::SystemModel sys,
                           const ExplorerOptions& options);
 
 /// The paper's dual formulation ("the formulation with area constraints"):
-/// minimize the cycle time subject to a hard area budget. Iterates the
+/// minimize the cycle time subject to a hard `area_budget`. Iterates the
 /// area-budgeted timing optimization until no selection improves the cycle
 /// time without blowing the budget. IterationRecord::meets_target reports
-/// the area constraint instead of a timing one.
-struct DualExplorerOptions {
-  double area_budget = 0.0;
-  int max_iterations = 32;
-  bool reorder_channels = true;
-  /// Execution knobs with the same semantics as ExplorerOptions.
-  int jobs = 1;
-  analysis::EvalCache* cache = nullptr;
-  exec::ThreadPool* pool = nullptr;
-  tmg::CycleMeanSolver* solver = nullptr;
-  std::function<bool()> should_stop;
-};
-
+/// the area constraint instead of a timing one. Every option but
+/// target_cycle_time applies as in explore().
 ExplorationResult explore_area_constrained(sysmodel::SystemModel sys,
-                                           const DualExplorerOptions& options);
+                                           double area_budget,
+                                           const ExplorerOptions& options);
 
 const char* to_string(Action action);
 

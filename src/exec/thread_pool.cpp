@@ -12,8 +12,6 @@ namespace ermes::exec {
 
 namespace {
 
-std::atomic<std::size_t> g_default_jobs{0};
-
 // The pool whose task the current thread is executing (nullptr outside
 // tasks). Used to reject nested submits deterministically — including on the
 // caller thread, which helps run chunks — regardless of worker count.
@@ -32,15 +30,6 @@ std::size_t hardware_jobs() {
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
-void set_default_jobs(std::size_t jobs) {
-  g_default_jobs.store(jobs, std::memory_order_relaxed);
-}
-
-std::size_t default_jobs() {
-  const std::size_t jobs = g_default_jobs.load(std::memory_order_relaxed);
-  return jobs == 0 ? hardware_jobs() : jobs;
-}
-
 struct ThreadPool::Batch {
   std::size_t n = 0;
   std::size_t chunk = 1;
@@ -55,7 +44,7 @@ struct ThreadPool::Batch {
 };
 
 ThreadPool::ThreadPool(std::size_t jobs) {
-  if (jobs == 0) jobs = default_jobs();
+  if (jobs == 0) jobs = hardware_jobs();
   const std::size_t threads = jobs > 1 ? jobs - 1 : 0;
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
@@ -73,13 +62,6 @@ ThreadPool::~ThreadPool() {
   }
   work_cv_.notify_all();
   for (std::thread& t : workers_) t.join();
-}
-
-ThreadPool& ThreadPool::shared() {
-  // Leaked intentionally: worker threads must outlive static destruction of
-  // whatever the tasks touched.
-  static ThreadPool* pool = new ThreadPool(default_jobs());
-  return *pool;
 }
 
 void ThreadPool::worker_loop() {

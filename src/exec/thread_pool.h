@@ -53,17 +53,11 @@ std::size_t hardware_jobs();
 /// in [0, jobs()) is used by at most one thread.
 std::size_t current_worker_slot();
 
-/// Process-wide default parallelism used by ThreadPool::shared() (the CLI
-/// --jobs flag lands here). 0 = hardware_jobs(). Must be set before the
-/// first shared() call to affect it.
-void set_default_jobs(std::size_t jobs);
-std::size_t default_jobs();
-
 class ThreadPool {
  public:
   /// A pool with total parallelism `jobs` (callers included): jobs-1 worker
   /// threads are spawned. jobs <= 1 runs everything inline on the caller.
-  /// jobs == 0 uses default_jobs().
+  /// jobs == 0 uses hardware_jobs().
   explicit ThreadPool(std::size_t jobs = 0);
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;
@@ -71,9 +65,6 @@ class ThreadPool {
 
   /// Total parallelism (worker threads + the calling thread).
   std::size_t jobs() const { return workers_.size() + 1; }
-
-  /// Lazily constructed process-wide pool sized default_jobs().
-  static ThreadPool& shared();
 
   /// Runs body(i) for every i in [0, n). Blocks until all iterations
   /// completed; the caller executes chunks alongside the workers. `grain`

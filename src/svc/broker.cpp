@@ -9,18 +9,14 @@
 
 #include <cstdio>
 
-#include "analysis/performance.h"
 #include "comp/incremental.h"
 #include "comp/partition.h"
-#include "dse/explorer.h"
 #include "io/soc_format.h"
-#include "io/soc_hier.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
 #include "obs/request_context.h"
-#include "ordering/channel_ordering.h"
-#include "svc/render.h"
+#include "svc/ops.h"
 #include "tmg/csr.h"
 #include "util/build_info.h"
 #include "util/log.h"
@@ -32,14 +28,6 @@ namespace {
 
 std::size_t effective_workers(std::size_t workers) {
   return workers == 0 ? exec::hardware_jobs() : workers;
-}
-
-// Model text of a request, through the grammar its `hier` flag selects.
-// Parse time is the request's `parse` stage.
-io::ParseResult parse_model(const Request& request) {
-  obs::StageTimer parse_timer(obs::Stage::kParse);
-  return request.hier ? io::parse_soc_flattened(request.soc)
-                      : io::parse_soc(request.soc);
 }
 
 // Upper bound on any deadline (24 h). `now() + milliseconds(deadline_ms)`
@@ -75,12 +63,9 @@ struct Broker::Session {
 // and the broker's callers — connection threads — never execute tasks).
 Broker::Broker(BrokerOptions options)
     : options_(std::move(options)),
-      cache_(16, options_.cache_bytes),
+      env_(effective_workers(options_.workers) + 1,
+           OpEnv::SweepFanOut::kSerial, options_.cache_bytes),
       pool_(effective_workers(options_.workers) + 1) {
-  sweep_solvers_.resize(pool_.jobs());
-  for (auto& solver : sweep_solvers_) {
-    solver = std::make_unique<tmg::CycleMeanSolver>();
-  }
   if (!options_.cache_file.empty()) {
     // A missing snapshot is the normal first launch — silent cold start. A
     // present-but-rejected one (corrupt, truncated, or written by an
@@ -89,8 +74,8 @@ Broker::Broker(BrokerOptions options)
     if (std::FILE* f = std::fopen(options_.cache_file.c_str(), "rb")) {
       std::fclose(f);
       std::string error;
-      if (cache_.load_snapshot(options_.cache_file, &error,
-                               &cache_restored_)) {
+      if (env_.cache.load_snapshot(options_.cache_file, &error,
+                                   &cache_restored_)) {
         ERMES_LOG(kInfo) << "svc: restored " << cache_restored_
                          << " cache entries from '" << options_.cache_file
                          << "'";
@@ -104,7 +89,7 @@ Broker::Broker(BrokerOptions options)
   // first coalesce happens — a missing series is indistinguishable from a
   // scrape bug, a zero is not.
   obs::Registry::global().counter("coalesced");
-  saved_misses_ = cache_.misses();
+  saved_misses_ = env_.cache.misses();
   if (options_.cache_save_secs > 0 && !options_.cache_file.empty()) {
     saver_ = std::thread([this] { saver_loop(); });
   }
@@ -432,10 +417,10 @@ void Broker::execute(const Request& request, bool has_deadline,
 
   // Request-scoped telemetry: everything below (parse, cache probes, solves,
   // rendering) attributes its time to this context through thread-local
-  // StageTimers — requests execute serially on this worker (run_* ops use
-  // jobs=1 internally), so the scope covers the whole call tree. `traced`
-  // implements span sampling: with trace_sample N, only every Nth request
-  // records ObsSpans.
+  // StageTimers — requests execute serially on this worker (the broker's
+  // OpEnv has no fan-out pool), so the scope covers the whole call tree.
+  // `traced` implements span sampling: with trace_sample N, only every Nth
+  // request records ObsSpans.
   obs::RequestContext ctx;
   ctx.id = request.id.to_string();
   ctx.op = to_string(request.op);
@@ -479,23 +464,16 @@ void Broker::execute(const Request& request, bool has_deadline,
       response = fail(ErrorCode::kDeadlineExceeded,
                       "deadline expired before execution started");
     } else {
-      std::string soc_error;
+      OpResult op;  // the model ops fill all of it, the others op.result
       std::string session_error;
       ErrorCode session_code = ErrorCode::kBadRequest;
-      bool cancelled = false;
-      JsonValue result;
+      JsonValue& result = op.result;
       switch (request.op) {
         case Op::kAnalyze:
-          result = run_analyze(request, &soc_error);
-          break;
         case Op::kOrder:
-          result = run_order(request, &soc_error);
-          break;
         case Op::kExplore:
-          result = run_explore(request, should_stop, &soc_error, &cancelled);
-          break;
         case Op::kSweep:
-          result = run_sweep(request, should_stop, &soc_error, &cancelled);
+          op = run_op(request, env_, should_stop);
           break;
         case Op::kStats:
           result = run_stats(request.version);
@@ -520,10 +498,10 @@ void Broker::execute(const Request& request, bool has_deadline,
           result = run_cache_save(&session_error, &session_code);
           break;
       }
-      if (!soc_error.empty()) {
+      if (!op.soc_error.empty()) {
         bad_requests_.fetch_add(1, std::memory_order_relaxed);
         obs::count("svc.requests.bad_request");
-        response = fail(ErrorCode::kBadRequest, "soc: " + soc_error);
+        response = fail(ErrorCode::kBadRequest, "soc: " + op.soc_error);
       } else if (!session_error.empty()) {
         if (session_code == ErrorCode::kOverloaded) {
           rejected_overloaded_.fetch_add(1, std::memory_order_relaxed);
@@ -533,7 +511,7 @@ void Broker::execute(const Request& request, bool has_deadline,
           obs::count("svc.requests.bad_request");
         }
         response = fail(session_code, session_error);
-      } else if (cancelled) {
+      } else if (op.cancelled) {
         deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
         obs::count("svc.requests.deadline_exceeded");
         response = fail(ErrorCode::kDeadlineExceeded,
@@ -604,166 +582,6 @@ void Broker::execute(const Request& request, bool has_deadline,
   done(std::move(response));
 }
 
-JsonValue Broker::run_analyze(const Request& request, std::string* soc_error) {
-  const io::ParseResult parsed = parse_model(request);
-  if (!parsed.ok) {
-    *soc_error = parsed.error;
-    return JsonValue::null();
-  }
-  const analysis::PerformanceReport report =
-      comp::analyze_cached(parsed.system, cache_);
-  JsonValue result = JsonValue::object();
-  result.set("live", JsonValue::boolean(report.live));
-  result.set("cycle_time", JsonValue::number(report.cycle_time));
-  result.set("ct_num", JsonValue::integer(report.ct_num));
-  result.set("ct_den", JsonValue::integer(report.ct_den));
-  result.set("throughput", JsonValue::number(report.throughput));
-  JsonValue critical = JsonValue::array();
-  for (const sysmodel::ProcessId p : report.critical_processes) {
-    critical.push_back(JsonValue::string(parsed.system.process_name(p)));
-  }
-  result.set("critical_processes", std::move(critical));
-  result.set("text", JsonValue::string(analyze_text(parsed.system, report)));
-  return result;
-}
-
-JsonValue Broker::run_order(const Request& request, std::string* soc_error) {
-  const io::ParseResult parsed = parse_model(request);
-  if (!parsed.ok) {
-    *soc_error = parsed.error;
-    return JsonValue::null();
-  }
-  const analysis::PerformanceReport before =
-      comp::analyze_cached(parsed.system, cache_);
-  const sysmodel::SystemModel ordered =
-      ordering::with_optimal_ordering(parsed.system);
-  const analysis::PerformanceReport after =
-      comp::analyze_cached(ordered, cache_);
-  JsonValue result = JsonValue::object();
-  if (before.live) {
-    result.set("cycle_time_before", JsonValue::number(before.cycle_time));
-  } else {
-    result.set("cycle_time_before", JsonValue::null());
-  }
-  result.set("cycle_time_after", JsonValue::number(after.cycle_time));
-  result.set("soc",
-             JsonValue::string(io::write_soc(ordered, parsed.system_name)));
-  result.set("text",
-             JsonValue::string(order_text(before.live, before.cycle_time,
-                                          after, ordered,
-                                          parsed.system_name)));
-  return result;
-}
-
-namespace {
-
-JsonValue history_json(const dse::ExplorationResult& result) {
-  JsonValue history = JsonValue::array();
-  for (const dse::IterationRecord& rec : result.history) {
-    JsonValue row = JsonValue::object();
-    row.set("iteration", JsonValue::integer(rec.iteration));
-    row.set("action", JsonValue::string(dse::to_string(rec.action)));
-    row.set("cycle_time", JsonValue::number(rec.cycle_time));
-    row.set("area", JsonValue::number(rec.area));
-    row.set("slack", JsonValue::integer(rec.slack));
-    row.set("meets_target", JsonValue::boolean(rec.meets_target));
-    history.push_back(std::move(row));
-  }
-  return history;
-}
-
-}  // namespace
-
-JsonValue Broker::run_explore(const Request& request,
-                              const std::function<bool()>& should_stop,
-                              std::string* soc_error, bool* cancelled) {
-  const io::ParseResult parsed = parse_model(request);
-  if (!parsed.ok) {
-    *soc_error = parsed.error;
-    return JsonValue::null();
-  }
-  dse::ExplorerOptions options;
-  options.target_cycle_time = request.tct;
-  options.jobs = 1;  // parallelism lives at the request level
-  options.cache = &cache_;
-  options.should_stop = should_stop;
-  const dse::ExplorationResult result = dse::explore(parsed.system, options);
-  if (result.cancelled) {
-    *cancelled = true;
-    return JsonValue::null();
-  }
-  JsonValue out = JsonValue::object();
-  out.set("met_target", JsonValue::boolean(result.met_target));
-  out.set("converged", JsonValue::boolean(result.converged));
-  out.set("iterations",
-          JsonValue::integer(static_cast<std::int64_t>(result.history.size())));
-  if (!result.history.empty()) {
-    out.set("final_cycle_time",
-            JsonValue::number(result.history.back().cycle_time));
-    out.set("final_area", JsonValue::number(result.history.back().area));
-  }
-  out.set("history", history_json(result));
-  out.set("text", JsonValue::string(explore_text(result)));
-  return out;
-}
-
-JsonValue Broker::run_sweep(const Request& request,
-                            const std::function<bool()>& should_stop,
-                            std::string* soc_error, bool* cancelled) {
-  const io::ParseResult parsed = parse_model(request);
-  if (!parsed.ok) {
-    *soc_error = parsed.error;
-    return JsonValue::null();
-  }
-  // parse_request already rejected invalid and oversized ranges.
-  std::string range_error;
-  const std::vector<std::int64_t> targets =
-      sweep_targets(request.lo, request.hi, request.step, &range_error);
-  // Serial within the request (requests are the unit of parallelism); the
-  // shared warm cache still makes later targets mostly memo replays, and
-  // adjacent targets reuse the slot's warm solver and its compiled
-  // structure. Requests execute on pool workers, so the slot solver is
-  // single-threaded by construction. The deadline is polled between
-  // targets and inside each exploration.
-  std::size_t slot = exec::current_worker_slot();
-  if (slot >= sweep_solvers_.size()) slot = 0;
-  std::vector<dse::ExplorationResult> results;
-  results.reserve(targets.size());
-  for (const std::int64_t tct : targets) {
-    dse::ExplorerOptions options;
-    options.target_cycle_time = tct;
-    options.jobs = 1;
-    options.cache = &cache_;
-    options.solver = sweep_solvers_[slot].get();
-    options.should_stop = should_stop;
-    results.push_back(dse::explore(parsed.system, options));
-    if (results.back().cancelled) {
-      *cancelled = true;
-      return JsonValue::null();
-    }
-  }
-  JsonValue rows = JsonValue::array();
-  bool all_met = true;
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    JsonValue row = JsonValue::object();
-    row.set("tct", JsonValue::integer(targets[i]));
-    row.set("iterations",
-            JsonValue::integer(
-                static_cast<std::int64_t>(results[i].history.size())));
-    row.set("final_cycle_time",
-            JsonValue::number(results[i].history.back().cycle_time));
-    row.set("final_area", JsonValue::number(results[i].history.back().area));
-    row.set("met_target", JsonValue::boolean(results[i].met_target));
-    rows.push_back(std::move(row));
-    all_met = all_met && results[i].met_target;
-  }
-  JsonValue out = JsonValue::object();
-  out.set("targets", std::move(rows));
-  out.set("all_met", JsonValue::boolean(all_met));
-  out.set("text", JsonValue::string(sweep_text(targets, results)));
-  return out;
-}
-
 namespace {
 
 // Result body shared by open_session and patch: the full report plus the
@@ -807,7 +625,7 @@ JsonValue Broker::run_open_session(const Request& request, std::string* error,
     return JsonValue::null();
   }
   comp::IncrementalAnalyzer::Options options;
-  options.cache = &cache_;
+  options.cache = &env_.cache;
   auto session =
       std::make_shared<Session>(std::move(parsed.system), options);
   {
@@ -988,9 +806,9 @@ bool Broker::save_cache(std::string* error) {
   // The snapshot writer stages through one fixed tmp path, so every save
   // path (background saver, shutdown save, cache_save op) serializes here.
   std::lock_guard<std::mutex> lock(save_mu_);
-  const std::int64_t misses = cache_.misses();
+  const std::int64_t misses = env_.cache.misses();
   if (misses == saved_misses_) return true;  // nothing inserted since last save
-  if (!cache_.save_snapshot(options_.cache_file, error)) return false;
+  if (!env_.cache.save_snapshot(options_.cache_file, error)) return false;
   saved_misses_ = misses;
   cache_saves_.fetch_add(1, std::memory_order_relaxed);
   obs::count("svc.cache.saves");
@@ -1009,8 +827,8 @@ JsonValue Broker::run_cache_save(std::string* error, ErrorCode* code) {
     // An explicit request always writes (the client may want the file's
     // mtime refreshed), unlike the idle-skipping periodic save.
     std::lock_guard<std::mutex> lock(save_mu_);
-    saved = cache_.save_snapshot(options_.cache_file, &save_error);
-    if (saved) saved_misses_ = cache_.misses();
+    saved = env_.cache.save_snapshot(options_.cache_file, &save_error);
+    if (saved) saved_misses_ = env_.cache.misses();
   }
   if (!saved) {
     // An I/O failure on a configured path is the daemon's problem, not the
@@ -1020,8 +838,8 @@ JsonValue Broker::run_cache_save(std::string* error, ErrorCode* code) {
   JsonValue out = JsonValue::object();
   out.set("path", JsonValue::string(options_.cache_file));
   out.set("entries",
-          JsonValue::integer(static_cast<std::int64_t>(cache_.size())));
-  out.set("bytes", JsonValue::integer(cache_.bytes()));
+          JsonValue::integer(static_cast<std::int64_t>(env_.cache.size())));
+  out.set("bytes", JsonValue::integer(env_.cache.bytes()));
   return out;
 }
 
@@ -1053,11 +871,11 @@ JsonValue Broker::run_stats(int version) {
   }
 
   JsonValue cache = JsonValue::object();
-  cache.set("hits", JsonValue::integer(cache_.hits()));
-  cache.set("misses", JsonValue::integer(cache_.misses()));
-  cache.set("hit_rate", JsonValue::number(cache_.hit_rate()));
+  cache.set("hits", JsonValue::integer(env_.cache.hits()));
+  cache.set("misses", JsonValue::integer(env_.cache.misses()));
+  cache.set("hit_rate", JsonValue::number(env_.cache.hit_rate()));
   cache.set("entries",
-            JsonValue::integer(static_cast<std::int64_t>(cache_.size())));
+            JsonValue::integer(static_cast<std::int64_t>(env_.cache.size())));
 
   // v2 additions. The v1 response keeps exactly the original shape — old
   // clients that snapshot or diff the stats body never see a new member —
@@ -1066,7 +884,8 @@ JsonValue Broker::run_stats(int version) {
   // process-wide solver counters.
   if (version >= 2) {
     JsonValue shards = JsonValue::array();
-    for (const analysis::EvalCache::ShardStats& shard : cache_.shard_stats()) {
+    for (const analysis::EvalCache::ShardStats& shard :
+         env_.cache.shard_stats()) {
       JsonValue row = JsonValue::object();
       row.set("entries",
               JsonValue::integer(static_cast<std::int64_t>(shard.entries)));
@@ -1076,21 +895,22 @@ JsonValue Broker::run_stats(int version) {
       shards.push_back(std::move(row));
     }
     cache.set("shards", std::move(shards));
-    cache.set("window_hit_rate", JsonValue::number(cache_.window_hit_rate()));
+    cache.set("window_hit_rate",
+              JsonValue::number(env_.cache.window_hit_rate()));
     // Capacity plane: tracked bytes vs the configured budget (0 =
     // unbounded), eviction traffic, and warm-restore provenance.
-    cache.set("bytes", JsonValue::integer(cache_.bytes()));
-    cache.set("byte_budget", JsonValue::integer(cache_.byte_budget()));
-    cache.set("evictions", JsonValue::integer(cache_.evictions()));
+    cache.set("bytes", JsonValue::integer(env_.cache.bytes()));
+    cache.set("byte_budget", JsonValue::integer(env_.cache.byte_budget()));
+    cache.set("evictions", JsonValue::integer(env_.cache.evictions()));
     cache.set("admission_rejects",
-              JsonValue::integer(cache_.admission_rejects()));
+              JsonValue::integer(env_.cache.admission_rejects()));
     cache.set("restored",
               JsonValue::integer(static_cast<std::int64_t>(cache_restored_)));
     // Per-family split of the capacity plane: the report/eval/aux memos own
     // separate slices of the budget, so pressure is per-family, not global.
     JsonValue families = JsonValue::array();
     for (const analysis::EvalCache::FamilyStats& family :
-         cache_.family_stats()) {
+         env_.cache.family_stats()) {
       JsonValue row = JsonValue::object();
       row.set("name", JsonValue::string(family.name));
       row.set("entries",
@@ -1136,7 +956,8 @@ JsonValue Broker::run_stats(int version) {
                JsonValue::integer(window_requests_.window_seconds()));
     window.set("requests", JsonValue::integer(window_requests_.sum()));
     window.set("rps", JsonValue::number(window_requests_.rate_per_sec()));
-    window.set("cache_hit_rate", JsonValue::number(cache_.window_hit_rate()));
+    window.set("cache_hit_rate",
+               JsonValue::number(env_.cache.window_hit_rate()));
     out.set("window", std::move(window));
 
     // Process-wide CSR solver counters (the registry mirror of
@@ -1163,7 +984,7 @@ JsonValue Broker::run_metrics() {
   // sliding-window rates.
   std::string body = obs::render_prometheus();
   const std::vector<analysis::EvalCache::ShardStats> shards =
-      cache_.shard_stats();
+      env_.cache.shard_stats();
   body += "# TYPE ermes_cache_shard_entries gauge\n";
   for (std::size_t i = 0; i < shards.size(); ++i) {
     body += "ermes_cache_shard_entries{shard=\"" + std::to_string(i) +
@@ -1185,7 +1006,7 @@ JsonValue Broker::run_metrics() {
             std::to_string(shards[i].bytes) + "\n";
   }
   const std::vector<analysis::EvalCache::FamilyStats> families =
-      cache_.family_stats();
+      env_.cache.family_stats();
   body += "# TYPE ermes_cache_family_entries gauge\n";
   for (const auto& f : families) {
     body += "ermes_cache_family_entries{family=\"" + std::string(f.name) +
@@ -1213,19 +1034,19 @@ JsonValue Broker::run_metrics() {
             std::to_string(f.admission_rejects) + "\n";
   }
   body += "# TYPE ermes_cache_bytes gauge\n";
-  body += "ermes_cache_bytes " + std::to_string(cache_.bytes()) + "\n";
+  body += "ermes_cache_bytes " + std::to_string(env_.cache.bytes()) + "\n";
   body += "# TYPE ermes_cache_byte_budget gauge\n";
-  body += "ermes_cache_byte_budget " + std::to_string(cache_.byte_budget()) +
-          "\n";
+  body += "ermes_cache_byte_budget " +
+          std::to_string(env_.cache.byte_budget()) + "\n";
   body += "# TYPE ermes_cache_evictions counter\n";
-  body += "ermes_cache_evictions_total " + std::to_string(cache_.evictions()) +
-          "\n";
+  body += "ermes_cache_evictions_total " +
+          std::to_string(env_.cache.evictions()) + "\n";
   body += "# TYPE ermes_svc_window_rps gauge\n";
   body += "ermes_svc_window_rps " +
           obs::json_number(window_requests_.rate_per_sec()) + "\n";
   body += "# TYPE ermes_cache_window_hit_rate gauge\n";
   body += "ermes_cache_window_hit_rate " +
-          obs::json_number(cache_.window_hit_rate()) + "\n";
+          obs::json_number(env_.cache.window_hit_rate()) + "\n";
 
   JsonValue out = JsonValue::object();
   out.set("content_type",

@@ -66,14 +66,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "analysis/eval_cache.h"
 #include "exec/thread_pool.h"
 #include "obs/quantile.h"
+#include "svc/ops.h"
 #include "svc/protocol.h"
-
-namespace ermes::tmg {
-class CycleMeanSolver;
-}  // namespace ermes::tmg
 
 namespace ermes::svc {
 
@@ -154,7 +150,7 @@ class Broker {
   void set_drain_callback(std::function<void()> callback);
 
   /// The process-wide warm cache shared across all requests.
-  analysis::EvalCache& cache() { return cache_; }
+  analysis::EvalCache& cache() { return env_.cache; }
 
   /// Writes the cache snapshot to options().cache_file (no-op returning
   /// true when no cache_file is configured). The server calls this after a
@@ -247,15 +243,6 @@ class Broker {
 
   /// Background saver thread body (cache_save_secs > 0).
   void saver_loop();
-  JsonValue run_analyze(const Request& request, std::string* soc_error);
-  JsonValue run_order(const Request& request, std::string* soc_error);
-  /// Returns ok=false with kDeadlineExceeded semantics via *cancelled.
-  JsonValue run_explore(const Request& request,
-                        const std::function<bool()>& should_stop,
-                        std::string* soc_error, bool* cancelled);
-  JsonValue run_sweep(const Request& request,
-                      const std::function<bool()>& should_stop,
-                      std::string* soc_error, bool* cancelled);
   JsonValue run_stats(int version);
   JsonValue run_metrics();
   JsonValue run_cache_save(std::string* error, ErrorCode* code);
@@ -275,16 +262,12 @@ class Broker {
   void release_in_flight();
 
   BrokerOptions options_;
-  analysis::EvalCache cache_;
+  // The memo and the per-slot warm solvers every model op runs against
+  // (svc/ops.h). Sized to pool_'s slots: requests execute on pool workers,
+  // each on its own slot's solver, so none of them need locks. No fan-out
+  // pool — requests are the unit of parallelism.
+  OpEnv env_;
   std::size_t cache_restored_ = 0;  // snapshot entries admitted at startup
-
-  // One warm CSR solver per pool slot. Sweep requests always execute on a
-  // pool worker (slots [1, jobs())); each target explored on that worker
-  // passes its slot's solver to dse::explore, so adjacent targets of a
-  // sweep — and sweeps across requests landing on the same worker — reuse a
-  // compiled structure. Slot ownership means no two
-  // threads ever share a solver, so none of them need locks.
-  std::vector<std::unique_ptr<tmg::CycleMeanSolver>> sweep_solvers_;
 
   // One open incremental-analysis session (defined in broker.cpp). The map
   // holds shared_ptrs so a `close_session` racing an in-flight `patch` only

@@ -354,7 +354,8 @@ std::string encode_error(const JsonValue& id, ErrorCode code,
 
 std::string encode_request(Op op, const JsonValue& id, std::string_view soc,
                            std::int64_t tct, std::int64_t lo, std::int64_t hi,
-                           std::int64_t step, std::int64_t deadline_ms) {
+                           std::int64_t step, std::int64_t deadline_ms,
+                           bool hier) {
   JsonValue request = JsonValue::object();
   request.set("v", JsonValue::integer(kProtocolVersion));
   if (!id.is_null()) request.set("id", id);
@@ -367,6 +368,7 @@ std::string encode_request(Op op, const JsonValue& id, std::string_view soc,
   if (deadline_ms > 0) {
     request.set("deadline_ms", JsonValue::integer(deadline_ms));
   }
+  if (hier) request.set("hier", JsonValue::boolean(true));
   return request.to_string();
 }
 

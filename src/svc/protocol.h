@@ -172,11 +172,12 @@ std::string encode_error(const JsonValue& id, ErrorCode code,
                          int version = kProtocolVersion);
 
 /// Convenience for clients: builds a request line from parts (no newline).
-/// Fields with zero values are omitted, matching the schema's optionality.
+/// Fields with zero values are omitted, matching the schema's optionality;
+/// `hier` sets the v2 `hier` member.
 std::string encode_request(Op op, const JsonValue& id, std::string_view soc,
                            std::int64_t tct = 0, std::int64_t lo = 0,
                            std::int64_t hi = 0, std::int64_t step = 0,
-                           std::int64_t deadline_ms = 0);
+                           std::int64_t deadline_ms = 0, bool hier = false);
 
 /// Parsed view of a response line (for clients and tests).
 struct ResponseView {

@@ -1,13 +1,11 @@
 #pragma once
-// Canonical text rendering of command results, shared by the CLI and the
-// analysis service.
+// Canonical text rendering of the model ops' results.
 //
-// The service's bit-identical contract — a daemon response carries exactly
-// the text a single-shot `ermes <cmd>` invocation prints to stdout — only
-// holds if both go through one renderer. The CLI calls these and printf's
-// the returned string; the broker calls the same functions and ships the
-// string in the response's "text" member; bench/bench_serve.cpp asserts the
-// two are equal byte for byte.
+// svc::run_op (svc/ops.h) calls these and ships the string in the result's
+// "text" member; the daemon sends it as is and the CLI prints it, so a
+// daemon response carries exactly the stdout of the matching `ermes <cmd>`.
+// Nothing else in production calls them (CI rejects calls from tools/);
+// benches and tests call them to build expected answers.
 
 #include <cstdint>
 #include <string>

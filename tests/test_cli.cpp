@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -265,6 +266,135 @@ TEST(CliExitCodes, ServeWithoutEndpointIsUsage) {
   const RunResult result = run_cli("serve");
   EXPECT_EQ(result.exit_code, 2);
   expect_error_line(result);
+}
+
+// Thread-count flags parse strictly and stop at 256: garbage, negatives and
+// the bound + 1 are usage errors before any pool or server exists. (Were the
+// bound lost, these would start at most a few hundred threads; the serve
+// socket path cannot be bound, so a regressed daemon exits instead of
+// serving.)
+TEST(CliExitCodes, ThreadCountsAreBounded) {
+  for (const std::string jobs : {"abc", "-7", "257", "4x"}) {
+    const RunResult result =
+        run_cli("--jobs " + jobs + " sweep " + demo_path() + " 5 15 1");
+    EXPECT_EQ(result.exit_code, 2) << jobs;
+    expect_error_line(result);
+    EXPECT_TRUE(result.out.empty()) << result.out;
+  }
+  const std::string socket = "/nonexistent/ermes_bound.sock";
+  for (const std::string flag : {"--workers", "--net-shards"}) {
+    for (const std::string value : {"-1", "257", "two"}) {
+      const RunResult result =
+          run_cli("serve --socket " + socket + " " + flag + " " + value);
+      EXPECT_EQ(result.exit_code, 2) << flag << " " << value;
+      expect_error_line(result);
+    }
+  }
+  // The bound itself is accepted (`demo` reads no model, so builds no pool).
+  const RunResult at_bound = run_cli("--jobs 256 demo");
+  EXPECT_EQ(at_bound.exit_code, 0) << at_bound.err;
+}
+
+// The sweep table is the same at any --jobs; only the timing line differs.
+std::string without_timing_line(const std::string& out) {
+  const std::size_t at = out.find(" targets in ");
+  if (at == std::string::npos) return out;
+  return out.substr(0, out.rfind('\n', at) + 1);
+}
+
+TEST(CliSweep, JobsDoNotChangeTheTable) {
+  const std::string mpeg2 =
+      std::string(ERMES_EXAMPLES_DIR) + "/mpeg2_encoder.soc";
+  for (const std::string& args :
+       {demo_path() + " 5 15 1", mpeg2 + " 1500000 3000000 250000"}) {
+    const RunResult serial = run_cli("--jobs 1 sweep " + args);
+    const RunResult parallel = run_cli("--jobs 4 sweep " + args);
+    EXPECT_EQ(serial.exit_code, parallel.exit_code) << args;
+    EXPECT_EQ(serial.err, parallel.err) << args;
+    EXPECT_NE(serial.out.find("on 1 jobs"), std::string::npos) << serial.out;
+    EXPECT_NE(parallel.out.find("on 4 jobs"), std::string::npos)
+        << parallel.out;
+    EXPECT_EQ(without_timing_line(serial.out),
+              without_timing_line(parallel.out))
+        << args;
+  }
+}
+
+// An `ermes serve` child on a per-process unix socket, stopped with SIGTERM
+// (a clean drain) when the test ends.
+class Daemon {
+ public:
+  Daemon() : socket_(temp_path("daemon.sock")) {
+    pid_ = ::fork();
+    if (pid_ == 0) {
+      // The readiness line is noise here; the child never returns.
+      std::freopen("/dev/null", "w", stdout);
+      ::execl(ERMES_CLI_PATH, ERMES_CLI_PATH, "serve", "--socket",
+              socket_.c_str(), "--workers", "2", static_cast<char*>(nullptr));
+      ::_exit(127);
+    }
+    for (int attempt = 0; attempt < 500 && !ready_; ++attempt) {
+      ready_ = run_cli("request --socket " + socket_ + " stats").exit_code == 0;
+      if (!ready_) ::usleep(10'000);
+    }
+  }
+  ~Daemon() {
+    if (pid_ <= 0) return;
+    ::kill(pid_, SIGTERM);
+    int status = 0;
+    ::waitpid(pid_, &status, 0);
+  }
+  Daemon(const Daemon&) = delete;
+  Daemon& operator=(const Daemon&) = delete;
+
+  bool ready() const { return ready_; }
+  const std::string& socket() const { return socket_; }
+
+ private:
+  std::string socket_;
+  pid_t pid_ = -1;
+  bool ready_ = false;
+};
+
+// analyze/order/dse/sweep print exactly the text the daemon answers the
+// same request with (sweep's run-dependent timing line aside): both run the
+// one svc::run_op implementation.
+TEST(CliMatchesDaemon, ModelOpsPrintTheResponseText) {
+  Daemon daemon;
+  ASSERT_TRUE(daemon.ready());
+  const std::string dir = ERMES_EXAMPLES_DIR;
+  struct Model {
+    std::string flags, path, tct, range;
+  };
+  const Model models[] = {
+      {"", dir + "/motivating.soc", "13", "5 15 1"},
+      {"", dir + "/mpeg2_encoder.soc", "2500000", "1500000 3000000 250000"},
+      {"--hier ", dir + "/hier_pipeline.soc", "8", "3 9 1"},
+  };
+  struct Command {
+    std::string cli, op;
+    std::string Model::*args;
+  };
+  std::string Model::*none = nullptr;
+  const Command commands[] = {{"analyze", "analyze", none},
+                              {"order", "order", none},
+                              {"dse", "explore", &Model::tct},
+                              {"sweep", "sweep", &Model::range}};
+  for (const Model& model : models) {
+    for (const Command& command : commands) {
+      const std::string args =
+          model.path + (command.args != nullptr ? " " + model.*command.args
+                                                : std::string());
+      const RunResult local = run_cli(model.flags + command.cli + " " + args);
+      const RunResult remote =
+          run_cli(model.flags + "request --socket " + daemon.socket() +
+                  " --text " + command.op + " " + args);
+      EXPECT_EQ(remote.exit_code, 0) << remote.err;
+      ASSERT_FALSE(remote.out.empty()) << command.cli << " " << args;
+      EXPECT_EQ(without_timing_line(local.out), remote.out)
+          << command.cli << " " << args;
+    }
+  }
 }
 
 }  // namespace

@@ -256,9 +256,7 @@ TEST(ExplorerMpeg2Test, AreaRecoveryReducesAreaUnderLooseTarget) {
 
 TEST(DualExplorerTest, ImprovesCtWithinBudgetOnFixture) {
   Fixture f;  // slow/small everywhere: area 3.5, CT 22
-  DualExplorerOptions options;
-  options.area_budget = 8.0;
-  const ExplorationResult result = explore_area_constrained(f.sys, options);
+  const ExplorationResult result = explore_area_constrained(f.sys, 8.0, {});
   ASSERT_FALSE(result.history.empty());
   EXPECT_TRUE(result.met_target);  // area stays under budget
   EXPECT_LT(result.history.back().cycle_time,
@@ -268,11 +266,8 @@ TEST(DualExplorerTest, ImprovesCtWithinBudgetOnFixture) {
 
 TEST(DualExplorerTest, TightBudgetLimitsSpeedup) {
   Fixture f;
-  DualExplorerOptions loose, tight;
-  loose.area_budget = 100.0;
-  tight.area_budget = 5.0;
-  const ExplorationResult fast = explore_area_constrained(f.sys, loose);
-  const ExplorationResult slow = explore_area_constrained(f.sys, tight);
+  const ExplorationResult fast = explore_area_constrained(f.sys, 100.0, {});
+  const ExplorationResult slow = explore_area_constrained(f.sys, 5.0, {});
   EXPECT_LE(fast.history.back().cycle_time,
             slow.history.back().cycle_time);
   EXPECT_LE(slow.history.back().area, 5.0 + 1e-9);
@@ -282,10 +277,10 @@ TEST(DualExplorerTest, Mpeg2UnderBudget) {
   sysmodel::SystemModel sys = mpeg2::make_characterized_mpeg2_encoder();
   const double area0 = sys.total_area();
   const double ct0 = analysis::analyze_system(sys).cycle_time;
-  DualExplorerOptions options;
-  options.area_budget = area0 * 1.15;
+  ExplorerOptions options;
   options.max_iterations = 8;
-  const ExplorationResult result = explore_area_constrained(sys, options);
+  const ExplorationResult result =
+      explore_area_constrained(sys, area0 * 1.15, options);
   EXPECT_TRUE(result.met_target);
   EXPECT_LT(result.history.back().cycle_time, ct0);
   EXPECT_LE(result.history.back().area, area0 * 1.15 + 1e-9);

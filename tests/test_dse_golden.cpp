@@ -250,10 +250,9 @@ TEST(DseGoldenTest, Table1M2TargetFromM1) {
 
 TEST(DseGoldenTest, DualMpeg2UnderBudget) {
   sysmodel::SystemModel sys = mpeg2::make_characterized_mpeg2_encoder();
-  DualExplorerOptions options;
-  options.area_budget = sys.total_area() * 1.15;
+  const double area_budget = sys.total_area() * 1.15;
   expect_golden("dual-mpeg2-1.15",
-                explore_area_constrained(std::move(sys), options));
+                explore_area_constrained(std::move(sys), area_budget, {}));
 }
 
 // Synthetic SoCs of 32/48/64 processes with generated Pareto sets, explored

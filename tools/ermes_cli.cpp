@@ -26,7 +26,8 @@
 //   --metrics <out.json>   enable telemetry, write a metrics snapshot on exit
 //   --trace <out.json>     enable telemetry, write a Chrome trace (Perfetto)
 //   --log <level>          trace|debug|info|warn|error|off (default warn)
-//   --jobs <N>             parallelism for dse/sweep/sens (default 1; 0 = all cores)
+//   --jobs <N>             threads for sweep targets and sens perturbations
+//                          (default 1; 0 = all cores; at most 256)
 //   --hier                 parse .soc inputs through the hierarchical grammar
 //                          (subsystem/instance/port) and flatten before use
 //
@@ -38,23 +39,20 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "analysis/buffer_sizing.h"
-#include "analysis/deadlock.h"
-#include "analysis/eval_cache.h"
 #include "analysis/sensitivity.h"
 #include "analysis/tmg_builder.h"
 #include "analysis/performance.h"
 #include "comp/flatten.h"
 #include "comp/partition.h"
 #include "dse/explorer.h"
-#include "exec/thread_pool.h"
-#include "exec/worker_slots.h"
 #include "graph/dot.h"
 #include "io/soc_format.h"
 #include "io/soc_hier.h"
@@ -62,14 +60,12 @@
 #include "obs/report.h"
 #include "obs/span.h"
 #include "ordering/channel_ordering.h"
-#include "ordering/local_search.h"
 #include "sim/compiled.h"
 #include "sim/system_sim.h"
-#include "svc/json.h"
 #include "svc/client.h"
+#include "svc/json.h"
+#include "svc/ops.h"
 #include "svc/protocol.h"
-#include "tmg/csr.h"
-#include "svc/render.h"
 #include "svc/server.h"
 #include "sysmodel/builder.h"
 #include "sysmodel/stats.h"
@@ -132,23 +128,28 @@ int usage_bad_number(const char* arg) {
   return kExitUsage;
 }
 
+// Upper bound on every thread-count flag (--jobs, serve --workers and
+// --net-shards): each value starts that many threads.
+constexpr std::int64_t kMaxThreads = 256;
+
+// Strict thread count in [0, kMaxThreads]; prints the usage error otherwise.
+bool parse_thread_count(const char* flag, const char* value,
+                        std::int64_t* out) {
+  if (parse_arg_i64(value, out) && *out >= 0 && *out <= kMaxThreads) {
+    return true;
+  }
+  std::fprintf(stderr, "error: %s expects an integer in [0, %lld], got '%s'\n",
+               flag, static_cast<long long>(kMaxThreads), value);
+  return false;
+}
+
 // Output paths for the telemetry dumps; either one enables collection.
 struct GlobalOptions {
   std::string metrics_path;
   std::string trace_path;
-  int jobs = 1;  // evaluation parallelism; 0 = all cores
+  std::int64_t jobs = 1;  // sweep-target / sens parallelism; 0 = all cores
   bool hier = false;  // parse model inputs through the hierarchical grammar
 };
-
-// `--hier` routing for every command's model loads (load() below has many
-// callers that don't see GlobalOptions; the flag is process-global anyway).
-bool g_hier_input = false;
-
-// Effective parallelism from --jobs (0 = all cores).
-std::size_t effective_jobs(const GlobalOptions& options) {
-  return options.jobs <= 0 ? exec::hardware_jobs()
-                           : static_cast<std::size_t>(options.jobs);
-}
 
 bool parse_log_level(const char* name, util::LogLevel* out) {
   const struct { const char* name; util::LogLevel level; } kLevels[] = {
@@ -165,16 +166,15 @@ bool parse_log_level(const char* name, util::LogLevel* out) {
   return false;
 }
 
-// Strips --metrics/--trace/--log (with their values) out of argv; the
-// remaining positional arguments keep their order. Returns false on a
-// malformed flag (missing value, unknown log level).
+// Strips --metrics/--trace/--log/--jobs/--hier (with their values) out of
+// argv; the remaining positional arguments keep their order. Returns false
+// on a malformed flag (missing value, unknown log level, bad thread count).
 bool extract_global_flags(int argc, char** argv, GlobalOptions& options,
                           std::vector<char*>& positional) {
   for (int i = 0; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--hier") == 0) {
       options.hier = true;
-      g_hier_input = true;
       continue;
     }
     if (std::strcmp(arg, "--metrics") == 0 ||
@@ -190,8 +190,7 @@ bool extract_global_flags(int argc, char** argv, GlobalOptions& options,
       } else if (std::strcmp(arg, "--trace") == 0) {
         options.trace_path = value;
       } else if (std::strcmp(arg, "--jobs") == 0) {
-        options.jobs = std::atoi(value);
-        exec::set_default_jobs(effective_jobs(options));
+        if (!parse_thread_count(arg, value, &options.jobs)) return false;
       } else {
         util::LogLevel level;
         if (!parse_log_level(value, &level)) {
@@ -237,27 +236,75 @@ bool flush_telemetry(const GlobalOptions& options) {
   return ok;
 }
 
-bool load(const char* path, io::ParseResult& parsed) {
-  parsed = g_hier_input ? io::load_soc_flattened(path) : io::load_soc(path);
-  if (!parsed.ok) {
-    std::fprintf(stderr, "error: %s: %s\n", path, parsed.error.c_str());
+// Reads the model file at `path` into `request`: its text, plus the grammar
+// --hier selects. Prints the missing-file error when it cannot be opened.
+bool read_model(const char* path, const GlobalOptions& global,
+                svc::Request* request) {
+  std::ifstream in(path);
+  if (!in) {
+    std::fprintf(stderr, "error: %s: cannot open %s\n", path, path);
     return false;
   }
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  request->soc = buffer.str();
+  request->hier = global.hier;
   return true;
 }
 
-int cmd_analyze(const char* path) {
-  io::ParseResult parsed;
-  if (!load(path, parsed)) return kExitParse;
-  const analysis::PerformanceReport report =
-      analysis::analyze_system(parsed.system);
-  // Shared renderer: the daemon's `analyze` response carries this exact text.
-  std::printf("%s", svc::analyze_text(parsed.system, report).c_str());
-  if (!report.live) {
-    std::fprintf(stderr, "error: system deadlocks\n");
-    return kExitAnalysis;
+// analyze / order / dse / sweep: one request through svc::run_op, the code
+// the daemon answers the same ops with, so stdout is exactly the text a
+// `request --text` gets back. `order -o` writes the ordered model instead
+// of printing it; `sweep` adds a run-dependent timing and cache line.
+int cmd_op(const svc::Request& request, const char* path,
+           const char* out_path, svc::OpEnv& env) {
+  util::Stopwatch sw;
+  const svc::OpResult op = svc::run_op(request, env);
+  const double elapsed_ms = static_cast<double>(sw.elapsed_ns()) / 1e6;
+  if (!op.soc_error.empty()) {
+    std::fprintf(stderr, "error: %s: %s\n", path, op.soc_error.c_str());
+    return kExitParse;
   }
-  return kExitOk;
+  const svc::JsonValue& result = op.result;
+  const std::string& text = result.find("text")->as_string();
+  if (request.op == svc::Op::kOrder && out_path != nullptr) {
+    // The text's first line is the cycle-time delta; the rest is the
+    // ordered model, which goes to the file instead.
+    std::printf("%s", text.substr(0, text.find('\n') + 1).c_str());
+    std::ofstream out(out_path);
+    if (out) out << result.find("soc")->as_string();
+    if (!out) {
+      std::fprintf(stderr, "error: cannot write %s\n", out_path);
+      return kExitFailure;
+    }
+    std::printf("wrote %s\n", out_path);
+    return kExitOk;
+  }
+  std::printf("%s", text.c_str());
+  switch (request.op) {
+    case svc::Op::kAnalyze:
+      if (result.find("live")->as_bool()) return kExitOk;
+      std::fprintf(stderr, "error: system deadlocks\n");
+      return kExitAnalysis;
+    case svc::Op::kExplore:
+      if (result.find("met_target")->as_bool()) return kExitOk;
+      std::fprintf(stderr, "error: target cycle time %lld not met\n",
+                   static_cast<long long>(request.tct));
+      return kExitAnalysis;
+    case svc::Op::kSweep:
+      std::printf("%zu targets in %s ms on %zu jobs; cache: %lld hits / %lld "
+                  "misses (%.1f%% hit rate, %zu entries)\n",
+                  result.find("targets")->items().size(),
+                  util::format_double(elapsed_ms, 1).c_str(),
+                  env.pool->jobs(), static_cast<long long>(env.cache.hits()),
+                  static_cast<long long>(env.cache.misses()),
+                  env.cache.hit_rate() * 100.0, env.cache.size());
+      if (result.find("all_met")->as_bool()) return kExitOk;
+      std::fprintf(stderr, "error: at least one sweep target not met\n");
+      return kExitAnalysis;
+    default:
+      return kExitOk;
+  }
 }
 
 // `ermes compose`: parse a hierarchical model, flatten it deterministically,
@@ -360,42 +407,14 @@ int cmd_compose(int argc, char** argv) {
   return kExitOk;
 }
 
-int cmd_order(const char* path, const char* out_path) {
-  io::ParseResult parsed;
-  if (!load(path, parsed)) return kExitParse;
-  const analysis::PerformanceReport before =
-      analysis::analyze_system(parsed.system);
-  sysmodel::SystemModel ordered =
-      ordering::with_optimal_ordering(parsed.system);
-  const analysis::PerformanceReport after =
-      analysis::analyze_system(ordered);
-  if (out_path != nullptr) {
-    std::printf("cycle time: %s -> %s\n",
-                before.live ? util::format_double(before.cycle_time).c_str()
-                            : "DEADLOCK",
-                util::format_double(after.cycle_time).c_str());
-    if (!io::save_soc(ordered, out_path, parsed.system_name)) {
-      std::fprintf(stderr, "error: cannot write %s\n", out_path);
-      return kExitFailure;
-    }
-    std::printf("wrote %s\n", out_path);
-  } else {
-    std::printf("%s", svc::order_text(before.live, before.cycle_time, after,
-                                      ordered, parsed.system_name)
-                          .c_str());
-  }
-  return kExitOk;
-}
-
 // Runs through the compiled engine (sim::CompiledSim is bit-identical to
 // the legacy Kernel — the differential suite holds it to that — and skips
 // the per-run build_kernel); the text output shape is unchanged. --json
 // swaps the human lines for one machine-readable object (result + stall
 // summary) with the same exit-code and stderr contract: a deadlock still
 // prints exactly one `error:` line and exits 4.
-int cmd_simulate(const char* path, std::int64_t items, bool json) {
-  io::ParseResult parsed;
-  if (!load(path, parsed)) return kExitParse;
+int cmd_simulate(const io::ParseResult& parsed, std::int64_t items,
+                 bool json) {
   const sim::CompiledSim compiled(parsed.system);
   sim::CompiledSim::Instance instance(compiled);
   sim::BatchOptions opts;
@@ -469,97 +488,19 @@ int cmd_simulate(const char* path, std::int64_t items, bool json) {
   return kExitOk;
 }
 
-int cmd_dse(const char* path, std::int64_t tct, const GlobalOptions& global) {
-  io::ParseResult parsed;
-  if (!load(path, parsed)) return kExitParse;
-  dse::ExplorerOptions options;
-  options.target_cycle_time = tct;
-  options.jobs = static_cast<int>(effective_jobs(global));
-  const dse::ExplorationResult result =
-      dse::explore(parsed.system, options);
-  // Shared renderer: the daemon's `explore` response carries this exact text.
-  std::printf("%s", svc::explore_text(result).c_str());
-  if (!result.met_target) {
-    std::fprintf(stderr, "error: target cycle time %lld not met\n",
-                 static_cast<long long>(tct));
-    return kExitAnalysis;
-  }
-  return kExitOk;
-}
-
-// Explores every target in [lo, hi] (step apart) concurrently: one serial
-// exploration per sweep point, fanned across the pool, all sharing one
-// evaluation memo — sweep points revisit the same candidate systems
-// constantly, so the warm cache does a large share of the work.
-int cmd_sweep(const char* path, std::int64_t lo, std::int64_t hi,
-              std::int64_t step, const GlobalOptions& global) {
-  std::string range_error;
-  const std::vector<std::int64_t> targets =
-      svc::sweep_targets(lo, hi, step, &range_error);
-  if (targets.empty()) {
-    std::fprintf(stderr, "error: sweep %s\n", range_error.c_str());
-    return kExitUsage;
-  }
-  io::ParseResult parsed;
-  if (!load(path, parsed)) return kExitParse;
-
-  analysis::EvalCache cache;
-  exec::ThreadPool pool(effective_jobs(global));
-  // One warm CSR solver per worker slot: every exploration a slot executes
-  // reuses that slot's compiled structure. A slot is driven by one thread at
-  // a time, so no locking is needed.
-  exec::SlotLocal<tmg::CycleMeanSolver> solvers(pool.jobs());
-  util::Stopwatch sw;
-  const std::vector<dse::ExplorationResult> results =
-      pool.parallel_map<dse::ExplorationResult>(
-          targets.size(),
-          [&](std::size_t i) {
-            dse::ExplorerOptions options;
-            options.target_cycle_time = targets[i];
-            options.jobs = 1;  // parallel across sweep points, serial within
-            options.cache = &cache;
-            options.solver = &solvers.local();
-            return dse::explore(parsed.system, options);
-          },
-          /*grain=*/1);
-  const double elapsed_ms = static_cast<double>(sw.elapsed_ns()) / 1e6;
-
-  // Shared renderer for the table (the timing/cache line below is
-  // run-dependent and stays CLI-only; the daemon omits it).
-  std::printf("%s", svc::sweep_text(targets, results).c_str());
-  bool all_met = true;
-  for (const dse::ExplorationResult& result : results) {
-    all_met = all_met && result.met_target;
-  }
-  std::printf("%zu targets in %s ms on %zu jobs; cache: %lld hits / %lld "
-              "misses (%.1f%% hit rate, %zu entries)\n",
-              targets.size(), util::format_double(elapsed_ms, 1).c_str(),
-              pool.jobs(), static_cast<long long>(cache.hits()),
-              static_cast<long long>(cache.misses()), cache.hit_rate() * 100.0,
-              cache.size());
-  if (!all_met) {
-    std::fprintf(stderr, "error: at least one sweep target not met\n");
-    return kExitAnalysis;
-  }
-  return kExitOk;
-}
-
 // Runs the full flow (parse, analyze, order, dse) with telemetry forced on
 // and prints a phase-time table followed by the collected metrics. When no
 // target cycle time is given, the post-ordering cycle time is the target, so
 // the DSE phase degenerates to area recovery at current performance.
-int cmd_profile(const char* path, std::int64_t tct) {
+int cmd_profile(const io::ParseResult& parsed, std::int64_t parse_ns,
+                std::int64_t tct) {
   obs::set_enabled(true);
   util::Table phases({"phase", "time (ms)", "result"});
-  auto ms = [](const util::Stopwatch& sw) {
-    return util::format_double(
-        static_cast<double>(sw.elapsed_ns()) / 1e6, 3);
+  auto ms = [](std::int64_t ns) {
+    return util::format_double(static_cast<double>(ns) / 1e6, 3);
   };
 
-  util::Stopwatch parse_sw;
-  io::ParseResult parsed;
-  if (!load(path, parsed)) return kExitParse;
-  phases.add_row({"parse", ms(parse_sw),
+  phases.add_row({"parse", ms(parse_ns),
                   std::to_string(parsed.system.num_processes()) +
                       " processes, " +
                       std::to_string(parsed.system.num_channels()) +
@@ -568,7 +509,7 @@ int cmd_profile(const char* path, std::int64_t tct) {
   util::Stopwatch analyze_sw;
   const analysis::PerformanceReport initial =
       analysis::analyze_system(parsed.system);
-  phases.add_row({"analyze", ms(analyze_sw),
+  phases.add_row({"analyze", ms(analyze_sw.elapsed_ns()),
                   initial.live
                       ? "CT " + util::format_double(initial.cycle_time)
                       : "DEADLOCK"});
@@ -578,7 +519,7 @@ int cmd_profile(const char* path, std::int64_t tct) {
       ordering::with_optimal_ordering(parsed.system);
   const analysis::PerformanceReport after_order =
       analysis::analyze_system(ordered);
-  phases.add_row({"order", ms(order_sw),
+  phases.add_row({"order", ms(order_sw.elapsed_ns()),
                   after_order.live
                       ? "CT " + util::format_double(after_order.cycle_time)
                       : "DEADLOCK"});
@@ -592,7 +533,7 @@ int cmd_profile(const char* path, std::int64_t tct) {
     options.target_cycle_time = tct;
     const dse::ExplorationResult result = dse::explore(ordered, options);
     phases.add_row(
-        {"dse (tct " + std::to_string(tct) + ")", ms(dse_sw),
+        {"dse (tct " + std::to_string(tct) + ")", ms(dse_sw.elapsed_ns()),
          std::to_string(result.history.size()) + " iterations, " +
              (result.met_target ? "target met" : "target NOT met")});
   }
@@ -602,9 +543,7 @@ int cmd_profile(const char* path, std::int64_t tct) {
   return kExitOk;
 }
 
-int cmd_size(const char* path, std::int64_t tct) {
-  io::ParseResult parsed;
-  if (!load(path, parsed)) return kExitParse;
+int cmd_size(io::ParseResult& parsed, std::int64_t tct) {
   const analysis::SizingResult result =
       analysis::size_for_cycle_time(parsed.system, tct);
   std::printf("%s: %lld slots added, cycle time %s\n",
@@ -625,25 +564,18 @@ int cmd_size(const char* path, std::int64_t tct) {
   return kExitOk;
 }
 
-int cmd_stats(const char* path) {
-  io::ParseResult parsed;
-  if (!load(path, parsed)) return kExitParse;
+int cmd_stats(const io::ParseResult& parsed) {
   std::printf("%s\n",
               sysmodel::to_string(sysmodel::compute_stats(parsed.system))
                   .c_str());
   return kExitOk;
 }
 
-int cmd_sensitivity(const char* path, const GlobalOptions& global) {
-  io::ParseResult parsed;
-  if (!load(path, parsed)) return kExitParse;
-  exec::ThreadPool pool(effective_jobs(global));
-  analysis::EvalCache cache;
-  // Used only on the serial path (jobs=1): the perturbations then re-solve
-  // warm on one compiled structure.
-  tmg::CycleMeanSolver solver;
-  const analysis::SensitivityReport report =
-      analysis::latency_sensitivity(parsed.system, 1, &pool, &cache, &solver);
+// Perturbations fan out over the env's --jobs pool; with --jobs 1 they
+// re-solve warm on the slot-0 solver.
+int cmd_sensitivity(const io::ParseResult& parsed, svc::OpEnv& env) {
+  const analysis::SensitivityReport report = analysis::latency_sensitivity(
+      parsed.system, 1, env.pool.get(), &env.cache, &env.solvers[0]);
   if (report.processes.empty()) {
     std::printf("system is deadlocked; no sensitivity available\n");
     std::fprintf(stderr, "error: system deadlocks\n");
@@ -662,17 +594,13 @@ int cmd_sensitivity(const char* path, const GlobalOptions& global) {
   return kExitOk;
 }
 
-int cmd_tmgdot(const char* path) {
-  io::ParseResult parsed;
-  if (!load(path, parsed)) return kExitParse;
+int cmd_tmgdot(const io::ParseResult& parsed) {
   const analysis::SystemTmg stmg = analysis::build_tmg(parsed.system);
   std::printf("%s", tmg::to_dot(stmg.graph, parsed.system_name).c_str());
   return kExitOk;
 }
 
-int cmd_dot(const char* path) {
-  io::ParseResult parsed;
-  if (!load(path, parsed)) return kExitParse;
+int cmd_dot(const io::ParseResult& parsed) {
   graph::DotOptions options;
   options.graph_name = parsed.system_name;
   const sysmodel::SystemModel& sys = parsed.system;
@@ -740,6 +668,14 @@ bool parse_endpoint_flags(int argc, char** argv, int first,
         out.cache_file = value;
         continue;
       }
+      if (std::strcmp(arg, "--workers") == 0) {
+        if (!parse_thread_count(arg, value, &out.workers)) return false;
+        continue;
+      }
+      if (std::strcmp(arg, "--net-shards") == 0) {
+        if (!parse_thread_count(arg, value, &out.net_shards)) return false;
+        continue;
+      }
       std::int64_t number = 0;
       if (!parse_arg_i64(value, &number)) {
         std::fprintf(stderr, "error: %s expects an integer, got '%s'\n", arg,
@@ -747,7 +683,6 @@ bool parse_endpoint_flags(int argc, char** argv, int first,
         return false;
       }
       if (std::strcmp(arg, "--port") == 0) out.port = number;
-      else if (std::strcmp(arg, "--workers") == 0) out.workers = number;
       else if (std::strcmp(arg, "--queue") == 0) out.queue = number;
       else if (std::strcmp(arg, "--deadline-ms") == 0) out.deadline_ms = number;
       else if (std::strcmp(arg, "--slow-ms") == 0) out.slow_ms = number;
@@ -758,7 +693,6 @@ bool parse_endpoint_flags(int argc, char** argv, int first,
       else if (std::strcmp(arg, "--cache-mb") == 0) out.cache_mb = number;
       else if (std::strcmp(arg, "--cache-save-secs") == 0)
         out.cache_save_secs = number;
-      else if (std::strcmp(arg, "--net-shards") == 0) out.net_shards = number;
       else if (std::strcmp(arg, "--max-conns") == 0) out.max_conns = number;
       else out.test_iter_delay_ms = number;
       continue;
@@ -794,8 +728,7 @@ int cmd_serve(int argc, char** argv) {
   svc::ServerOptions options;
   options.socket_path = ep.socket_path;
   options.port = static_cast<int>(ep.port);
-  options.broker.workers = static_cast<std::size_t>(std::max<std::int64_t>(
-      0, ep.workers));
+  options.broker.workers = static_cast<std::size_t>(ep.workers);
   options.broker.queue_depth =
       static_cast<std::size_t>(std::max<std::int64_t>(1, ep.queue));
   options.broker.default_deadline_ms = ep.deadline_ms;
@@ -806,8 +739,7 @@ int cmd_serve(int argc, char** argv) {
       std::max<std::int64_t>(0, ep.cache_mb) * 1'000'000;
   options.broker.cache_file = ep.cache_file;
   options.broker.cache_save_secs = std::max<std::int64_t>(0, ep.cache_save_secs);
-  options.net_shards =
-      static_cast<std::size_t>(std::max<std::int64_t>(0, ep.net_shards));
+  options.net_shards = static_cast<std::size_t>(ep.net_shards);
   options.max_conns =
       static_cast<std::size_t>(std::max<std::int64_t>(0, ep.max_conns));
   options.install_signal_handlers = true;
@@ -842,8 +774,9 @@ int cmd_serve(int argc, char** argv) {
 }
 
 // `ermes request`: one request against a running daemon; prints the raw
-// response line (or the result's text member with --text).
-int cmd_request(int argc, char** argv) {
+// response line (or the result's text member with --text). The global
+// --hier sends the model through the hierarchical grammar.
+int cmd_request(int argc, char** argv, const GlobalOptions& global) {
   EndpointOptions ep;
   if (!parse_endpoint_flags(argc, argv, 2, ep)) return kExitUsage;
   if (ep.socket_path.empty() && ep.port < 0) {
@@ -901,7 +834,7 @@ int cmd_request(int argc, char** argv) {
   }
   const std::string line =
       svc::encode_request(op, svc::JsonValue::string("cli"), soc, tct, lo, hi,
-                          step, ep.deadline_ms);
+                          step, ep.deadline_ms, global.hier && needs_soc);
   const svc::ResponseView response = client->call(line);
   if (!response.ok) {
     std::fprintf(stderr, "error: %s\n", response.parse_error.c_str());
@@ -1023,7 +956,7 @@ int dispatch(int argc, char** argv, const GlobalOptions& global) {
     return kExitOk;
   }
   if (cmd == "serve") return cmd_serve(argc, argv);
-  if (cmd == "request") return cmd_request(argc, argv);
+  if (cmd == "request") return cmd_request(argc, argv, global);
   if (cmd == "top") return cmd_top(argc, argv);
   if (cmd == "compose") return cmd_compose(argc, argv);
   if (argc < 3) return usage();
@@ -1039,17 +972,36 @@ int dispatch(int argc, char** argv, const GlobalOptions& global) {
       return usage_bad_number(argv[i]);
     }
   }
-  if (cmd == "analyze") return cmd_analyze(argv[2]);
-  if (cmd == "order") {
-    const char* out = nullptr;
-    if (argc >= 5 && std::strcmp(argv[3], "-o") == 0) out = argv[4];
-    return cmd_order(argv[2], out);
-  }
-  if (cmd == "simulate") {
+  // Every remaining command reads one model: validate its arguments first
+  // (usage errors win over model errors), then read the file once.
+  svc::Request request;
+  const char* out_path = nullptr;
+  std::int64_t items = 200;  // simulate
+  bool json = false;         // simulate
+  if (cmd == "analyze") {
+    request.op = svc::Op::kAnalyze;
+  } else if (cmd == "order") {
+    request.op = svc::Op::kOrder;
+    if (argc >= 5 && std::strcmp(argv[3], "-o") == 0) out_path = argv[4];
+  } else if (cmd == "dse") {
+    if (argc < 4) return usage();
+    request.op = svc::Op::kExplore;
+    request.tct = numbers[0];
+  } else if (cmd == "sweep") {
+    if (argc < 5) return usage();
+    request.op = svc::Op::kSweep;
+    request.lo = numbers[0];
+    request.hi = numbers[1];
+    request.step = argc >= 6 ? numbers[2] : 0;
+    std::string range_error;
+    if (svc::sweep_targets(request.lo, request.hi, request.step, &range_error)
+            .empty()) {
+      std::fprintf(stderr, "error: sweep %s\n", range_error.c_str());
+      return kExitUsage;
+    }
+  } else if (cmd == "simulate") {
     // [items] and --json in either order; the strict-int loop above already
     // rejected anything else.
-    std::int64_t items = 200;
-    bool json = false;
     for (int i = 3; i < argc; ++i) {
       if (std::strcmp(argv[i], "--json") == 0) {
         json = true;
@@ -1057,29 +1009,36 @@ int dispatch(int argc, char** argv, const GlobalOptions& global) {
         return usage_bad_number(argv[i]);
       }
     }
-    return cmd_simulate(argv[2], items, json);
-  }
-  if (cmd == "dse") {
+  } else if (cmd == "size") {
     if (argc < 4) return usage();
-    return cmd_dse(argv[2], numbers[0], global);
+  } else if (cmd != "profile" && cmd != "dot" && cmd != "stats" &&
+             cmd != "sens" && cmd != "tmgdot") {
+    return usage();
   }
-  if (cmd == "sweep") {
-    if (argc < 5) return usage();
-    return cmd_sweep(argv[2], numbers[0], numbers[1],
-                     argc >= 6 ? numbers[2] : 0, global);
+  if (!read_model(argv[2], global, &request)) return kExitParse;
+  // The model ops and `sens` share one env: the memo, the --jobs pool and
+  // one warm solver per pool slot.
+  svc::OpEnv env(static_cast<std::size_t>(global.jobs),
+                 svc::OpEnv::SweepFanOut::kPool);
+  if (cmd == "analyze" || cmd == "order" || cmd == "dse" || cmd == "sweep") {
+    return cmd_op(request, argv[2], out_path, env);
   }
-  if (cmd == "size") {
-    if (argc < 4) return usage();
-    return cmd_size(argv[2], numbers[0]);
+  util::Stopwatch parse_sw;
+  io::ParseResult parsed = svc::parse_model(request);
+  const std::int64_t parse_ns = parse_sw.elapsed_ns();
+  if (!parsed.ok) {
+    std::fprintf(stderr, "error: %s: %s\n", argv[2], parsed.error.c_str());
+    return kExitParse;
   }
+  if (cmd == "sens") return cmd_sensitivity(parsed, env);
+  if (cmd == "simulate") return cmd_simulate(parsed, items, json);
+  if (cmd == "size") return cmd_size(parsed, numbers[0]);
   if (cmd == "profile") {
-    return cmd_profile(argv[2], argc >= 4 ? numbers[0] : 0);
+    return cmd_profile(parsed, parse_ns, argc >= 4 ? numbers[0] : 0);
   }
-  if (cmd == "dot") return cmd_dot(argv[2]);
-  if (cmd == "stats") return cmd_stats(argv[2]);
-  if (cmd == "sens") return cmd_sensitivity(argv[2], global);
-  if (cmd == "tmgdot") return cmd_tmgdot(argv[2]);
-  return usage();
+  if (cmd == "dot") return cmd_dot(parsed);
+  if (cmd == "stats") return cmd_stats(parsed);
+  return cmd_tmgdot(parsed);
 }
 
 }  // namespace
