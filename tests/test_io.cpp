@@ -5,10 +5,13 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "analysis/performance.h"
 #include "apps/mpeg2/characterization.h"
 #include "io/soc_format.h"
+#include "io/soc_hier.h"
 #include "ordering/baselines.h"
 #include "synth/generator.h"
 #include "synth/pareto_gen.h"
@@ -118,6 +121,24 @@ gets c y x
   ASSERT_TRUE(parsed.ok) << parsed.error;
   const ProcessId c = parsed.system.find_process("c");
   EXPECT_EQ(parsed.system.channel_name(parsed.system.input_order(c)[0]), "y");
+}
+
+// The flat grammar takes dotted names verbatim (comp::flatten writes them,
+// see `ermes compose`); the hierarchical grammar reserves '.' for
+// <instance>.<port> endpoints, so a flattened file is flat-only.
+TEST(SocParseTest, DottedNamesAreFlatOnly) {
+  const std::string text =
+      "process front.head latency 1\nprocess b latency 1\n"
+      "channel front.x front.head -> b latency 1\n";
+  const ParseResult flat = parse_soc(text);
+  ASSERT_TRUE(flat.ok) << flat.error;
+  EXPECT_EQ(flat.system.process_name(0), "front.head");
+  EXPECT_EQ(flat.system.channel_name(0), "front.x");
+  const HierParseResult hier = parse_soc_hier(text);
+  EXPECT_FALSE(hier.ok);
+  EXPECT_EQ(hier.error,
+            "line 1: bad process name 'front.head' (declared names may not "
+            "contain '.')");
 }
 
 // ---- parse errors ----------------------------------------------------------------
@@ -276,6 +297,286 @@ TEST(SocHardeningTest, ErrorsNameTheLine) {
       parse_soc("system ok\nprocess a latency 1\nprocess a latency 2\n");
   ASSERT_FALSE(parsed.ok);
   EXPECT_NE(parsed.error.find("line 3"), std::string::npos) << parsed.error;
+}
+
+// Golden rejection texts: the exact error (line number and message) of every
+// hostile-corpus entry, through the flat entry point and through the
+// hierarchical one (parse + flatten). Both corpora run through both.
+struct GoldenError {
+  const char* label;
+  const char* flat;       // io::parse_soc
+  const char* flattened;  // io::parse_soc_flattened
+};
+
+const std::vector<GoldenError>& golden_errors() {
+  static const std::vector<GoldenError> golden = {
+    {"unknown keyword",
+     "line 1: unknown keyword 'systtem'",
+     "line 1: unknown keyword 'systtem'"},
+    {"system without name",
+     "line 1: expected: system <name>",
+     "line 1: expected: system <name>"},
+    {"system with extra tokens",
+     "line 1: expected: system <name>",
+     "line 1: expected: system <name>"},
+    {"process missing latency keyword",
+     "line 1: expected: process <name> latency <cycles> [area <mm2>] [primed]",
+     "line 1: expected: process <name> latency <cycles> [area <mm2>] [primed]"},
+    {"process non-numeric latency",
+     "line 1: bad latency 'ten'",
+     "line 1: bad latency 'ten'"},
+    {"process negative latency",
+     "line 1: bad latency '-4'",
+     "line 1: bad latency '-4'"},
+    {"process latency overflow",
+     "line 1: bad latency '99999999999999999999999999'",
+     "line 1: bad latency '99999999999999999999999999'"},
+    {"process latency above magnitude bound",
+     "line 1: bad latency '9000000000000000'",
+     "line 1: bad latency '9000000000000000'"},
+    {"process area inf",
+     "line 1: bad area",
+     "line 1: bad area"},
+    {"process area nan",
+     "line 1: bad area",
+     "line 1: bad area"},
+    {"process negative area",
+     "line 1: bad area",
+     "line 1: bad area"},
+    {"process area overflow",
+     "line 1: bad area",
+     "line 1: bad area"},
+    {"process trailing garbage",
+     "line 1: unexpected token 'garbage'",
+     "line 1: unexpected token 'garbage'"},
+    {"duplicate process",
+     "line 2: duplicate process a",
+     "line 2: duplicate name a"},
+    {"channel arrow missing",
+     "line 3: expected: channel <name> <from> -> <to> latency <cycles> [capacity <slots>]",
+     "line 3: expected: channel <name> <from> -> <to> latency <cycles> [capacity <slots>|unbounded]"},
+    {"channel unknown source",
+     "line 2: unknown process a",
+     "channel ab: unknown process 'a'"},
+    {"channel unknown target",
+     "line 2: unknown process b",
+     "channel ab: unknown process 'b'"},
+    {"channel negative latency",
+     "line 3: bad latency",
+     "line 3: bad latency"},
+    {"channel bad capacity",
+     "line 3: bad capacity",
+     "line 3: bad capacity"},
+    {"channel negative capacity",
+     "line 3: bad capacity",
+     "line 3: bad capacity"},
+    {"duplicate channel",
+     "line 4: duplicate channel ab",
+     "line 4: duplicate channel ab"},
+    {"channel trailing garbage",
+     "line 3: unexpected trailing tokens",
+     "line 3: unexpected trailing tokens"},
+    {"impl for unknown process",
+     "line 1: unknown process ghost",
+     "line 1: impl of unknown process ghost"},
+    {"impl non-finite area",
+     "line 2: bad area",
+     "line 2: bad area"},
+    {"impl trailing garbage",
+     "line 2: unexpected trailing tokens",
+     "line 2: unexpected trailing tokens"},
+    {"gets unknown process",
+     "line 1: unknown process ghost",
+     "line 1: unknown process ghost"},
+    {"gets unknown channel",
+     "line 4: unknown channel ghost",
+     "line 4: unknown channel ghost"},
+    {"gets wrong channel set",
+     "line 5: gets of b must list exactly its incident channels",
+     "gets of b must list exactly its incident channels (channels attached through subsystem ports cannot be reordered from inside the definition)"},
+    {"gets duplicated channel",
+     "line 4: gets of b must list exactly its incident channels",
+     "gets of b must list exactly its incident channels (channels attached through subsystem ports cannot be reordered from inside the definition)"},
+    {"subsystem without name",
+     "line 1: unknown keyword 'subsystem'",
+     "line 1: expected: subsystem <name>"},
+    {"subsystem with extra tokens",
+     "line 1: unknown keyword 'subsystem'",
+     "line 1: expected: subsystem <name>"},
+    {"subsystem never closed",
+     "line 1: unknown keyword 'subsystem'",
+     "unterminated subsystem a (missing 'end')"},
+    {"end without subsystem",
+     "line 2: unknown keyword 'end'",
+     "line 2: 'end' outside a subsystem block"},
+    {"textually nested subsystem",
+     "line 1: unknown keyword 'subsystem'",
+     "line 2: subsystem blocks do not nest (missing 'end'?)"},
+    {"duplicate subsystem definition",
+     "line 1: unknown keyword 'subsystem'",
+     "line 4: duplicate subsystem a"},
+    {"port outside subsystem",
+     "line 1: unknown keyword 'port'",
+     "line 1: 'port' is only valid inside a subsystem block"},
+    {"port bad direction",
+     "line 1: unknown keyword 'subsystem'",
+     "line 2: expected: port in|out <name> = <endpoint> (a port must be bound to an internal endpoint)"},
+    {"port missing equals",
+     "line 1: unknown keyword 'subsystem'",
+     "line 2: expected: port in|out <name> = <endpoint> (a port must be bound to an internal endpoint)"},
+    {"duplicate port",
+     "line 1: unknown keyword 'subsystem'",
+     "line 4: duplicate port x"},
+    {"port bound to unknown process",
+     "line 1: unknown keyword 'subsystem'",
+     "port x of subsystem a: unknown process 'ghost'"},
+    {"endpoint with two dots",
+     "line 1: unknown keyword 'subsystem'",
+     "line 8: bad endpoint 'u.v.x' (expected <process> or <instance>.<port>)"},
+    {"instance without subsystem name",
+     "line 1: unknown keyword 'instance'",
+     "line 1: expected: instance <name> <subsystem>"},
+    {"instance of unknown subsystem",
+     "line 1: unknown keyword 'instance'",
+     "instance u: unknown subsystem 'ghost'"},
+    {"duplicate instance",
+     "line 1: unknown keyword 'subsystem'",
+     "line 5: duplicate name u"},
+    {"instance shadowing a process",
+     "line 1: unknown keyword 'subsystem'",
+     "line 5: duplicate name u"},
+    {"self-instantiation cycle",
+     "line 1: unknown keyword 'subsystem'",
+     "instantiation cycle: a -> a"},
+    {"two-definition instantiation cycle",
+     "line 1: unknown keyword 'subsystem'",
+     "instantiation cycle: a -> b -> a"},
+    {"channel to unknown instance port",
+     "line 1: unknown keyword 'subsystem'",
+     "channel c: subsystem a has no port 'ghost'"},
+    {"channel into an out port",
+     "line 1: unknown keyword 'subsystem'",
+     "channel c: port u.x of subsystem a is an output port and cannot be used as a channel target"},
+    {"channel from an in port",
+     "line 1: unknown keyword 'subsystem'",
+     "channel c: port u.x of subsystem a is an input port and cannot be used as a channel source"},
+    {"unused definition with unbound channel endpoint",
+     "line 1: unknown keyword 'subsystem'",
+     "channel u.c: unknown process 'ghost'"},
+    {"order names a port channel",
+     "line 1: unknown keyword 'subsystem'",
+     "line 4: unknown channel link"},
+  };
+  return golden;
+}
+
+TEST(SocHardeningTest, BadCorpusErrorTextsAreGolden) {
+  std::vector<ermes::testing::BadSoc> corpus = ermes::testing::bad_soc_corpus();
+  for (const ermes::testing::BadSoc& bad : ermes::testing::bad_hier_corpus()) {
+    corpus.push_back(bad);
+  }
+  const std::vector<GoldenError>& golden = golden_errors();
+  ASSERT_EQ(corpus.size(), golden.size());
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    ASSERT_STREQ(corpus[i].label, golden[i].label);
+    EXPECT_EQ(parse_soc(corpus[i].text).error, golden[i].flat)
+        << corpus[i].label;
+    EXPECT_EQ(parse_soc_flattened(corpus[i].text).error, golden[i].flattened)
+        << corpus[i].label;
+  }
+}
+
+// ---- lexer and number edge cases -------------------------------------------
+
+// One line per outcome: the error text, or "ok <name> <latency> <area>" of
+// the first process.
+std::string outcome(const ParseResult& parsed) {
+  if (!parsed.ok) return parsed.error;
+  char numbers[64];
+  std::snprintf(numbers, sizeof numbers, " %lld %.17g",
+                static_cast<long long>(parsed.system.latency(0)),
+                parsed.system.area(0));
+  return "ok " + parsed.system.process_name(0) + numbers;
+}
+
+struct LexCase {
+  const char* label;
+  std::string text;
+  std::string expected;
+};
+
+// Whitespace, comments, line ends and number syntax. The flat and the
+// hierarchical entry points agree on every case.
+TEST(SocLexTest, EdgeCasesMatchTheGrammar) {
+  using namespace std::string_literals;
+  const std::vector<LexCase> cases = {
+      {"plus-signed latency", "process a latency +5\n", "ok a 5 0"},
+      {"doubly signed latency", "process a latency +-5\n",
+       "line 1: bad latency '+-5'"},
+      {"hex latency", "process a latency 0x10\n",
+       "line 1: bad latency '0x10'"},
+      {"exponent latency", "process a latency 1e3\n",
+       "line 1: bad latency '1e3'"},
+      {"latency at the bound", "process a latency 1000000000000\n",
+       "ok a 1000000000000 0"},
+      {"latency past the bound", "process a latency 1000000000001\n",
+       "line 1: bad latency '1000000000001'"},
+      {"leading zeros", "process a latency 00012\n", "ok a 12 0"},
+      {"hex area", "process a latency 1 area 0x10\n", "ok a 1 16"},
+      {"upper-case hex area", "process a latency 1 area 0X10\n", "ok a 1 16"},
+      {"hex float area", "process a latency 1 area 0x1p3\n", "ok a 1 8"},
+      {"hex fraction area", "process a latency 1 area 0x.8\n", "ok a 1 0.5"},
+      {"signed hex area", "process a latency 1 area +0x1p3\n", "ok a 1 8"},
+      {"hex sign after prefix", "process a latency 1 area 0x-1\n",
+       "line 1: bad area"},
+      {"bare hex prefix", "process a latency 1 area 0x\n", "line 1: bad area"},
+      {"plus-signed area", "process a latency 1 area +1.5\n", "ok a 1 1.5"},
+      {"doubly signed area", "process a latency 1 area +-1.5\n",
+       "line 1: bad area"},
+      {"bare fraction", "process a latency 1 area .5\n", "ok a 1 0.5"},
+      {"dangling exponent", "process a latency 1 area 1e\n", "line 1: bad area"},
+      {"subnormal area", "process a latency 1 area 1e-320\n",
+       "line 1: bad area"},
+      {"underflow to zero", "process a latency 1 area 1e-400\n",
+       "line 1: bad area"},
+      {"zero with a tiny exponent", "process a latency 1 area 0e-999\n",
+       "ok a 1 0"},
+      {"smallest normal area",
+       "process a latency 1 area 2.2250738585072014e-308\n",
+       "ok a 1 2.2250738585072014e-308"},
+      {"exact subnormal hex area", "process a latency 1 area 0x1p-1074\n",
+       "ok a 1 4.9406564584124654e-324"},
+      {"area at the bound", "process a latency 1 area 1e18\n",
+       "ok a 1 1e+18"},
+      {"area past the bound", "process a latency 1 area 1.0000001e18\n",
+       "line 1: bad area"},
+      {"infinite area", "process a latency 1 area inf\n", "line 1: bad area"},
+      {"negative infinite area", "process a latency 1 area -inf\n",
+       "line 1: bad area"},
+      {"nan area", "process a latency 1 area nan\n", "line 1: bad area"},
+      {"overflowing area", "process a latency 1 area 1e999\n",
+       "line 1: bad area"},
+      {"CRLF line ends", "system s\r\nprocess a latency 1\r\n", "ok a 1 0"},
+      {"CRLF error line", "process a latency 1\r\nprocess b latency x\r\n",
+       "line 2: bad latency 'x'"},
+      {"tab separators", "process\ta\tlatency\t3\n", "ok a 3 0"},
+      {"vertical tab and form feed", "process\va\flatency\v3\f\n", "ok a 3 0"},
+      {"final line without newline", "process a latency 7", "ok a 7 0"},
+      {"error on a final line without newline",
+       "process a latency 1\nprocess b latency x", "line 2: bad latency 'x'"},
+      {"blank lines count", "\n\nbogus", "line 3: unknown keyword 'bogus'"},
+      {"hash inside a token", "process a#b latency 1\n", "ok a#b 1 0"},
+      {"hash starting a token", "process a latency #1\n",
+       "line 1: expected: process <name> latency <cycles> [area <mm2>] "
+       "[primed]"},
+      {"NUL inside a name", "process a\0b latency 1\n"s, "ok a\0b 1 0"s},
+      {"NUL inside a number", "process a latency 1\0\n"s,
+       "line 1: bad latency '1\0'"s},
+  };
+  for (const LexCase& c : cases) {
+    EXPECT_EQ(outcome(parse_soc(c.text)), c.expected) << c.label;
+    EXPECT_EQ(outcome(parse_soc_flattened(c.text)), c.expected) << c.label;
+  }
 }
 
 }  // namespace
