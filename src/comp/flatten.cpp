@@ -1,10 +1,11 @@
 #include "comp/flatten.h"
 
-#include <algorithm>
 #include <map>
 #include <memory>
 #include <utility>
 #include <vector>
+
+#include "sysmodel/builder.h"
 
 namespace ermes::comp {
 
@@ -25,12 +26,7 @@ struct Flattener {
   FlattenResult result;
   std::map<std::string, const SubsystemDef*> defs;
 
-  struct PendingImpl {
-    ProcessId process;
-    sysmodel::Implementation impl;
-    bool selected;
-  };
-  std::vector<PendingImpl> impls;
+  std::vector<sysmodel::ImplRow> impls;
   struct PendingOrder {
     ProcessId process;
     bool gets;
@@ -293,33 +289,10 @@ struct Flattener {
     return true;
   }
 
-  // Mirrors the flat parser's finalize step: group rows into Pareto sets,
-  // restore the selection.
-  void finalize_impls() {
-    std::map<ProcessId, std::vector<PendingImpl>> by_proc;
-    for (PendingImpl& row : impls) by_proc[row.process].push_back(row);
-    for (auto& [p, rows] : by_proc) {
-      sysmodel::ParetoSet set;
-      for (const PendingImpl& row : rows) set.add(row.impl);
-      std::size_t selected = 0;
-      for (const PendingImpl& row : rows) {
-        if (!row.selected) continue;
-        const std::size_t idx = set.find(row.impl);
-        if (idx != sysmodel::ParetoSet::npos) selected = idx;
-      }
-      result.system.set_implementations(p, std::move(set), selected);
-    }
-  }
-
   bool finalize_orders() {
     for (PendingOrder& pending : orders) {
-      std::vector<ChannelId> expected =
-          pending.gets ? result.system.input_order(pending.process)
-                       : result.system.output_order(pending.process);
-      std::vector<ChannelId> sorted = pending.channels;
-      std::sort(sorted.begin(), sorted.end());
-      std::sort(expected.begin(), expected.end());
-      if (sorted != expected) {
+      if (!sysmodel::is_incident_order(result.system, pending.process,
+                                       pending.gets, pending.channels)) {
         return fail(
             std::string(pending.gets ? "gets" : "puts") + " of " +
             result.system.process_name(pending.process) +
@@ -374,7 +347,7 @@ struct Flattener {
     reserve_system();
     Scope top;
     if (!expand(hier.top, "", 0, top)) return std::move(result);
-    finalize_impls();
+    sysmodel::attach_implementations(result.system, std::move(impls));
     if (!finalize_orders()) return std::move(result);
     return std::move(result);
   }

@@ -11,7 +11,8 @@
 //  * a scope's channels are added after its items (so the channels of inner
 //    subsystems come first in every process' default I/O orders);
 //  * implementation sets and explicit gets/puts orders are applied at the
-//    end, exactly like the flat parser's finalize step.
+//    end, through the same sysmodel finisher as the flat parser
+//    (sysmodel::attach_implementations / is_incident_order).
 //
 // All semantic validation lives here (the parser only checks syntax and
 // per-definition duplicates): unknown definitions, instantiation cycles,

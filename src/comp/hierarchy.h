@@ -69,7 +69,7 @@ struct ChannelDecl {
 };
 
 /// One implementation row for a local process (grouped into Pareto sets at
-/// flatten time, mirroring the flat parser).
+/// flatten time by sysmodel::attach_implementations, as in the flat parser).
 struct ImplDecl {
   std::string process;
   sysmodel::Implementation impl;

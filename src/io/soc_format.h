@@ -8,13 +8,16 @@
 //   system <name>
 //   process <name> latency <cycles> [area <mm2>] [primed]
 //   impl <process> <name> latency <cycles> area <mm2> [selected]
-//   channel <name> <from> -> <to> latency <cycles> [capacity <slots>]
+//   channel <name> <from> -> <to> latency <cycles>
+//           [capacity <slots>|unbounded]
 //   gets <process> <channel> <channel> ...
 //   puts <process> <channel> <channel> ...
 //
 // Declarations may appear in any order as long as names are declared before
 // use. `gets`/`puts` lines override the default (declaration-order) I/O
-// orders and must list exactly the incident channels.
+// orders and must list exactly the incident channels. Names are taken
+// verbatim, dots included. The lexer, number syntax and statement grammar
+// are shared with the hierarchical format (io/soc_syntax.h).
 
 #include <optional>
 #include <string>

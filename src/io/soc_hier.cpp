@@ -1,364 +1,201 @@
 #include "io/soc_hier.h"
 
-#include <cmath>
-#include <fstream>
+#include <functional>
 #include <set>
-#include <sstream>
 #include <utility>
-#include <vector>
 
 #include "comp/flatten.h"
+#include "io/soc_syntax.h"
 
 namespace ermes::io {
 
 namespace {
 
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::istringstream in(line);
-  std::string token;
-  while (in >> token) {
-    if (token[0] == '#') break;  // comment to end of line
-    tokens.push_back(token);
-  }
-  return tokens;
-}
-
-// Same magnitude bound as the flat parser (see soc_format.cpp).
-constexpr std::int64_t kMaxMagnitude = 1'000'000'000'000;  // 1e12
-
-bool parse_i64(const std::string& token, std::int64_t& out) {
-  try {
-    std::size_t pos = 0;
-    out = std::stoll(token, &pos);
-    return pos == token.size() && out <= kMaxMagnitude &&
-           out >= -kMaxMagnitude;
-  } catch (...) {
-    return false;
-  }
-}
-
-bool parse_f64(const std::string& token, double& out) {
-  try {
-    std::size_t pos = 0;
-    out = std::stod(token, &pos);
-    return pos == token.size() && std::isfinite(out) &&
-           std::fabs(out) <= 1e18;
-  } catch (...) {
-    return false;
-  }
-}
-
 // Declared names within one scope (checked at parse time; flatten re-checks
 // for programmatically built models).
 struct ScopeNames {
-  std::set<std::string> items;  // processes + instances share a namespace
-  std::set<std::string> channels;
-  std::set<std::string> ports;
-
-  void clear() {
-    items.clear();
-    channels.clear();
-    ports.clear();
-  }
+  std::set<std::string, std::less<>> items;  // processes + instances
+  std::set<std::string, std::less<>> channels;
+  std::set<std::string, std::less<>> ports;
 };
 
-struct HierParser {
-  HierParseResult result;
-  comp::SubsystemDef* cur = nullptr;  // current scope (a def or top)
+// Declared names may not contain '.', which <endpoint> reserves.
+bool dotted(std::string_view name) {
+  return name.find('.') != std::string_view::npos;
+}
+
+std::string bad_name(const char* what, std::string_view name) {
+  return std::string("bad ") + what + " name '" + std::string(name) +
+         "' (declared names may not contain '.')";
+}
+
+// <endpoint> = <process> | <instance>.<port>
+std::string parse_endpoint(std::string_view token, comp::Endpoint& out) {
+  const std::size_t dot = token.find('.');
+  if (dot == std::string_view::npos) {
+    out.instance.clear();
+    out.name.assign(token);
+    return {};
+  }
+  const std::string_view instance = token.substr(0, dot);
+  const std::string_view name = token.substr(dot + 1);
+  if (instance.empty() || name.empty() || dotted(name)) {
+    return "bad endpoint '" + std::string(token) +
+           "' (expected <process> or <instance>.<port>)";
+  }
+  out.instance.assign(instance);
+  out.name.assign(name);
+  return {};
+}
+
+// Records each declaration in the current scope (a subsystem definition or
+// the top level); comp::flatten resolves names across scopes.
+struct HierParser final : StatementSink {
+  HierParseResult& result;
+  comp::SubsystemDef* cur;  // current scope (a def or top)
   bool in_subsystem = false;
   ScopeNames top_names;
   ScopeNames def_names;
-  std::set<std::string> def_set;
-  int line_no = 0;
+  std::set<std::string, std::less<>> def_set;
 
-  HierParser() {
-    result.system_name = "system";
-    cur = &result.hier.top;
-  }
+  explicit HierParser(HierParseResult& r) : result(r), cur(&r.hier.top) {}
 
   ScopeNames& names() { return in_subsystem ? def_names : top_names; }
 
-  bool fail(const std::string& message) {
-    result.ok = false;
-    result.error = "line " + std::to_string(line_no) + ": " + message;
-    return false;
+  std::string on_system(std::string_view name) override {
+    if (in_subsystem) return "'system' is only valid at top level";
+    result.system_name.assign(name);
+    return {};
   }
 
-  bool check_declared_name(const std::string& name, const char* what) {
-    if (name.empty() || name.find('.') != std::string::npos) {
-      return fail(std::string("bad ") + what + " name '" + name +
-                  "' (declared names may not contain '.')");
-    }
-    return true;
+  std::string on_process(comp::ProcessDecl& p) override {
+    if (dotted(p.name)) return bad_name("process", p.name);
+    if (!names().items.insert(p.name).second) return "duplicate name " + p.name;
+    cur->add_process(std::move(p));
+    return {};
   }
 
-  // <endpoint> = <process> | <instance>.<port>
-  bool parse_endpoint(const std::string& token, comp::Endpoint& out) {
-    const std::size_t dot = token.find('.');
-    if (dot == std::string::npos) {
-      if (token.empty()) return fail("empty endpoint");
-      out.instance.clear();
-      out.name = token;
-      return true;
+  std::string on_channel(comp::ChannelDecl& c) override {
+    if (dotted(c.name)) return bad_name("channel", c.name);
+    if (!names().channels.insert(c.name).second) {
+      return "duplicate channel " + c.name;
     }
-    out.instance = token.substr(0, dot);
-    out.name = token.substr(dot + 1);
-    if (out.instance.empty() || out.name.empty() ||
-        out.name.find('.') != std::string::npos) {
-      return fail("bad endpoint '" + token +
-                  "' (expected <process> or <instance>.<port>)");
+    // The grammar leaves each endpoint token whole in Endpoint::name.
+    for (comp::Endpoint* ep : {&c.from, &c.to}) {
+      const std::string token = std::move(ep->name);
+      std::string error = parse_endpoint(token, *ep);
+      if (!error.empty()) return error;
     }
-    return true;
+    cur->channels.push_back(std::move(c));
+    return {};
   }
 
-  bool handle_subsystem(const std::vector<std::string>& t) {
-    if (in_subsystem) {
-      return fail("subsystem blocks do not nest (missing 'end'?)");
+  std::string on_impl(comp::ImplDecl& row) override {
+    if (names().items.count(row.process) == 0) {
+      return "impl of unknown process " + row.process;
     }
-    if (t.size() != 2) return fail("expected: subsystem <name>");
-    if (!check_declared_name(t[1], "subsystem")) return false;
-    if (!def_set.insert(t[1]).second) {
-      return fail("duplicate subsystem " + t[1]);
-    }
-    result.hier.defs.emplace_back();
-    result.hier.defs.back().name = t[1];
-    cur = &result.hier.defs.back();
-    in_subsystem = true;
-    def_names.clear();
-    return true;
+    cur->impls.push_back(std::move(row));
+    return {};
   }
 
-  bool handle_end(const std::vector<std::string>& t) {
-    if (!in_subsystem) return fail("'end' outside a subsystem block");
-    if (t.size() != 1) return fail("unexpected tokens after 'end'");
-    cur = &result.hier.top;
-    in_subsystem = false;
-    return true;
-  }
-
-  bool handle_port(const std::vector<std::string>& t) {
-    if (!in_subsystem) {
-      return fail("'port' is only valid inside a subsystem block");
+  std::string on_order(comp::OrderDecl& order) override {
+    if (names().items.count(order.process) == 0) {
+      return "unknown process " + order.process;
     }
-    if (t.size() != 5 || (t[1] != "in" && t[1] != "out") || t[3] != "=") {
-      return fail(
-          "expected: port in|out <name> = <endpoint> (a port must be bound "
-          "to an internal endpoint)");
-    }
-    if (!check_declared_name(t[2], "port")) return false;
-    if (!names().ports.insert(t[2]).second) {
-      return fail("duplicate port " + t[2]);
-    }
-    comp::PortDecl port;
-    port.name = t[2];
-    port.is_input = t[1] == "in";
-    if (!parse_endpoint(t[4], port.binding)) return false;
-    cur->ports.push_back(std::move(port));
-    return true;
-  }
-
-  bool handle_process(const std::vector<std::string>& t) {
-    if (t.size() < 4 || t[2] != "latency") {
-      return fail("expected: process <name> latency <cycles> [area <mm2>] "
-                  "[primed]");
-    }
-    if (!check_declared_name(t[1], "process")) return false;
-    if (!names().items.insert(t[1]).second) {
-      return fail("duplicate name " + t[1]);
-    }
-    comp::ProcessDecl p;
-    p.name = t[1];
-    if (!parse_i64(t[3], p.latency) || p.latency < 0) {
-      return fail("bad latency '" + t[3] + "'");
-    }
-    std::size_t i = 4;
-    while (i < t.size()) {
-      if (t[i] == "area" && i + 1 < t.size()) {
-        if (!parse_f64(t[i + 1], p.area) || p.area < 0.0) {
-          return fail("bad area");
-        }
-        i += 2;
-      } else if (t[i] == "primed") {
-        p.primed = true;
-        ++i;
-      } else {
-        return fail("unexpected token '" + t[i] + "'");
+    for (const std::string& channel : order.channels) {
+      if (names().channels.count(channel) == 0) {
+        return "unknown channel " + channel;
       }
     }
-    cur->add_process(std::move(p));
-    return true;
+    cur->orders.push_back(std::move(order));
+    return {};
   }
 
-  bool handle_instance(const std::vector<std::string>& t) {
-    if (t.size() != 3) return fail("expected: instance <name> <subsystem>");
-    if (!check_declared_name(t[1], "instance")) return false;
-    if (!names().items.insert(t[1]).second) {
-      return fail("duplicate name " + t[1]);
+  std::string on_other(const Tokens& t) override {
+    if (t[0] == "subsystem") return on_subsystem(t);
+    if (t[0] == "end") return on_end(t);
+    if (t[0] == "port") return on_port(t);
+    if (t[0] == "instance") return on_instance(t);
+    return StatementSink::on_other(t);
+  }
+
+  std::string on_subsystem(const Tokens& t) {
+    if (in_subsystem) return "subsystem blocks do not nest (missing 'end'?)";
+    if (t.size() != 2) return "expected: subsystem <name>";
+    if (dotted(t[1])) return bad_name("subsystem", t[1]);
+    if (!def_set.emplace(t[1]).second) {
+      return "duplicate subsystem " + std::string(t[1]);
+    }
+    result.hier.defs.emplace_back();
+    result.hier.defs.back().name.assign(t[1]);
+    cur = &result.hier.defs.back();
+    in_subsystem = true;
+    def_names = {};
+    return {};
+  }
+
+  std::string on_end(const Tokens& t) {
+    if (!in_subsystem) return "'end' outside a subsystem block";
+    if (t.size() != 1) return "unexpected tokens after 'end'";
+    cur = &result.hier.top;
+    in_subsystem = false;
+    return {};
+  }
+
+  std::string on_port(const Tokens& t) {
+    if (!in_subsystem) return "'port' is only valid inside a subsystem block";
+    if (t.size() != 5 || (t[1] != "in" && t[1] != "out") || t[3] != "=") {
+      return "expected: port in|out <name> = <endpoint> (a port must be "
+             "bound to an internal endpoint)";
+    }
+    if (dotted(t[2])) return bad_name("port", t[2]);
+    if (!names().ports.emplace(t[2]).second) {
+      return "duplicate port " + std::string(t[2]);
+    }
+    comp::PortDecl port;
+    port.name.assign(t[2]);
+    port.is_input = t[1] == "in";
+    std::string error = parse_endpoint(t[4], port.binding);
+    if (!error.empty()) return error;
+    cur->ports.push_back(std::move(port));
+    return {};
+  }
+
+  std::string on_instance(const Tokens& t) {
+    if (t.size() != 3) return "expected: instance <name> <subsystem>";
+    if (dotted(t[1])) return bad_name("instance", t[1]);
+    if (!names().items.emplace(t[1]).second) {
+      return "duplicate name " + std::string(t[1]);
     }
     // Forward references to subsystems are allowed; comp::flatten resolves
     // them (and rejects unknowns and cycles).
     comp::InstanceDecl inst;
-    inst.name = t[1];
-    inst.subsystem = t[2];
+    inst.name.assign(t[1]);
+    inst.subsystem.assign(t[2]);
     cur->add_instance(std::move(inst));
-    return true;
-  }
-
-  bool handle_channel(const std::vector<std::string>& t) {
-    if (t.size() < 7 || t[3] != "->" || t[5] != "latency") {
-      return fail("expected: channel <name> <from> -> <to> latency <cycles> "
-                  "[capacity <slots>|unbounded]");
-    }
-    if (!check_declared_name(t[1], "channel")) return false;
-    if (!names().channels.insert(t[1]).second) {
-      return fail("duplicate channel " + t[1]);
-    }
-    comp::ChannelDecl c;
-    c.name = t[1];
-    if (!parse_endpoint(t[2], c.from) || !parse_endpoint(t[4], c.to)) {
-      return false;
-    }
-    if (!parse_i64(t[6], c.latency) || c.latency < 0) {
-      return fail("bad latency");
-    }
-    if (t.size() >= 9 && t[7] == "capacity") {
-      if (t[8] == "unbounded") {
-        c.capacity = sysmodel::kUnboundedCapacity;
-      } else if (!parse_i64(t[8], c.capacity) || c.capacity < 0) {
-        return fail("bad capacity");
-      }
-      if (t.size() != 9) return fail("unexpected trailing tokens");
-    } else if (t.size() != 7) {
-      return fail("unexpected trailing tokens");
-    }
-    cur->channels.push_back(std::move(c));
-    return true;
-  }
-
-  bool handle_impl(const std::vector<std::string>& t) {
-    if (t.size() < 7 || t[3] != "latency" || t[5] != "area") {
-      return fail(
-          "expected: impl <process> <name> latency <cycles> area <mm2> "
-          "[selected]");
-    }
-    comp::ImplDecl row;
-    row.process = t[1];
-    row.impl.name = t[2];
-    if (!parse_i64(t[4], row.impl.latency) || row.impl.latency < 0) {
-      return fail("bad latency");
-    }
-    if (!parse_f64(t[6], row.impl.area) || row.impl.area < 0.0) {
-      return fail("bad area");
-    }
-    row.selected = t.size() == 8 && t[7] == "selected";
-    if (t.size() > 8 || (t.size() == 8 && !row.selected)) {
-      return fail("unexpected trailing tokens");
-    }
-    if (names().items.count(row.process) == 0) {
-      return fail("impl of unknown process " + row.process);
-    }
-    cur->impls.push_back(std::move(row));
-    return true;
-  }
-
-  bool handle_order(const std::vector<std::string>& t, bool gets) {
-    if (t.size() < 2) return fail("expected: gets/puts <process> <channels>");
-    if (names().items.count(t[1]) == 0) {
-      return fail("unknown process " + t[1]);
-    }
-    comp::OrderDecl order;
-    order.process = t[1];
-    order.gets = gets;
-    for (std::size_t i = 2; i < t.size(); ++i) {
-      if (names().channels.count(t[i]) == 0) {
-        return fail("unknown channel " + t[i]);
-      }
-      order.channels.push_back(t[i]);
-    }
-    cur->orders.push_back(std::move(order));
-    return true;
-  }
-
-  HierParseResult run(const std::string& text) {
-    result.ok = true;
-    std::istringstream in(text);
-    std::string line;
-    while (std::getline(in, line)) {
-      ++line_no;
-      const std::vector<std::string> tokens = tokenize(line);
-      if (tokens.empty()) continue;
-      const std::string& keyword = tokens[0];
-      bool ok = true;
-      if (keyword == "system") {
-        if (in_subsystem) {
-          ok = fail("'system' is only valid at top level");
-        } else if (tokens.size() != 2) {
-          ok = fail("expected: system <name>");
-        } else {
-          result.system_name = tokens[1];
-        }
-      } else if (keyword == "subsystem") {
-        ok = handle_subsystem(tokens);
-      } else if (keyword == "end") {
-        ok = handle_end(tokens);
-      } else if (keyword == "port") {
-        ok = handle_port(tokens);
-      } else if (keyword == "process") {
-        ok = handle_process(tokens);
-      } else if (keyword == "instance") {
-        ok = handle_instance(tokens);
-      } else if (keyword == "channel") {
-        ok = handle_channel(tokens);
-      } else if (keyword == "impl") {
-        ok = handle_impl(tokens);
-      } else if (keyword == "gets") {
-        ok = handle_order(tokens, true);
-      } else if (keyword == "puts") {
-        ok = handle_order(tokens, false);
-      } else {
-        ok = fail("unknown keyword '" + keyword + "'");
-      }
-      if (!ok) return std::move(result);
-    }
-    if (in_subsystem) {
-      result.ok = false;
-      result.error = "unterminated subsystem " + cur->name +
-                     " (missing 'end')";
-    }
-    return std::move(result);
+    return {};
   }
 };
 
 }  // namespace
 
 HierParseResult parse_soc_hier(const std::string& text) {
-  // Containment mirror of parse_soc: hostile input yields a structured
-  // error, never an uncaught throw.
-  try {
-    HierParser parser;
-    return parser.run(text);
-  } catch (const std::exception& e) {
+  return contain_parse<HierParseResult>([&text] {
     HierParseResult result;
-    result.error = std::string("parse failed: ") + e.what();
+    result.system_name = "system";
+    HierParser parser(result);
+    result.error = parse_statements(text, parser);
+    if (result.error.empty() && parser.in_subsystem) {
+      result.error =
+          "unterminated subsystem " + parser.cur->name + " (missing 'end')";
+    }
+    result.ok = result.error.empty();
     return result;
-  } catch (...) {
-    HierParseResult result;
-    result.error = "parse failed: unknown error";
-    return result;
-  }
+  });
 }
 
 HierParseResult load_soc_hier(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    HierParseResult result;
-    result.error = "cannot open " + path;
-    return result;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_soc_hier(buffer.str());
+  return load_file(path, parse_soc_hier);
 }
 
 ParseResult parse_soc_flattened(const std::string& text) {
@@ -380,15 +217,7 @@ ParseResult parse_soc_flattened(const std::string& text) {
 }
 
 ParseResult load_soc_flattened(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    ParseResult result;
-    result.error = "cannot open " + path;
-    return result;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_soc_flattened(buffer.str());
+  return load_file(path, parse_soc_flattened);
 }
 
 }  // namespace ermes::io

@@ -1,8 +1,12 @@
 #pragma once
 // Hierarchical extension of the ".soc" format.
 //
-// Adds two constructs to the flat grammar (which remains valid verbatim —
-// every flat .soc file parses identically through this entry point):
+// Adds two constructs to the flat grammar, whose lexer and statements it
+// shares (io/soc_syntax.h). A flat file in the layout write_soc emits
+// (channels before gets/puts) parses to the same model through this entry
+// point unless it declares a dotted name: '.' is reserved for <endpoint>s,
+// so a flattened file (`ermes compose` writes instance paths such as
+// `front.head`) parses only through io::parse_soc.
 //
 //   subsystem <name>
 //     port in  <name> = <endpoint>   # data into the subsystem

@@ -1,5 +1,6 @@
 #include "sysmodel/builder.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdlib>
 #include <unordered_map>
@@ -25,6 +26,38 @@ SystemModel build_system(const SystemSpec& spec) {
     sys.add_channel(chan.name, from->second, to->second, chan.latency);
   }
   return sys;
+}
+
+void attach_implementations(SystemModel& sys, std::vector<ImplRow> rows) {
+  std::stable_sort(rows.begin(), rows.end(),
+                   [](const ImplRow& a, const ImplRow& b) {
+                     return a.process < b.process;
+                   });
+  for (auto first = rows.begin(); first != rows.end();) {
+    const ProcessId p = first->process;
+    ParetoSet set;
+    const Implementation* selected = nullptr;
+    auto row = first;
+    for (; row != rows.end() && row->process == p; ++row) {
+      set.add(row->impl);
+      if (row->selected) selected = &row->impl;
+    }
+    const std::size_t index =
+        selected == nullptr ? ParetoSet::npos : set.find(*selected);
+    sys.set_implementations(p, std::move(set),
+                            index == ParetoSet::npos ? 0 : index);
+    first = row;
+  }
+}
+
+bool is_incident_order(const SystemModel& sys, ProcessId p, bool gets,
+                       const std::vector<ChannelId>& order) {
+  std::vector<ChannelId> listed = order;
+  std::vector<ChannelId> incident =
+      gets ? sys.input_order(p) : sys.output_order(p);
+  std::sort(listed.begin(), listed.end());
+  std::sort(incident.begin(), incident.end());
+  return listed == incident;
 }
 
 SystemModel make_dac14_motivating_example() {

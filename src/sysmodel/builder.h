@@ -33,6 +33,24 @@ struct SystemSpec {
 /// Builds a model from a spec. Unknown process names abort.
 SystemModel build_system(const SystemSpec& spec);
 
+/// One `impl` row of a model description: an implementation of `process`
+/// and whether the row is marked selected.
+struct ImplRow {
+  ProcessId process = kInvalidProcess;
+  Implementation impl;
+  bool selected = false;
+};
+
+/// Groups `rows` by process into Pareto sets (rows keep their order within
+/// a process) and attaches each set. The last selected row of a process is
+/// its selection; with none, the set's first implementation.
+void attach_implementations(SystemModel& sys, std::vector<ImplRow> rows);
+
+/// True iff `order` lists each of p's input channels (gets) or output
+/// channels (puts) exactly once — the precondition of set_*_order.
+bool is_incident_order(const SystemModel& sys, ProcessId p, bool gets,
+                       const std::vector<ChannelId>& order);
+
 /// The DAC'14 motivating example: processes src,P2..P6,snk; channels a..h
 /// with the latencies derived in DESIGN.md (src=1, P2=5, P3=2, P4=1, P5=2,
 /// P6=2, snk=1; a=2,b=1,c=2,d=3,e=1,f=1,g=2,h=1). Orders are left at

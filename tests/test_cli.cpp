@@ -268,6 +268,24 @@ TEST(CliExitCodes, ServeWithoutEndpointIsUsage) {
   expect_error_line(result);
 }
 
+// `serve`, `request` and `top` share one flag parser, but each rejects the
+// flags it does not use before doing anything (the socket here would not
+// accept a connection).
+TEST(CliExitCodes, EndpointCommandsRejectFlagsTheyDoNotUse) {
+  const std::string socket = "--socket /nonexistent/ermes_flags.sock ";
+  for (const std::string& command :
+       {"request " + socket + "--cache-mb 5 --workers 3 stats",
+        "request " + socket + "--count 1 stats",
+        "top " + socket + "--text", "top " + socket + "--queue 4",
+        "serve " + socket + "--prom", "serve " + socket + "--interval-ms 5"}) {
+    const RunResult result = run_cli(command);
+    EXPECT_EQ(result.exit_code, 2) << command;
+    expect_error_line(result);
+    EXPECT_NE(result.err.find("unknown flag"), std::string::npos)
+        << result.err;
+  }
+}
+
 // Thread-count flags parse strictly and stop at 256: garbage, negatives and
 // the bound + 1 are usage errors before any pool or server exists. (Were the
 // bound lost, these would start at most a few hundred threads; the serve

@@ -167,6 +167,17 @@ TEST(SocParseTest, BadLatencyRejected) {
   EXPECT_FALSE(parse_soc("process a latency -3\n").ok);
 }
 
+// A line's syntax is checked before its names, in both grammars: a
+// malformed value wins over a duplicate or unknown name on the same line.
+TEST(SocParseTest, SyntaxErrorsComeBeforeNameErrors) {
+  const std::string duplicate = "process a latency 1\nprocess a latency x\n";
+  EXPECT_EQ(parse_soc(duplicate).error, "line 2: bad latency 'x'");
+  EXPECT_EQ(parse_soc_flattened(duplicate).error, "line 2: bad latency 'x'");
+  const std::string unknown =
+      "process b latency 1\nchannel c a -> b latency x\n";
+  EXPECT_EQ(parse_soc(unknown).error, "line 2: bad latency");
+}
+
 TEST(SocParseTest, IncompleteOrderRejected) {
   const ParseResult parsed = parse_soc(R"(
 process a latency 1
@@ -353,7 +364,7 @@ const std::vector<GoldenError>& golden_errors() {
      "line 2: duplicate process a",
      "line 2: duplicate name a"},
     {"channel arrow missing",
-     "line 3: expected: channel <name> <from> -> <to> latency <cycles> [capacity <slots>]",
+     "line 3: expected: channel <name> <from> -> <to> latency <cycles> [capacity <slots>|unbounded]",
      "line 3: expected: channel <name> <from> -> <to> latency <cycles> [capacity <slots>|unbounded]"},
     {"channel unknown source",
      "line 2: unknown process a",
@@ -544,8 +555,10 @@ TEST(SocLexTest, EdgeCasesMatchTheGrammar) {
       {"smallest normal area",
        "process a latency 1 area 2.2250738585072014e-308\n",
        "ok a 1 2.2250738585072014e-308"},
+      // strtod flagged only inexact subnormals; every subnormal is rejected
+      // now, so the one exact spelling no longer slips through.
       {"exact subnormal hex area", "process a latency 1 area 0x1p-1074\n",
-       "ok a 1 4.9406564584124654e-324"},
+       "line 1: bad area"},
       {"area at the bound", "process a latency 1 area 1e18\n",
        "ok a 1 1e+18"},
       {"area past the bound", "process a latency 1 area 1.0000001e18\n",

@@ -41,8 +41,10 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -612,8 +614,9 @@ int cmd_dot(const io::ParseResult& parsed) {
   return 0;
 }
 
-// Flags shared by `serve` and `request`: endpoint selection plus the serve
-// tuning knobs. Unknown flags fail parsing; positionals pass through.
+// Flags of the endpoint subcommands `serve`, `request` and `top`: endpoint
+// selection plus each command's own knobs. A flag the command does not use
+// fails parsing like an unknown one; positionals pass through.
 struct EndpointOptions {
   std::string socket_path;
   std::int64_t port = -1;
@@ -636,9 +639,16 @@ struct EndpointOptions {
 };
 
 bool parse_endpoint_flags(int argc, char** argv, int first,
+                          std::initializer_list<std::string_view> accepted,
                           EndpointOptions& out) {
   for (int i = first; i < argc; ++i) {
     const char* arg = argv[i];
+    if (std::strncmp(arg, "--", 2) == 0 &&
+        std::find(accepted.begin(), accepted.end(), arg) == accepted.end()) {
+      std::fprintf(stderr, "error: unknown flag '%s' for %s\n", arg,
+                   argv[first - 1]);
+      return false;
+    }
     const bool takes_value =
         std::strcmp(arg, "--socket") == 0 || std::strcmp(arg, "--port") == 0 ||
         std::strcmp(arg, "--workers") == 0 ||
@@ -705,10 +715,6 @@ bool parse_endpoint_flags(int argc, char** argv, int first,
       out.prom = true;
       continue;
     }
-    if (std::strncmp(arg, "--", 2) == 0) {
-      std::fprintf(stderr, "error: unknown flag '%s'\n", arg);
-      return false;
-    }
     out.positional.push_back(arg);
   }
   return true;
@@ -717,7 +723,14 @@ bool parse_endpoint_flags(int argc, char** argv, int first,
 // `ermes serve`: run the analysis daemon until a shutdown request or signal.
 int cmd_serve(int argc, char** argv) {
   EndpointOptions ep;
-  if (!parse_endpoint_flags(argc, argv, 2, ep)) return kExitUsage;
+  if (!parse_endpoint_flags(
+          argc, argv, 2,
+          {"--socket", "--port", "--workers", "--queue", "--deadline-ms",
+           "--test-iter-delay-ms", "--slow-ms", "--trace-sample", "--cache-mb",
+           "--cache-file", "--cache-save-secs", "--net-shards", "--max-conns"},
+          ep)) {
+    return kExitUsage;
+  }
   if (!ep.positional.empty()) return usage();
   if (ep.socket_path.empty() && ep.port < 0) {
     std::fprintf(stderr, "error: serve needs --socket <path> or --port <N>\n");
@@ -778,7 +791,11 @@ int cmd_serve(int argc, char** argv) {
 // --hier sends the model through the hierarchical grammar.
 int cmd_request(int argc, char** argv, const GlobalOptions& global) {
   EndpointOptions ep;
-  if (!parse_endpoint_flags(argc, argv, 2, ep)) return kExitUsage;
+  if (!parse_endpoint_flags(
+          argc, argv, 2,
+          {"--socket", "--port", "--deadline-ms", "--text", "--prom"}, ep)) {
+    return kExitUsage;
+  }
   if (ep.socket_path.empty() && ep.port < 0) {
     std::fprintf(stderr,
                  "error: request needs --socket <path> or --port <N>\n");
@@ -867,7 +884,11 @@ int cmd_request(int argc, char** argv, const GlobalOptions& global) {
 // the connection drops or ^C).
 int cmd_top(int argc, char** argv) {
   EndpointOptions ep;
-  if (!parse_endpoint_flags(argc, argv, 2, ep)) return kExitUsage;
+  if (!parse_endpoint_flags(argc, argv, 2,
+                            {"--socket", "--port", "--interval-ms", "--count"},
+                            ep)) {
+    return kExitUsage;
+  }
   if (ep.socket_path.empty() && ep.port < 0) {
     std::fprintf(stderr, "error: top needs --socket <path> or --port <N>\n");
     return kExitUsage;
