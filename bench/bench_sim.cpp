@@ -23,8 +23,8 @@
 //
 // Flags: --smoke (same system and scenario count, smaller transfer target;
 // the bench-smoke CTest entry), --procs N, --chans N, --scenarios K,
-// --target T (transfers on the observed channel), --out path (default
-// BENCH_sim.json).
+// --target T (transfers on the observed channel), --jobs N (pool size,
+// default: one per hardware thread), --out path (default BENCH_sim.json).
 
 #include <cstdio>
 #include <cstdlib>
@@ -73,6 +73,7 @@ int main(int argc, char** argv) {
   std::int32_t chans = 768;
   std::int32_t scenarios = 64;
   std::int64_t target = 300;
+  std::int32_t jobs = 0;
   std::string out_path = "BENCH_sim.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
@@ -85,6 +86,8 @@ int main(int argc, char** argv) {
       scenarios = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--target") == 0 && i + 1 < argc) {
       target = std::atoll(argv[++i]);
+    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
+      jobs = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     }
@@ -94,7 +97,8 @@ int main(int argc, char** argv) {
     // >= 64 scenarios), fewer transfers per scenario to fit CI.
     target = 60;
   }
-  if (procs < 3 || chans < procs - 1 || scenarios < 2 || target < 1) {
+  if (procs < 3 || chans < procs - 1 || scenarios < 2 || target < 1 ||
+      jobs < 0 || jobs > 256) {
     std::fprintf(stderr, "bad sizes\n");
     return 2;
   }
@@ -120,7 +124,7 @@ int main(int argc, char** argv) {
   // timed region. Deterministic results, so bit-identity checks the last
   // rep. Best-of-reps to shed scheduler noise on the small smoke runs.
   const int reps = smoke ? 3 : 1;
-  exec::ThreadPool pool;
+  exec::ThreadPool pool(static_cast<std::size_t>(jobs));
   double serial_ms = 0.0;
   double batch_ms = 0.0;
   std::vector<sim::ScenarioResult> serial_results;

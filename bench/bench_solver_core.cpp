@@ -20,14 +20,19 @@
 // Every step asserts bit-identity of the warm result against the cold one
 // (num/den, critical cycle, and the raw double bits) and compare_ratios == 0
 // for the seeded result. The run fails on any mismatch or when the warm
-// speedup falls below 3x — the floor, asserted in --smoke too.
+// speedup falls below 3x — the floor, asserted in --smoke too. Each loop is
+// timed as the best of 5 repetitions of the same work (fresh graph, fresh
+// solver): load on the machine only ever slows a repetition down, so the
+// minimum is the steadiest estimate of the loop's own cost.
 //
 // Flags: --smoke (small graph, used as the bench-smoke CTest entry), --n N
 // (transitions), --steps N, --out path (default BENCH_solver_core.json).
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -87,6 +92,10 @@ struct Mutation {
   std::int64_t delay;
 };
 
+constexpr int kRepetitions = 5;
+// Start of every best-of-kRepetitions minimum.
+constexpr double kNoTime = std::numeric_limits<double>::infinity();
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -132,59 +141,73 @@ int main(int argc, char** argv) {
   }
 
   // Cold baseline: ratio-graph rebuild + monolithic Howard per step.
-  tmg::MarkedGraph cold_g = make_tmg(n, 42);
   std::vector<tmg::CycleRatioResult> cold_results;
   cold_results.reserve(mutations.size());
-  util::Stopwatch sw;
-  for (const Mutation& m : mutations) {
-    cold_g.set_delay(m.transition, m.delay);
-    const tmg::RatioGraph rg = tmg::to_ratio_graph(cold_g);
-    cold_results.push_back(tmg::max_cycle_ratio_howard(rg));
+  double cold_ms = kNoTime;
+  for (int rep = 0; rep < kRepetitions; ++rep) {
+    tmg::MarkedGraph cold_g = make_tmg(n, 42);
+    cold_results.clear();
+    util::Stopwatch sw;
+    for (const Mutation& m : mutations) {
+      cold_g.set_delay(m.transition, m.delay);
+      const tmg::RatioGraph rg = tmg::to_ratio_graph(cold_g);
+      cold_results.push_back(tmg::max_cycle_ratio_howard(rg));
+    }
+    cold_ms = std::min(cold_ms, sw.elapsed_ms());
   }
-  const double cold_ms = sw.elapsed_ms();
 
   // Warm CSR path: the compile happens once, outside the timed loop; each
   // step is a weight refresh + a canonical-start solve.
-  tmg::MarkedGraph warm_g = make_tmg(n, 42);
-  tmg::CycleMeanSolver solver;
-  solver.prepare(warm_g);
+  tmg::CycleMeanSolver::Stats stats;
   int mismatches = 0;
-  sw.reset();
-  for (std::size_t s = 0; s < mutations.size(); ++s) {
-    warm_g.set_delay(mutations[s].transition, mutations[s].delay);
-    if (!solver.prepare(warm_g)) {
-      std::fprintf(stderr, "step %zu: prepare went cold on a warm graph\n", s);
-      return 1;
+  double warm_ms = kNoTime;
+  for (int rep = 0; rep < kRepetitions; ++rep) {
+    tmg::MarkedGraph warm_g = make_tmg(n, 42);
+    tmg::CycleMeanSolver solver;
+    solver.prepare(warm_g);
+    util::Stopwatch sw;
+    for (std::size_t s = 0; s < mutations.size(); ++s) {
+      warm_g.set_delay(mutations[s].transition, mutations[s].delay);
+      if (!solver.prepare(warm_g)) {
+        std::fprintf(stderr, "step %zu: prepare went cold on a warm graph\n",
+                     s);
+        return 1;
+      }
+      if (!results_bit_identical(solver.solve(), cold_results[s])) {
+        ++mismatches;
+      }
     }
-    if (!results_bit_identical(solver.solve(), cold_results[s])) ++mismatches;
+    warm_ms = std::min(warm_ms, sw.elapsed_ms());
+    stats = solver.stats();
   }
-  const double warm_ms = sw.elapsed_ms();
 
   // Seeded mode: previous-optimum warm start; exact ratio only.
-  tmg::MarkedGraph seeded_g = make_tmg(n, 42);
-  tmg::CycleMeanSolver seeded_solver;
-  seeded_solver.prepare(seeded_g);
-  seeded_solver.solve();  // establish a previous policy
   int seeded_mismatches = 0;
-  sw.reset();
-  for (std::size_t s = 0; s < mutations.size(); ++s) {
-    seeded_g.set_delay(mutations[s].transition, mutations[s].delay);
+  double seeded_ms = kNoTime;
+  for (int rep = 0; rep < kRepetitions; ++rep) {
+    tmg::MarkedGraph seeded_g = make_tmg(n, 42);
+    tmg::CycleMeanSolver seeded_solver;
     seeded_solver.prepare(seeded_g);
-    const tmg::CycleRatioResult r = seeded_solver.solve_seeded();
-    const tmg::CycleRatioResult& c = cold_results[s];
-    if (r.has_cycle != c.has_cycle ||
-        tmg::compare_ratios(r.ratio_num, r.ratio_den, c.ratio_num,
-                            c.ratio_den) != 0) {
-      ++seeded_mismatches;
+    seeded_solver.solve();  // establish a previous policy
+    util::Stopwatch sw;
+    for (std::size_t s = 0; s < mutations.size(); ++s) {
+      seeded_g.set_delay(mutations[s].transition, mutations[s].delay);
+      seeded_solver.prepare(seeded_g);
+      const tmg::CycleRatioResult r = seeded_solver.solve_seeded();
+      const tmg::CycleRatioResult& c = cold_results[s];
+      if (r.has_cycle != c.has_cycle ||
+          tmg::compare_ratios(r.ratio_num, r.ratio_den, c.ratio_num,
+                              c.ratio_den) != 0) {
+        ++seeded_mismatches;
+      }
     }
+    seeded_ms = std::min(seeded_ms, sw.elapsed_ms());
   }
-  const double seeded_ms = sw.elapsed_ms();
 
   const double cold_ns = cold_ms * 1e6 / steps;
   const double warm_ns = warm_ms * 1e6 / steps;
   const double seeded_ns = seeded_ms * 1e6 / steps;
   const double speedup = warm_ms > 0.0 ? cold_ms / warm_ms : 0.0;
-  const tmg::CycleMeanSolver::Stats& stats = solver.stats();
 
   util::Table table({"engine", "per solve (us)", "speedup", "correct"});
   table.add_row({"cold (rebuild + howard)",

@@ -1,5 +1,6 @@
 #include "comp/flatten.h"
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <utility>
@@ -31,6 +32,11 @@ struct Flattener {
     ProcessId process;
     bool gets;
     std::vector<ChannelId> channels;
+    // The declaring scope's channels have the consecutive ids
+    // [first, scope_end); the line covers those below `before`. Channels
+    // of enclosing scopes attach later, so theirs are >= scope_end.
+    ChannelId before;
+    ChannelId scope_end;
   };
   std::vector<PendingOrder> orders;
 
@@ -230,6 +236,7 @@ struct Flattener {
         return false;
       }
     }
+    const ChannelId first_channel = result.system.num_channels();
     for (const ChannelDecl& c : def.channels) {
       if (!valid_name(c.name)) {
         return fail("bad channel name '" + c.name + "'");
@@ -276,6 +283,9 @@ struct Flattener {
       PendingOrder pending;
       pending.process = pit->second;
       pending.gets = order.gets;
+      pending.scope_end = result.system.num_channels();
+      pending.before =
+          static_cast<ChannelId>(first_channel + order.channels_before);
       for (const std::string& cname : order.channels) {
         const auto cit = scope.chans.find(cname);
         if (cit == scope.chans.end()) {
@@ -289,16 +299,35 @@ struct Flattener {
     return true;
   }
 
+  // Applies each order line as the flat parser does: it must list exactly
+  // the incident channels declared before it, and the scope's later
+  // channels follow in declaration order. Lines are checked here, after
+  // every scope is expanded, so structural errors keep reporting first.
   bool finalize_orders() {
     for (PendingOrder& pending : orders) {
+      const std::vector<ChannelId>& incident =
+          pending.gets ? result.system.input_order(pending.process)
+                       : result.system.output_order(pending.process);
+      const bool through_port =
+          std::any_of(incident.begin(), incident.end(), [&](ChannelId c) {
+            return c >= pending.scope_end;
+          });
+      const std::string what = std::string(pending.gets ? "gets" : "puts") +
+                               " of " +
+                               result.system.process_name(pending.process) +
+                               " must list exactly its incident channels";
+      if (through_port) {
+        return fail(what +
+                    " (channels attached through subsystem ports cannot be "
+                    "reordered from inside the definition)");
+      }
       if (!sysmodel::is_incident_order(result.system, pending.process,
-                                       pending.gets, pending.channels)) {
-        return fail(
-            std::string(pending.gets ? "gets" : "puts") + " of " +
-            result.system.process_name(pending.process) +
-            " must list exactly its incident channels (channels attached "
-            "through subsystem ports cannot be reordered from inside the "
-            "definition)");
+                                       pending.gets, pending.channels,
+                                       pending.before)) {
+        return fail(what);
+      }
+      for (const ChannelId c : incident) {
+        if (c >= pending.before) pending.channels.push_back(c);
       }
       if (pending.gets) {
         result.system.set_input_order(pending.process,

@@ -76,14 +76,17 @@ struct ImplDecl {
   bool selected = false;
 };
 
-/// A gets/puts order constraint on a local process. The named channels must
-/// be exactly the process' incident channels in the flattened system — a
-/// process whose channels partly come from enclosing scopes (via ports)
-/// cannot be reordered from inside its definition.
+/// A gets/puts order constraint on a local process. As in the flat grammar,
+/// the named channels must be exactly the process' incident channels among
+/// the scope's channels declared before the line; channels declared after
+/// it follow in declaration order. A process with channels from enclosing
+/// scopes (via ports) cannot be reordered from inside its definition.
 struct OrderDecl {
   std::string process;
   bool gets = false;  // false = puts
   std::vector<std::string> channels;
+  /// How many of the scope's channels precede the line.
+  std::size_t channels_before = 0;
 };
 
 /// A subsystem definition (or the anonymous top scope, which has no ports).

@@ -76,7 +76,7 @@ struct FlatParser final : StatementSink {
     }
     // Against the channels declared so far (set_*_order asserts this).
     if (!sysmodel::is_incident_order(result.system, p->second, decl.gets,
-                                     order)) {
+                                     order, result.system.num_channels())) {
       return std::string(decl.gets ? "gets" : "puts") + " of " +
              decl.process + " must list exactly its incident channels";
     }

@@ -107,6 +107,7 @@ struct HierParser final : StatementSink {
         return "unknown channel " + channel;
       }
     }
+    order.channels_before = cur->channels.size();
     cur->orders.push_back(std::move(order));
     return {};
   }

@@ -93,8 +93,6 @@ CompiledSim::Instance::Instance(const CompiledSim& sim) : sim_(sim) {
   proc_latency_.resize(num_procs);
   procs_.resize(num_procs);
   chans_.resize(num_chans);
-  put_wait_.resize(num_chans);
-  get_wait_.resize(num_chans);
 }
 
 void CompiledSim::Instance::prepare(const SimScenario& scenario) {
@@ -137,8 +135,7 @@ void CompiledSim::Instance::prepare(const SimScenario& scenario) {
         caps[c] == sysmodel::kUnboundedCapacity ? kUnboundedSlots : caps[c];
     max_latency = std::max(max_latency, chan.latency);
   }
-  for (obs::HistogramData& h : put_wait_) h.reset();
-  for (obs::HistogramData& h : get_wait_) h.reset();
+  waits_.reset(num_chans);
 
   queue_.configure(max_latency, num_procs + num_chans);
   scratch_.clear();
@@ -151,8 +148,7 @@ void CompiledSim::Instance::prepare(const SimScenario& scenario) {
 void CompiledSim::Instance::take_period_snapshot() {
   snap_procs_ = procs_;
   snap_chans_ = chans_;
-  snap_put_wait_ = put_wait_;
-  snap_get_wait_ = get_wait_;
+  snap_waits_ = waits_;
   snap_now_ = now_;
   snap_obs_ = chans_[static_cast<std::size_t>(observe_)].transfers_completed;
   snap_times_ = observed_times_.size();
@@ -212,9 +208,10 @@ bool CompiledSim::Instance::matches_period_snapshot() const {
 // periods in O(state): every counter and histogram bucket advances by n x
 // its per-period delta (current minus snapshot value), every live clock
 // and pending event time shifts by n x T, and the skipped observation
-// times are replayed arithmetically. Histogram min/max and peak occupancy
-// are already final — the compared interval contains at least one full
-// period, so later periods only revisit values it produced. The remainder
+// times are recorded as n repeats of the last window (util::EventTimes).
+// Histogram min/max and peak occupancy are already final — the compared
+// interval contains at least one full period, so later periods only
+// revisit values it produced. The remainder
 // (at least one observation, kept so the run ends exactly like the
 // kernel's) is then simulated normally.
 bool CompiledSim::Instance::try_period_jump(std::int64_t observed_target,
@@ -260,35 +257,14 @@ bool CompiledSim::Instance::try_period_jump(std::int64_t observed_target,
     cur.producer_wait_since += shift;
     cur.consumer_wait_since += shift;
   }
-  for (std::size_t c = 0; c < put_wait_.size(); ++c) {
-    obs::HistogramData& cur_put = put_wait_[c];
-    const obs::HistogramData& old_put = snap_put_wait_[c];
-    cur_put.count += n * (cur_put.count - old_put.count);
-    cur_put.sum += n * (cur_put.sum - old_put.sum);
-    for (std::size_t b = 0; b < cur_put.buckets.size(); ++b) {
-      cur_put.buckets[b] += n * (cur_put.buckets[b] - old_put.buckets[b]);
-    }
-    obs::HistogramData& cur_get = get_wait_[c];
-    const obs::HistogramData& old_get = snap_get_wait_[c];
-    cur_get.count += n * (cur_get.count - old_get.count);
-    cur_get.sum += n * (cur_get.sum - old_get.sum);
-    for (std::size_t b = 0; b < cur_get.buckets.size(); ++b) {
-      cur_get.buckets[b] += n * (cur_get.buckets[b] - old_get.buckets[b]);
-    }
-  }
+  waits_.extrapolate(snap_waits_, n);
 
-  // Replay the skipped observation windows arithmetically so
-  // estimate_period sees the exact sequence a full run would record.
+  // The skipped observation times are the last window repeated n times at
+  // a stride of one period: record that instead of the times themselves,
+  // so estimate_period reads the exact sequence a full run would record.
   const std::size_t window = observed_times_.size() - snap_times_;
   assert(window == static_cast<std::size_t>(d_obs));
-  const std::size_t base = observed_times_.size() - window;
-  observed_times_.reserve(observed_times_.size() +
-                          static_cast<std::size_t>(n) * window);
-  for (std::int64_t m = 1; m <= n; ++m) {
-    for (std::size_t i = 0; i < window; ++i) {
-      observed_times_.push_back(observed_times_[base + i] + m * period);
-    }
-  }
+  observed_times_.repeat_last(window, n, period);
 
   requeue_.clear();
   queue_.drain_all(requeue_);
@@ -398,8 +374,8 @@ void CompiledSim::Instance::try_rendezvous(SimChannelId c) {
   chan.consumer_stall += consumer_stall;
   procs_[static_cast<std::size_t>(prod)].stall_cycles += producer_stall;
   procs_[static_cast<std::size_t>(cons)].stall_cycles += consumer_stall;
-  put_wait_[static_cast<std::size_t>(c)].observe(producer_stall);
-  get_wait_[static_cast<std::size_t>(c)].observe(consumer_stall);
+  waits_.observe(c, WaitHistograms::kPut, producer_stall);
+  waits_.observe(c, WaitHistograms::kGet, consumer_stall);
   if (producer_stall > 0) ++chan.blocked_puts;
   if (consumer_stall > 0) ++chan.blocked_gets;
   chan.peak_occupancy = std::max<std::int64_t>(chan.peak_occupancy, 1);
@@ -420,7 +396,7 @@ void CompiledSim::Instance::try_fifo_put(SimChannelId c) {
   const std::int64_t stall = now_ - chan.producer_wait_since;
   chan.producer_stall += stall;
   procs_[static_cast<std::size_t>(prod)].stall_cycles += stall;
-  put_wait_[static_cast<std::size_t>(c)].observe(stall);
+  waits_.observe(c, WaitHistograms::kPut, stall);
   if (stall > 0) ++chan.blocked_puts;
   chan.producer_waiting = 0;
   chan.transfer_in_progress = 1;
@@ -439,7 +415,7 @@ void CompiledSim::Instance::try_fifo_get(SimChannelId c) {
   const std::int64_t stall = now_ - chan.consumer_wait_since;
   chan.consumer_stall += stall;
   procs_[static_cast<std::size_t>(cons)].stall_cycles += stall;
-  get_wait_[static_cast<std::size_t>(c)].observe(stall);
+  waits_.observe(c, WaitHistograms::kGet, stall);
   if (stall > 0) ++chan.blocked_gets;
   chan.consumer_waiting = 0;
   --chan.buffered;
@@ -471,7 +447,7 @@ void CompiledSim::Instance::complete_fifo_write(SimChannelId c) {
     chan.consumer_stall += stall;
     ProcHot& cp = procs_[static_cast<std::size_t>(cons)];
     cp.stall_cycles += stall;
-    get_wait_[static_cast<std::size_t>(c)].observe(stall);
+    waits_.observe(c, WaitHistograms::kGet, stall);
     if (stall > 0) ++chan.blocked_gets;
     chan.consumer_waiting = 0;
     --chan.buffered;
@@ -567,8 +543,6 @@ void CompiledSim::Instance::snapshot(ScenarioResult& result) const {
     out.put_wait_cycles = chan.producer_stall;
     out.get_wait_cycles = chan.consumer_stall;
     out.peak_occupancy = chan.peak_occupancy;
-    out.put_wait = put_wait_[c];
-    out.get_wait = get_wait_[c];
   }
 }
 
@@ -678,6 +652,8 @@ ScenarioResult CompiledSim::Instance::run(const SimScenario& scenario,
     result.throughput = 1.0 / result.measured_cycle_time;
   }
   snapshot(result);
+  // The histograms move into the result; the next prepare() re-sizes them.
+  result.waits = std::move(waits_);
   return result;
 }
 
@@ -752,6 +728,7 @@ ScenarioResult run_legacy_kernel(const sysmodel::SystemModel& sys,
   result.hit_cycle_limit = run.hit_cycle_limit;
   result.processes.resize(static_cast<std::size_t>(kernel.num_processes()));
   result.channels.resize(static_cast<std::size_t>(kernel.num_channels()));
+  result.waits.reset(static_cast<std::size_t>(kernel.num_channels()));
   for (SimProcessId p = 0; p < kernel.num_processes(); ++p) {
     const ProcessState& proc = kernel.process(p);
     ScenarioProcessStats& out = result.processes[static_cast<std::size_t>(p)];
@@ -773,8 +750,8 @@ ScenarioResult run_legacy_kernel(const sysmodel::SystemModel& sys,
     out.put_wait_cycles = chan.producer_stall_cycles;
     out.get_wait_cycles = chan.consumer_stall_cycles;
     out.peak_occupancy = chan.peak_occupancy;
-    out.put_wait = chan.put_wait;
-    out.get_wait = chan.get_wait;
+    result.waits.assign(c, WaitHistograms::kPut, chan.put_wait);
+    result.waits.assign(c, WaitHistograms::kGet, chan.get_wait);
   }
   return result;
 }
@@ -823,10 +800,17 @@ bool results_bit_identical(const ScenarioResult& a, const ScenarioResult& b) {
         x.blocked_gets != y.blocked_gets ||
         x.put_wait_cycles != y.put_wait_cycles ||
         x.get_wait_cycles != y.get_wait_cycles ||
-        x.peak_occupancy != y.peak_occupancy ||
-        !hist_equal(x.put_wait, y.put_wait) ||
-        !hist_equal(x.get_wait, y.get_wait)) {
+        x.peak_occupancy != y.peak_occupancy) {
       return false;
+    }
+  }
+  if (a.waits.num_channels() != b.waits.num_channels()) return false;
+  for (std::size_t c = 0; c < a.waits.num_channels(); ++c) {
+    const auto id = static_cast<SimChannelId>(c);
+    for (const auto side : {WaitHistograms::kPut, WaitHistograms::kGet}) {
+      if (!hist_equal(a.waits.dense(id, side), b.waits.dense(id, side))) {
+        return false;
+      }
     }
   }
   return true;
@@ -858,8 +842,9 @@ StallReport to_stall_report(const sysmodel::SystemModel& sys,
     stall.put_wait_cycles = stats.put_wait_cycles;
     stall.get_wait_cycles = stats.get_wait_cycles;
     stall.peak_occupancy = stats.peak_occupancy;
-    stall.put_wait = stats.put_wait;
-    stall.get_wait = stats.get_wait;
+    const auto id = static_cast<SimChannelId>(c);
+    stall.put_wait = result.waits.dense(id, WaitHistograms::kPut);
+    stall.get_wait = result.waits.dense(id, WaitHistograms::kGet);
     report.channels.push_back(std::move(stall));
   }
   return report;
@@ -880,8 +865,13 @@ void publish_metrics(const sysmodel::SystemModel& sys,
     blocked_puts += chan.blocked_puts;
     blocked_gets += chan.blocked_gets;
     peak_occupancy = std::max(peak_occupancy, chan.peak_occupancy);
-    all_put_wait.merge(chan.put_wait);
-    all_get_wait.merge(chan.get_wait);
+    const auto id = static_cast<SimChannelId>(c);
+    const obs::HistogramData put_wait =
+        result.waits.dense(id, WaitHistograms::kPut);
+    const obs::HistogramData get_wait =
+        result.waits.dense(id, WaitHistograms::kGet);
+    all_put_wait.merge(put_wait);
+    all_get_wait.merge(get_wait);
     const std::string cbase =
         base + ".channel." + sys.channel_name(static_cast<sysmodel::ChannelId>(c));
     registry.counter(cbase + ".transfers").add(chan.transfers);
@@ -890,8 +880,8 @@ void publish_metrics(const sysmodel::SystemModel& sys,
     registry.counter(cbase + ".put_wait_cycles").add(chan.put_wait_cycles);
     registry.counter(cbase + ".get_wait_cycles").add(chan.get_wait_cycles);
     registry.gauge(cbase + ".peak_occupancy").record_max(chan.peak_occupancy);
-    registry.histogram(cbase + ".put_wait").record(chan.put_wait);
-    registry.histogram(cbase + ".get_wait").record(chan.get_wait);
+    registry.histogram(cbase + ".put_wait").record(put_wait);
+    registry.histogram(cbase + ".get_wait").record(get_wait);
   }
 
   std::int64_t stall_cycles = 0;

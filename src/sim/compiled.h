@@ -13,12 +13,31 @@
 // bucketed calendar queue (sim/event_queue.h) with a binary-heap overflow
 // for sparse timelines.
 //
+// Layout of an Instance (the per-run state):
+//  - ProcHot / ChanHot: one packed record per process / channel holding
+//    everything an event touches (status, pc, clocks, occupancy, stall
+//    counters).
+//  - WaitHistograms (sim/wait_histograms.h): the per-channel put/get wait
+//    distributions, one 64-byte record per channel side with a few inline
+//    (bucket, count) cells; the rare side that hits more buckets spills into
+//    a dense overflow block. No dense obs::HistogramData is kept per
+//    channel anywhere in a run.
+//  - util::EventTimes: the observed channel's transfer times, with the
+//    periods a steady-state jump skips stored once, not once per period.
+//  - Period snapshot: copies of the records and wait histograms at the
+//    start of a candidate period, compared and differenced in O(state).
+// A ScenarioResult carries the same compact WaitHistograms (moved out of
+// the Instance, not copied); dense histograms are built only for the
+// consumers that need them — publish_metrics(), to_stall_report() and
+// results_bit_identical().
+//
 // Contract: a CompiledSim run is bit-identical, step for step, to a legacy
 // Kernel run of the same model+scenario — same event tie-break
-// (time, index, kind), same stall accounting, same histograms, same
-// deadlock cycle. run_legacy_kernel() produces the oracle ScenarioResult
-// and results_bit_identical() is the comparison both the differential
-// suite and bench_sim enforce.
+// (time, index, kind), same stall accounting, same histograms (compared in
+// dense form), same deadlock cycle, same measured cycle time to the bit.
+// run_legacy_kernel() produces the oracle ScenarioResult and
+// results_bit_identical() is the comparison both the differential suite and
+// bench_sim enforce.
 //
 // simulate_batch() sweeps k scenarios over one compiled structure on an
 // exec::ThreadPool: one reusable Instance per worker slot (allocations
@@ -34,7 +53,9 @@
 #include "sim/event_queue.h"
 #include "sim/program.h"
 #include "sim/stall_report.h"
+#include "sim/wait_histograms.h"
 #include "sysmodel/system.h"
+#include "util/period.h"
 
 namespace ermes::exec {
 class ThreadPool;
@@ -72,13 +93,13 @@ struct ScenarioChannelStats {
   std::int64_t put_wait_cycles = 0;
   std::int64_t get_wait_cycles = 0;
   std::int64_t peak_occupancy = 0;
-  obs::HistogramData put_wait;
-  obs::HistogramData get_wait;
 };
 
 /// Everything a Kernel run would report, as string-free PODs: the RunResult
 /// aggregates plus the full final marking and stall accounting. This is the
-/// unit of bit-identity between the two engines.
+/// unit of bit-identity between the two engines. The per-channel wait
+/// distributions live in `waits` in compact form; waits.dense(c, side)
+/// rebuilds the obs::HistogramData a Kernel channel holds.
 struct ScenarioResult {
   std::int64_t cycles = 0;
   std::int64_t observed_count = 0;
@@ -91,6 +112,7 @@ struct ScenarioResult {
   bool hit_cycle_limit = false;
   std::vector<ScenarioProcessStats> processes;
   std::vector<ScenarioChannelStats> channels;
+  WaitHistograms waits;
 };
 
 struct BatchOptions {
@@ -129,6 +151,12 @@ class CompiledSim {
    public:
     explicit Instance(const CompiledSim& sim);
     ScenarioResult run(const SimScenario& scenario, const BatchOptions& opts);
+    /// Observation times the last run() held in memory: the transient, one
+    /// period and the tail. Periods a steady-state jump skipped are not
+    /// stored, so this stays far below the observed count.
+    std::size_t observations_stored() const {
+      return observed_times_.stored();
+    }
 
    private:
     enum Status : std::uint8_t {
@@ -199,17 +227,16 @@ class CompiledSim {
     std::vector<std::int64_t> proc_latency_;  // scenario-resolved
     std::vector<ProcHot> procs_;
     std::vector<ChanHot> chans_;
-    // Histograms are bulky (fixed bucket arrays) and only touched when a
-    // wait episode closes — parked outside the hot records.
-    std::vector<obs::HistogramData> put_wait_;
-    std::vector<obs::HistogramData> get_wait_;
+    // Only touched when a wait episode closes — parked outside the hot
+    // records.
+    WaitHistograms waits_;
 
     CalendarQueue queue_;
     // Same-instant working set: pop_at() drains into scratch_, which is
     // heapified by key; events pushed for the current instant while it is
     // being processed join the heap, reproducing the kernel's pop order.
     std::vector<std::uint32_t> scratch_;
-    std::vector<std::int64_t> observed_times_;
+    util::EventTimes observed_times_;
     std::int64_t now_ = 0;
     bool in_instant_ = false;
     SimChannelId observe_ = -1;
@@ -221,8 +248,7 @@ class CompiledSim {
     // across runs so snapshots are pure memcpy.
     std::vector<ProcHot> snap_procs_;
     std::vector<ChanHot> snap_chans_;
-    std::vector<obs::HistogramData> snap_put_wait_;
-    std::vector<obs::HistogramData> snap_get_wait_;
+    WaitHistograms snap_waits_;
     std::vector<std::pair<std::int64_t, std::uint32_t>> requeue_;
     std::int64_t snap_now_ = 0;
     std::int64_t snap_obs_ = 0;

@@ -51,10 +51,12 @@ void attach_implementations(SystemModel& sys, std::vector<ImplRow> rows) {
 }
 
 bool is_incident_order(const SystemModel& sys, ProcessId p, bool gets,
-                       const std::vector<ChannelId>& order) {
+                       const std::vector<ChannelId>& order, ChannelId before) {
   std::vector<ChannelId> listed = order;
-  std::vector<ChannelId> incident =
-      gets ? sys.input_order(p) : sys.output_order(p);
+  std::vector<ChannelId> incident;
+  for (const ChannelId c : gets ? sys.input_order(p) : sys.output_order(p)) {
+    if (c < before) incident.push_back(c);
+  }
   std::sort(listed.begin(), listed.end());
   std::sort(incident.begin(), incident.end());
   return listed == incident;

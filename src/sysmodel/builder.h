@@ -47,9 +47,10 @@ struct ImplRow {
 void attach_implementations(SystemModel& sys, std::vector<ImplRow> rows);
 
 /// True iff `order` lists each of p's input channels (gets) or output
-/// channels (puts) exactly once — the precondition of set_*_order.
+/// channels (puts) with an id below `before` exactly once. With `before` =
+/// num_channels() this is the precondition of set_*_order.
 bool is_incident_order(const SystemModel& sys, ProcessId p, bool gets,
-                       const std::vector<ChannelId>& order);
+                       const std::vector<ChannelId>& order, ChannelId before);
 
 /// The DAC'14 motivating example: processes src,P2..P6,snk; channels a..h
 /// with the latencies derived in DESIGN.md (src=1, P2=5, P3=2, P4=1, P5=2,

@@ -3,34 +3,7 @@
 namespace ermes::util {
 
 double estimate_period(const std::vector<std::int64_t>& times) {
-  const std::size_t n = times.size();
-  if (n < 4) return 0.0;
-
-  // Work on the last third: diffs d[k] = times[k+1] - times[k].
-  const std::size_t start = (2 * n) / 3;
-  std::vector<std::int64_t> diffs;
-  for (std::size_t k = start; k + 1 < n; ++k) {
-    diffs.push_back(times[k + 1] - times[k]);
-  }
-  const std::size_t m = diffs.size();
-  if (m == 0) return 0.0;
-
-  // Find the smallest K such that the diff window is K-periodic and at least
-  // two full periods are visible.
-  for (std::size_t period = 1; period * 2 <= m; ++period) {
-    bool ok = true;
-    for (std::size_t k = 0; k + period < m && ok; ++k) {
-      ok = diffs[k] == diffs[k + period];
-    }
-    if (!ok) continue;
-    std::int64_t span = 0;
-    for (std::size_t k = 0; k < period; ++k) span += diffs[k];
-    return static_cast<double>(span) / static_cast<double>(period);
-  }
-
-  // Fallback: biased average over the tail.
-  return static_cast<double>(times[n - 1] - times[start]) /
-         static_cast<double>(n - 1 - start);
+  return estimate_period<std::vector<std::int64_t>>(times);
 }
 
 }  // namespace ermes::util

@@ -212,6 +212,81 @@ TEST(CliExitCodes, SimulateTextAndJsonAgree) {
   EXPECT_NE(json.out.find("\"stalls\":{"), std::string::npos) << json.out;
 }
 
+// Pinned `ermes simulate` output on the shipped models: the text line, the
+// --json object, and (with telemetry on) the stall tables and published
+// wait histograms, all of which read the per-channel wait distributions.
+TEST(CliSimulate, OutputIsPinnedOnExampleModels) {
+  const std::string dir = ERMES_EXAMPLES_DIR;
+  const RunResult motivating = run_cli("simulate " + dir + "/motivating.soc 500");
+  EXPECT_EQ(motivating.exit_code, 0);
+  EXPECT_EQ(motivating.out,
+            "500 items in 6007 cycles: 12 cycles/item (throughput 0.083333)\n");
+  EXPECT_EQ(
+      run_cli("simulate " + dir + "/motivating.soc 500 --json").out,
+      "{\"items\":500,\"cycles\":6007,\"cycles_per_item\":12,"
+      "\"throughput\":0.083333333333333329,\"deadlocked\":false,"
+      "\"hit_cycle_limit\":false,\"stalls\":{\"transfers\":4001,"
+      "\"blocked_puts\":500,\"blocked_gets\":3001,\"put_wait_cycles\":4500,"
+      "\"get_wait_cycles\":17528,\"stall_cycles\":22028,"
+      "\"peak_occupancy\":1}}\n");
+
+  const RunResult mpeg2 = run_cli("simulate " + dir + "/mpeg2_encoder.soc 20");
+  EXPECT_EQ(mpeg2.exit_code, 0);
+  EXPECT_EQ(mpeg2.out,
+            "20 items in 58929234 cycles: 2921957 cycles/item (throughput "
+            "0)\n");
+  EXPECT_EQ(
+      run_cli("simulate " + dir + "/mpeg2_encoder.soc 20 --json").out,
+      "{\"items\":20,\"cycles\":58929234,\"cycles_per_item\":2921957,"
+      "\"throughput\":3.4223638472434741e-07,\"deadlocked\":false,"
+      "\"hit_cycle_limit\":false,\"stalls\":{\"transfers\":1213,"
+      "\"blocked_puts\":121,\"blocked_gets\":1091,"
+      "\"put_wait_cycles\":200575553,\"get_wait_cycles\":1345092104,"
+      "\"stall_cycles\":1545667657,\"peak_occupancy\":1}}\n");
+
+  const std::string metrics = temp_path("sim_metrics.json");
+  const RunResult stalls = run_cli("simulate " + dir +
+                                   "/motivating.soc 500 --metrics " + metrics);
+  EXPECT_EQ(stalls.exit_code, 0);
+  EXPECT_NE(
+      stalls.out.find(
+          "channel  transfers  blocked puts  blocked gets  put wait  get wait  "
+          "mean put wait  mean get wait  peak occ\n"
+          "-------  ---------  ------------  ------------  --------  --------  "
+          "-------------  -------------  --------\n"
+          "h        500        0             500           0         5008      "
+          "0              10.016         1       \n"
+          "a        501        500           0             4500      0         "
+          "8.982          0              1       \n"
+          "c        500        0             500           0         4002      "
+          "0              8.004          1       \n"
+          "b        500        0             501           0         3507      "
+          "0              7              1       \n"
+          "f        500        0             500           0         3504      "
+          "0              7.008          1       \n"
+          "e        500        0             500           0         1000      "
+          "0              2              1       \n"
+          "d        500        0             500           0         507       "
+          "0              1.014          1       \n"
+          "g        500        0             0             0         0         "
+          "0              0              1       \n"),
+      std::string::npos)
+      << stalls.out;
+  const std::string json = slurp(metrics);
+  EXPECT_NE(json.find("\"sim.get_wait\":{\"count\":4002,\"sum\":17528,"
+                      "\"min\":0,\"max\":18,\"mean\":4.379810094952524,"
+                      "\"buckets\":[[0,1001],[1,499],[3,500],[7,1000],"
+                      "[15,1001],[31,1]]}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"sim.put_wait\":{\"count\":4002,\"sum\":4500,"
+                      "\"min\":0,\"max\":9,\"mean\":1.1244377811094453,"
+                      "\"buckets\":[[0,3502],[15,500]]}"),
+            std::string::npos)
+      << json;
+  std::remove(metrics.c_str());
+}
+
 TEST(CliExitCodes, SimulateDeadlockIsAnalysisFailure) {
   const std::string dead = temp_path("simdead.soc");
   std::ofstream(dead) << "system dead\n"

@@ -19,6 +19,11 @@
 //  S5. Model validation: on live generated SoCs (rendezvous channels, no
 //      capacity constraints) the sim-measured steady-state cycle time
 //      equals the Howard max cycle mean from analyze_system.
+//  S6. Periodic extrapolation: a jumped run equals the full grind and the
+//      Kernel, and stores only O(transient + one period) observation times.
+//  S7. Compact wait histograms: sides that spill past the inline cells,
+//      period jumps on multi-bucket sides, and one Instance reused across
+//      scenarios with different bucket sets all match the Kernel.
 //
 // Failures shrink the offending system (dropping chords, collapsing
 // latencies, zeroing capacities) while the divergence persists, then print
@@ -425,6 +430,267 @@ TEST(CompiledSimDifferentialTest, PeriodExtrapolationIsExact) {
         << seed << std::dec << ")\n"
         << describe(spec);
     if (HasFailure()) return;
+  }
+}
+
+// The same specs at a target 10x larger: the jump skips almost every
+// observation, and the run keeps only the transient, one period and the
+// tail in memory, yet every field — measured_cycle_time included — equals
+// the full grind bit for bit.
+TEST(CompiledSimDifferentialTest, PeriodJumpAtLargeTargetStoresOnePeriod) {
+  for (std::uint64_t shard = 0; shard < 12; ++shard) {
+    const std::uint64_t seed = kBaseSeed ^ (0x9e210d + shard);
+    util::Rng rng(seed);
+    const SysSpec spec = random_spec(rng);
+    const sysmodel::SystemModel sys = spec.build();
+    BatchOptions opts;
+    opts.target_transfers = 50'000;
+    opts.max_cycles = 1'000'000'000;
+    BatchOptions grind = opts;
+    grind.detect_period = false;
+
+    CompiledSim compiled(sys);
+    CompiledSim::Instance instance(compiled);
+    const ScenarioResult ground = instance.run({}, grind);
+    EXPECT_EQ(instance.observations_stored(),
+              static_cast<std::size_t>(ground.observed_count));
+    const ScenarioResult jumped = instance.run({}, opts);
+    EXPECT_TRUE(results_bit_identical(jumped, ground))
+        << "period jump diverged from the full compiled run (seed 0x"
+        << std::hex << seed << std::dec << ")\n"
+        << describe(spec);
+    if (jumped.observed_count == opts.target_transfers) {
+      EXPECT_LT(instance.observations_stored(), 2'000u)
+          << "seed 0x" << std::hex << seed << std::dec;
+    }
+    if (HasFailure()) return;
+  }
+}
+
+// ---- S7: compact wait histograms --------------------------------------------
+
+bool same_histogram(const obs::HistogramData& a, const obs::HistogramData& b) {
+  return a.count == b.count && a.sum == b.sum && a.min == b.min &&
+         a.max == b.max && a.buckets == b.buckets;
+}
+
+std::size_t buckets_used(const obs::HistogramData& h) {
+  std::size_t used = 0;
+  for (const std::int64_t n : h.buckets) used += n != 0 ? 1 : 0;
+  return used;
+}
+
+TEST(WaitHistogramsTest, DenseFormMatchesHistogramData) {
+  // Channel 0's put side hits eight buckets (it spills on the fourth);
+  // its get side and channel 1 stay inside the inline cells.
+  const std::vector<std::int64_t> spread = {0, 3, 3, 1, 9, 100, 0, 5000, 2,
+                                            std::int64_t{1} << 40, 7};
+  const std::vector<std::int64_t> narrow = {4, 5, 6, 0, 4};
+  WaitHistograms waits;
+  waits.reset(2);
+  obs::HistogramData put, get, other;
+  for (const std::int64_t v : spread) {
+    waits.observe(0, WaitHistograms::kPut, v);
+    put.observe(v);
+  }
+  for (const std::int64_t v : narrow) {
+    waits.observe(0, WaitHistograms::kGet, v);
+    get.observe(v);
+    waits.observe(1, WaitHistograms::kPut, v + 1);
+    other.observe(v + 1);
+  }
+  EXPECT_EQ(buckets_used(put), 8u);
+  EXPECT_EQ(waits.spilled(), 1u);
+  EXPECT_TRUE(same_histogram(waits.dense(0, WaitHistograms::kPut), put));
+  EXPECT_TRUE(same_histogram(waits.dense(0, WaitHistograms::kGet), get));
+  EXPECT_TRUE(same_histogram(waits.dense(1, WaitHistograms::kPut), other));
+  EXPECT_TRUE(same_histogram(waits.dense(1, WaitHistograms::kGet),
+                             obs::HistogramData{}));
+
+  // assign() takes the dense form back, spilled or inline.
+  WaitHistograms copy;
+  copy.reset(2);
+  copy.assign(0, WaitHistograms::kPut, put);
+  copy.assign(0, WaitHistograms::kGet, get);
+  copy.assign(1, WaitHistograms::kPut, other);
+  EXPECT_EQ(copy.spilled(), 1u);
+  EXPECT_TRUE(same_histogram(copy.dense(0, WaitHistograms::kPut), put));
+  EXPECT_TRUE(same_histogram(copy.dense(0, WaitHistograms::kGet), get));
+  EXPECT_TRUE(same_histogram(copy.dense(1, WaitHistograms::kPut), other));
+
+  // reset() empties every side and the overflow store.
+  waits.reset(1);
+  EXPECT_EQ(waits.num_channels(), 1u);
+  EXPECT_EQ(waits.spilled(), 0u);
+  EXPECT_TRUE(same_histogram(waits.dense(0, WaitHistograms::kPut),
+                             obs::HistogramData{}));
+}
+
+// extrapolate(start, n) after one period must equal observing that period
+// n more times, whether a side was inline throughout, spills inside the
+// period, or had spilled before it began.
+TEST(WaitHistogramsTest, ExtrapolateEqualsRepeatedPeriods) {
+  struct Case {
+    std::vector<std::int64_t> transient;
+    std::vector<std::int64_t> period;
+  };
+  const std::vector<Case> cases = {
+      {{0, 1}, {2, 2, 0}},                    // inline throughout
+      {{0, 1, 2}, {40, 1, 300}},              // spills inside the period
+      {{0, 1, 2, 8, 64}, {64, 3, 0}},         // spilled before the period
+      {{5}, {}},                              // idle during the period
+      {{}, {7, 900, 7, 1, 0, 20000, 33}},     // spills within one period
+  };
+  const std::int64_t n = 1000;
+  const auto c_count = static_cast<std::size_t>(cases.size());
+  WaitHistograms waits;
+  waits.reset(c_count);
+  std::vector<obs::HistogramData> expect(c_count);
+  for (std::size_t c = 0; c < c_count; ++c) {
+    for (const std::int64_t v : cases[c].transient) {
+      waits.observe(static_cast<SimChannelId>(c), WaitHistograms::kGet, v);
+      expect[c].observe(v);
+    }
+  }
+  const WaitHistograms start = waits;
+  for (std::size_t c = 0; c < c_count; ++c) {
+    for (std::int64_t rep = 0; rep <= n; ++rep) {
+      for (const std::int64_t v : cases[c].period) {
+        if (rep == 0) {
+          waits.observe(static_cast<SimChannelId>(c), WaitHistograms::kGet, v);
+        }
+        expect[c].observe(v);
+      }
+    }
+  }
+  waits.extrapolate(start, n);
+  for (std::size_t c = 0; c < c_count; ++c) {
+    EXPECT_TRUE(same_histogram(
+        waits.dense(static_cast<SimChannelId>(c), WaitHistograms::kGet),
+        expect[c]))
+        << "case " << c;
+    EXPECT_TRUE(same_histogram(
+        waits.dense(static_cast<SimChannelId>(c), WaitHistograms::kPut),
+        obs::HistogramData{}))
+        << "case " << c;
+  }
+}
+
+// Generated SoCs (feedback relays, reconvergent paths, latencies 1-64)
+// settle into multi-token K-periodic schedules: like the 10k-process flow
+// model, most sides hit one or two buckets, and a few spill past the
+// inline cells.
+sysmodel::SystemModel generated_soc(std::int32_t processes,
+                                    std::uint64_t seed) {
+  synth::GeneratorConfig config;
+  config.num_processes = processes;
+  config.num_channels = processes * 3 / 2;
+  config.seed = seed;
+  return synth::generate_soc(config);
+}
+
+TEST(CompiledSimDifferentialTest, SpilledWaitHistogramsMatchLegacyKernel) {
+  int spilled_runs = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const sysmodel::SystemModel sys = generated_soc(48, seed);
+    BatchOptions opts;
+    opts.target_transfers = 400;
+    CompiledSim compiled(sys);
+    CompiledSim::Instance instance(compiled);
+    const ScenarioResult got = instance.run({}, opts);
+    EXPECT_TRUE(results_bit_identical(run_legacy_kernel(sys, {}, opts), got))
+        << "generated SoC seed " << seed << " diverged from the Kernel";
+    if (got.waits.spilled() > 0) ++spilled_runs;
+  }
+  EXPECT_GE(spilled_runs, 3) << "the corpus no longer exercises the spill";
+}
+
+TEST(CompiledSimDifferentialTest, PeriodJumpsOnMultiBucketChannelsAreExact) {
+  int multi_bucket_jumps = 0;
+  for (const std::int32_t processes : {24, 48}) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      const sysmodel::SystemModel sys = generated_soc(processes, seed);
+      BatchOptions opts;
+      opts.target_transfers = 1000;
+      BatchOptions grind = opts;
+      grind.detect_period = false;
+
+      CompiledSim compiled(sys);
+      CompiledSim::Instance instance(compiled);
+      const ScenarioResult jumped = instance.run({}, opts);
+      const bool jump_taken =
+          instance.observations_stored() <
+          static_cast<std::size_t>(jumped.observed_count);
+      EXPECT_TRUE(results_bit_identical(jumped, instance.run({}, grind)))
+          << processes << "-process SoC seed " << seed
+          << ": period jump diverged from the full compiled run";
+      EXPECT_TRUE(
+          results_bit_identical(run_legacy_kernel(sys, {}, opts), jumped))
+          << processes << "-process SoC seed " << seed
+          << ": period jump diverged from the legacy Kernel";
+      if (HasFailure()) return;
+      // A side whose steady state spans several buckets: at least two
+      // buckets each hold a tenth of the side's episodes.
+      bool multi_bucket = false;
+      for (SimChannelId c = 0; c < compiled.num_channels(); ++c) {
+        for (const auto side : {WaitHistograms::kPut, WaitHistograms::kGet}) {
+          const obs::HistogramData h = jumped.waits.dense(c, side);
+          std::size_t heavy = 0;
+          for (const std::int64_t n : h.buckets) {
+            heavy += n > 0 && n >= h.count / 10 ? 1 : 0;
+          }
+          multi_bucket = multi_bucket || heavy >= 2;
+        }
+      }
+      if (jump_taken && multi_bucket) ++multi_bucket_jumps;
+    }
+  }
+  EXPECT_GE(multi_bucket_jumps, 2)
+      << "the corpus no longer jumps over multi-bucket steady states";
+}
+
+TEST(CompiledSimDifferentialTest, InstanceReuseAcrossDifferentBucketSets) {
+  const sysmodel::SystemModel sys = generated_soc(96, 5);
+  // Alternate the generated latencies (waits over up to seven buckets)
+  // with uniform ones (unit latencies keep every side inline).
+  std::vector<SimScenario> scenarios(6);
+  for (std::size_t i = 1; i < scenarios.size(); i += 2) {
+    scenarios[i].process_latency.assign(
+        static_cast<std::size_t>(sys.num_processes()),
+        static_cast<std::int64_t>(i));
+    scenarios[i].channel_latency.assign(
+        static_cast<std::size_t>(sys.num_channels()), i == 3 ? 0 : 1);
+  }
+  BatchOptions opts;
+  opts.target_transfers = 400;
+
+  CompiledSim compiled(sys);
+  CompiledSim::Instance reused(compiled);
+  std::vector<std::size_t> spills;
+  std::vector<std::vector<std::size_t>> bucket_sets;
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    const ScenarioResult a = reused.run(scenarios[i], opts);
+    CompiledSim::Instance fresh(compiled);
+    EXPECT_TRUE(results_bit_identical(a, fresh.run(scenarios[i], opts)))
+        << "instance reuse leaked state into scenario " << i;
+    EXPECT_TRUE(
+        results_bit_identical(run_legacy_kernel(sys, scenarios[i], opts), a))
+        << "scenario " << i << " diverged from the legacy Kernel";
+    spills.push_back(a.waits.spilled());
+    std::vector<std::size_t> used;
+    for (SimChannelId c = 0; c < compiled.num_channels(); ++c) {
+      for (const auto side : {WaitHistograms::kPut, WaitHistograms::kGet}) {
+        used.push_back(buckets_used(a.waits.dense(c, side)));
+      }
+    }
+    bucket_sets.push_back(std::move(used));
+  }
+  // Spilled, then all inline, then spilled again on the reused Instance.
+  EXPECT_GT(spills[0], 0u);
+  EXPECT_EQ(spills[1], 0u);
+  EXPECT_GT(spills[2], 0u);
+  for (std::size_t i = 1; i < scenarios.size(); ++i) {
+    EXPECT_NE(bucket_sets[i - 1], bucket_sets[i]) << "scenario " << i;
   }
 }
 
