@@ -35,6 +35,7 @@
 #include "sysmodel/builder.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
+#include "tmg/csr.h"
 #include "util/table.h"
 
 using namespace ermes;
@@ -50,16 +51,6 @@ sysmodel::SystemModel variant(std::int64_t i) {
   sys.set_latency(1, 3 + (i % 13));
   sys.set_channel_latency(0, 1 + (i % 7));
   return sys;
-}
-
-bool reports_identical(const analysis::PerformanceReport& a,
-                       const analysis::PerformanceReport& b) {
-  return a.live == b.live && a.dead_cycle == b.dead_cycle &&
-         a.cycle_time == b.cycle_time && a.ct_num == b.ct_num &&
-         a.ct_den == b.ct_den && a.throughput == b.throughput &&
-         a.critical_processes == b.critical_processes &&
-         a.critical_channels == b.critical_channels &&
-         a.critical_places == b.critical_places;
 }
 
 // The trace: step -> variant index. Hot indices are [0, hot); cold indices
@@ -85,11 +76,12 @@ std::vector<std::int64_t> make_trace(int steps, int hot) {
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  // Sizing invariant: the bounded phase can hold roughly 1/8 of the
-  // distinct results (budget U/4, half of it for the report family), and
-  // the hot set must be a minority of that capacity or it thrashes. With
-  // distinct ~= hot + steps/4, steps = 128 * hot puts the hot set at ~25%
-  // of bounded capacity — resident under churn, honest pressure above it.
+  // Sizing invariant: the bounded phase can hold roughly 1/4 of the
+  // distinct results (budget U/4, all of it for reports, the memo's only
+  // family), and the hot set must be a minority of that capacity or it
+  // thrashes. With distinct ~= hot + steps/4, steps = 128 * hot puts the hot
+  // set at ~12% of bounded capacity — resident under churn, honest pressure
+  // above it.
   int hot = 64;
   int steps = 8192;
   std::string out_path = "BENCH_cache.json";
@@ -126,11 +118,14 @@ int main(int argc, char** argv) {
   }
 
   constexpr std::size_t kShards = 8;
+  tmg::CycleMeanSolver solver;  // cache misses solve warm (same topology)
 
   // Phase 1: unbounded — byte high-water mark and best-case hit rate.
   analysis::EvalCache unbounded(kShards);
   util::Stopwatch sw;
-  for (const std::int64_t idx : trace) unbounded.analyze(variant(idx));
+  for (const std::int64_t idx : trace) {
+    unbounded.analyze(variant(idx), solver);
+  }
   const double unbounded_ms = sw.elapsed_ms();
   const double unbounded_rate = unbounded.hit_rate();
   const std::int64_t workload_bytes = unbounded.bytes();
@@ -142,8 +137,11 @@ int main(int argc, char** argv) {
   int budget_violations = 0;
   sw.reset();
   for (const std::int64_t idx : trace) {
-    const analysis::PerformanceReport report = bounded.analyze(variant(idx));
-    if (!reports_identical(report, truth.at(idx))) ++mismatches;
+    const analysis::PerformanceReport report =
+        bounded.analyze(variant(idx), solver);
+    if (!analysis::reports_bit_identical(report, truth.at(idx))) {
+      ++mismatches;
+    }
     if (bounded.bytes() > bounded.byte_budget()) ++budget_violations;
   }
   const double bounded_ms = sw.elapsed_ms();
@@ -152,7 +150,7 @@ int main(int argc, char** argv) {
 
   // A final pass over the hot set models the traffic a daemon sees just
   // before shutdown: the hot entries are resident when the snapshot lands.
-  for (std::int64_t h = 0; h < hot; ++h) bounded.analyze(variant(h));
+  for (std::int64_t h = 0; h < hot; ++h) bounded.analyze(variant(h), solver);
 
   // Phase 3: snapshot -> fresh cache (a restart) -> hot replay.
   const std::string snap_path = out_path + ".snap";
@@ -170,7 +168,8 @@ int main(int argc, char** argv) {
   int warm_mismatches = 0;
   const std::int64_t warm_hits_before = warmed.hits();
   for (std::int64_t h = 0; h < hot; ++h) {
-    if (!reports_identical(warmed.analyze(variant(h)), truth.at(h))) {
+    if (!analysis::reports_bit_identical(warmed.analyze(variant(h), solver),
+                                         truth.at(h))) {
       ++warm_mismatches;
     }
   }

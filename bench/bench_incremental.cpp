@@ -70,14 +70,6 @@ sysmodel::SystemModel make_block_chain(int blocks, int ring) {
   return sys;
 }
 
-bool reports_identical(const analysis::PerformanceReport& a,
-                       const analysis::PerformanceReport& b) {
-  return a.live == b.live && a.cycle_time == b.cycle_time &&
-         a.ct_num == b.ct_num && a.ct_den == b.ct_den &&
-         a.throughput == b.throughput &&
-         a.critical_processes == b.critical_processes;
-}
-
 struct Patch {
   sysmodel::ProcessId process;
   std::int64_t latency;
@@ -152,7 +144,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "patch %zu rejected\n", s);
       return 1;
     }
-    if (!reports_identical(inc.analyze().report, cold_reports[s])) {
+    if (!analysis::reports_bit_identical(inc.analyze().report,
+                                         cold_reports[s])) {
       ++mismatches;
     }
   }
@@ -162,8 +155,7 @@ int main(int argc, char** argv) {
   const double speedup = inc_ms > 0.0 ? cold_ms / inc_ms : 0.0;
   const double per_patch_sccs =
       stats.analyses > 1
-          ? static_cast<double>(stats.sccs_solved + stats.sccs_reused -
-                                blocks) /
+          ? static_cast<double>(stats.sccs_solved - blocks) /
                 static_cast<double>(stats.analyses - 1)
           : 0.0;
 
@@ -199,7 +191,6 @@ int main(int argc, char** argv) {
   report.set("meets_floor", svc::JsonValue::boolean(speedup >= 5.0));
   report.set("bit_identical", svc::JsonValue::boolean(identical));
   report.set("sccs_solved", svc::JsonValue::integer(stats.sccs_solved));
-  report.set("sccs_reused", svc::JsonValue::integer(stats.sccs_reused));
   report.set("sccs_clean", svc::JsonValue::integer(stats.sccs_clean));
   report.set("structure_rebuilds",
              svc::JsonValue::integer(stats.structure_rebuilds));

@@ -6,7 +6,8 @@
 //      targets fanned across the pool sharing one EvalCache — the `ermes
 //      sweep` hot path. Checks that the parallel histories are bit-identical
 //      to the sequential ones, then reports speedup and warm-cache hit rate
-//      (the warm re-run is served almost entirely from the memo).
+//      (every analysis of the warm re-run is a report-memo hit; channel
+//      ordering and the selection solves still run).
 //  B2. Within-run parallel DSE: dse::explore at jobs=1 vs jobs=N (candidate
 //      evaluations of each iteration fan out), bit-identical trajectories.
 //  B3. Sensitivity fan-out: per-process perturbation analyses of a synthetic

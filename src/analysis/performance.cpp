@@ -1,6 +1,7 @@
 #include "analysis/performance.h"
 
 #include <algorithm>
+#include <cstring>
 #include <sstream>
 
 #include "obs/metrics.h"
@@ -65,6 +66,22 @@ PerformanceReport report_from_ratio(const SystemTmg& stmg,
   dedup(report.critical_processes);
   dedup(report.critical_channels);
   return report;
+}
+
+bool reports_bit_identical(const PerformanceReport& a,
+                           const PerformanceReport& b) {
+  const auto bits = [](double d) {
+    std::uint64_t u;
+    std::memcpy(&u, &d, sizeof(u));
+    return u;
+  };
+  return a.live == b.live && bits(a.cycle_time) == bits(b.cycle_time) &&
+         a.ct_num == b.ct_num && a.ct_den == b.ct_den &&
+         bits(a.throughput) == bits(b.throughput) &&
+         a.dead_cycle == b.dead_cycle &&
+         a.critical_processes == b.critical_processes &&
+         a.critical_channels == b.critical_channels &&
+         a.critical_places == b.critical_places;
 }
 
 PerformanceReport analyze_system(const sysmodel::SystemModel& sys) {

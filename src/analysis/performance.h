@@ -66,6 +66,12 @@ PerformanceReport analyze_system(const sysmodel::SystemModel& sys);
 PerformanceReport analyze_system(const sysmodel::SystemModel& sys,
                                  tmg::CycleMeanSolver& solver);
 
+/// Field-by-field equality with doubles compared by bit pattern: the
+/// contract between the memoized, partitioned and incremental paths and a
+/// cold analysis (their debug builds assert it on sampled results).
+bool reports_bit_identical(const PerformanceReport& a,
+                           const PerformanceReport& b);
+
 /// Human-readable one-paragraph summary (for logs and examples).
 std::string summarize(const PerformanceReport& report,
                       const sysmodel::SystemModel& sys);

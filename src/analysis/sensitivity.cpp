@@ -26,7 +26,7 @@ SensitivityReport latency_sensitivity(const SystemModel& sys,
   if (solver == nullptr) solver = &local_solver;
   const auto analyze = [&](const SystemModel& candidate,
                            tmg::CycleMeanSolver& with) {
-    return cache != nullptr ? cache->analyze(candidate, &with)
+    return cache != nullptr ? cache->analyze(candidate, with)
                             : analyze_system(candidate, with);
   };
   const PerformanceReport base = analyze(sys, *solver);

@@ -17,9 +17,9 @@
 // daemon promise flat memory under arbitrary traffic.
 //
 // Pin-while-in-use: lookups pin their entry, release the shard mutex, copy
-// the payload, then unpin — so a multi-kilobyte ordered-eval copy never
-// holds the shard lock, and the clock hand skips pinned entries, so an entry
-// being read (or held via acquire()) is never destroyed mid-flight. Values
+// the payload, then unpin — so copying a payload never holds the shard
+// lock, and the clock hand skips pinned entries, so an entry being read
+// (or held via acquire()) is never destroyed mid-flight. Values
 // are immutable after insert (first write wins), which is what makes the
 // unlocked copy safe: unordered_map nodes are stable under rehash, nothing
 // ever writes a stored value again, and erasure is exactly what the pin

@@ -21,9 +21,10 @@
 //                 u64 key (fingerprint), u32 payload length, payload bytes
 //
 // Section ids and payload encodings belong to the owner (the eval cache
-// uses 1=report, 2=ordering replay, 3=ILP aux); the container neither knows
-// nor cares. Records are written sorted by key so identical cache contents
-// produce byte-identical files regardless of hash-map iteration order.
+// uses 1=report; format 1 also carried its retired sections 2 and 3); the
+// container neither knows nor cares. Records are written sorted by key so
+// identical cache contents produce byte-identical files regardless of
+// hash-map iteration order.
 //
 // Encoder/Decoder are also the building blocks for the payloads themselves:
 // little-endian fixed-width integers, f64 via bit pattern, and length-
@@ -37,7 +38,7 @@
 namespace ermes::cache {
 
 inline constexpr std::uint32_t kSnapshotMagic = 0x434D5245u;  // "ERMC" LE
-inline constexpr std::uint16_t kSnapshotFormatVersion = 1;
+inline constexpr std::uint16_t kSnapshotFormatVersion = 2;
 
 /// Little-endian byte-stream writer.
 class Encoder {

@@ -2,11 +2,11 @@
 
 #include <atomic>
 #include <cassert>
-#include <cstring>
 #include <utility>
 
 #include "analysis/performance.h"
 #include "obs/metrics.h"
+#include "obs/request_context.h"
 #include "obs/span.h"
 
 namespace ermes::comp {
@@ -21,32 +21,10 @@ bool set_error(std::string* error, const std::string& message) {
   return false;
 }
 
-#ifndef NDEBUG
-bool reports_bit_identical(const analysis::PerformanceReport& a,
-                           const analysis::PerformanceReport& b) {
-  const auto bits = [](double d) {
-    std::uint64_t u;
-    std::memcpy(&u, &d, sizeof(u));
-    return u;
-  };
-  return a.live == b.live && bits(a.cycle_time) == bits(b.cycle_time) &&
-         a.ct_num == b.ct_num && a.ct_den == b.ct_den &&
-         bits(a.throughput) == bits(b.throughput) &&
-         a.dead_cycle == b.dead_cycle &&
-         a.critical_processes == b.critical_processes &&
-         a.critical_channels == b.critical_channels &&
-         a.critical_places == b.critical_places;
-}
-#endif
-
 }  // namespace
 
 IncrementalAnalyzer::IncrementalAnalyzer(sysmodel::SystemModel sys)
-    : IncrementalAnalyzer(std::move(sys), Options{}) {}
-
-IncrementalAnalyzer::IncrementalAnalyzer(sysmodel::SystemModel sys,
-                                         const Options& options)
-    : sys_(std::move(sys)), options_(options) {}
+    : sys_(std::move(sys)) {}
 
 void IncrementalAnalyzer::rebuild() {
   obs::ObsSpan span("comp.incremental.rebuild", "comp");
@@ -181,30 +159,21 @@ const PartitionedReport& IncrementalAnalyzer::analyze() {
                static_cast<std::int64_t>(dirty_.size() - todo.size()));
   }
 
-  std::vector<char> hit(todo.size(), 0);
-  for (std::size_t i = 0; i < todo.size(); ++i) {
-    bool from = false;
-    const auto c = static_cast<std::int32_t>(todo[i]);
-    res_[todo[i]] = solve_scc(solver_, c, options_.cache, &from);
-    hit[i] = from ? 1 : 0;
+  {
+    obs::StageTimer solve_timer(obs::Stage::kSolve);
+    for (const std::size_t c : todo) {
+      res_[c] = solver_.solve_component(static_cast<std::int32_t>(c),
+                                        solver_.workspace());
+    }
   }
   dirty_.assign(dirty_.size(), 0);
 
   report_ = assemble_partitioned(stmg_, solver_.sccs(), res_);
-  for (std::size_t i = 0; i < todo.size(); ++i) {
-    report_.sccs[todo[i]].from_cache = hit[i] != 0;
-    if (hit[i] != 0) {
-      ++report_.reused;
-    } else {
-      ++report_.solved;
-    }
-  }
+  report_.solved = static_cast<int>(todo.size());
   stats_.sccs_solved += report_.solved;
-  stats_.sccs_reused += report_.reused;
   if (obs::enabled()) {
     obs::count("comp.incremental.analyses");
     obs::count("comp.incremental.sccs_solved", report_.solved);
-    obs::count("comp.incremental.sccs_reused", report_.reused);
   }
 #ifndef NDEBUG
   {
@@ -212,8 +181,8 @@ const PartitionedReport& IncrementalAnalyzer::analyze() {
     // cold elaboration of the patched system.
     static std::atomic<std::uint64_t> tick{0};
     if (tick.fetch_add(1, std::memory_order_relaxed) % 16 == 0) {
-      assert(reports_bit_identical(report_.report,
-                                   analysis::analyze_system(sys_)) &&
+      assert(analysis::reports_bit_identical(report_.report,
+                                             analysis::analyze_system(sys_)) &&
              "incremental analysis diverged from cold re-analysis");
     }
   }

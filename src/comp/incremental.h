@@ -16,15 +16,13 @@
 //
 // Results are bit-identical to a cold analysis::analyze_system of the
 // patched system for every patch sequence (debug builds sample-verify
-// this). With a shared EvalCache, per-component solves are additionally
-// memoized across sessions through the same aux-memo family
-// comp::analyze_partitioned uses.
+// this). Nothing is memoized across analyzers: the clean components of the
+// analyzer's own last analysis are the only reuse.
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "analysis/eval_cache.h"
 #include "analysis/tmg_builder.h"
 #include "comp/partition.h"
 #include "sysmodel/system.h"
@@ -36,22 +34,15 @@ namespace ermes::comp {
 
 class IncrementalAnalyzer {
  public:
-  struct Options {
-    /// Memoize per-component solves (shared across analyzers/sessions).
-    analysis::EvalCache* cache = nullptr;
-  };
-
   struct Stats {
     std::int64_t patches = 0;
     std::int64_t analyses = 0;
     std::int64_t structure_rebuilds = 0;
     std::int64_t sccs_solved = 0;  // Howard actually ran
-    std::int64_t sccs_reused = 0;  // served from the shared cache
     std::int64_t sccs_clean = 0;   // untouched since the last analyze()
   };
 
   explicit IncrementalAnalyzer(sysmodel::SystemModel sys);
-  IncrementalAnalyzer(sysmodel::SystemModel sys, const Options& options);
 
   /// The current (patched) system.
   const sysmodel::SystemModel& system() const { return sys_; }
@@ -93,7 +84,6 @@ class IncrementalAnalyzer {
   void apply_delay(tmg::TransitionId t, std::int64_t delay);
 
   sysmodel::SystemModel sys_;
-  Options options_;
   Stats stats_;
 
   // Derived state (valid when !structure_dirty_).

@@ -1,10 +1,7 @@
 #include "dse/explorer.h"
 
-#include <atomic>
 #include <cassert>
 #include <cmath>
-#include <cstring>
-#include <initializer_list>
 #include <memory>
 #include <set>
 
@@ -40,9 +37,6 @@ namespace {
 struct EvalContext {
   EvalCache* cache = nullptr;
   exec::ThreadPool* pool = nullptr;
-  // Fingerprint of the Pareto sets (constant across a run); folded into the
-  // selection-solver memo keys because system_fingerprint excludes areas.
-  std::uint64_t impl_fp = 0;
   std::unique_ptr<EvalCache> owned_cache;
   std::unique_ptr<exec::ThreadPool> owned_pool;
   // One CSR solver per worker slot (slot 0 = the caller thread). Candidate
@@ -96,42 +90,14 @@ struct EvalContext {
 // Reorders `sys` in place (when asked) and analyzes it through the memo;
 // cache misses solve through the calling worker's CSR solver, which stays
 // warm across candidates (same topology, different latencies).
-// The whole reorder+analyze tail is memoized under the fingerprint of the
-// *pre-reorder* system: Algorithm 1 is deterministic, so a repeat candidate
-// (another sweep point, a warm re-run) skips both the ordering pass and
-// Howard and only replays the stored orders onto the copy.
 PerformanceReport reorder_and_analyze(SystemModel& sys, bool reorder,
                                       EvalContext& ctx) {
-  EvalCache& cache = *ctx.cache;
-  if (!reorder) {
-    obs::ObsSpan analyze_span("dse.analyze", "dse");
-    return cache.analyze(sys, &ctx.solver());
-  }
-  const std::uint64_t pre_fp = analysis::system_fingerprint(sys);
-  analysis::OrderedEval memo;
-  if (cache.lookup_eval(pre_fp, &memo)) {
-    for (sysmodel::ProcessId p = 0; p < sys.num_processes(); ++p) {
-      sys.set_input_order(p, memo.input_orders[p]);
-      sys.set_output_order(p, memo.output_orders[p]);
-    }
-    return memo.report;
-  }
-  {
+  if (reorder) {
     obs::ObsSpan reorder_span("dse.reorder", "dse");
     ordering::apply_ordering(sys, ordering::channel_ordering(sys));
   }
-  {
-    obs::ObsSpan analyze_span("dse.analyze", "dse");
-    memo.report = cache.analyze(sys, &ctx.solver());
-  }
-  memo.input_orders.reserve(sys.num_processes());
-  memo.output_orders.reserve(sys.num_processes());
-  for (sysmodel::ProcessId p = 0; p < sys.num_processes(); ++p) {
-    memo.input_orders.push_back(sys.input_order(p));
-    memo.output_orders.push_back(sys.output_order(p));
-  }
-  cache.insert_eval(pre_fp, memo);
-  return memo.report;
+  obs::ObsSpan analyze_span("dse.analyze", "dse");
+  return ctx.cache->analyze(sys, ctx.solver());
 }
 
 // Applies a selection (plus reordering) to a copy and analyzes it through
@@ -192,126 +158,6 @@ std::vector<Evaluated> evaluate_candidates(
   return out;
 }
 
-// --- memoized selection solvers ---------------------------------------------
-//
-// The selection ILPs are pure functions of (system, Pareto sets, current
-// selection, solver parameters) — in the DSE loop they dominate the
-// iteration cost, so repeat states (warm sweeps, overlapping trajectories of
-// nearby TCT points) fetch the proposal from the shared cache instead of
-// re-solving. The key folds in everything the solver reads; debug builds
-// re-solve a sampled subset of hits and assert identical proposals.
-
-double bits_to_double(std::int64_t bits) {
-  double d;
-  std::memcpy(&d, &bits, sizeof(d));
-  return d;
-}
-
-std::int64_t double_to_bits(double d) {
-  std::int64_t bits;
-  std::memcpy(&bits, &d, sizeof(bits));
-  return bits;
-}
-
-std::uint64_t selection_key(std::uint64_t tag, const SystemModel& sys,
-                            const EvalContext& ctx,
-                            std::initializer_list<std::uint64_t> params) {
-  std::uint64_t h =
-      analysis::fingerprint_mix(analysis::system_fingerprint(sys), tag);
-  h = analysis::fingerprint_mix(h, ctx.impl_fp);
-  // The current selection is folded in explicitly: latencies alone identify
-  // it only for strictly Pareto-optimal sets, and the solvers read areas.
-  for (std::size_t choice : current_selection(sys)) {
-    h = analysis::fingerprint_mix(h, choice);
-  }
-  for (std::uint64_t w : params) h = analysis::fingerprint_mix(h, w);
-  return h;
-}
-
-#ifndef NDEBUG
-std::atomic<std::uint64_t> g_solver_verify_tick{0};
-#endif
-
-TimingOptResult memoized_timing_opt(
-    const SystemModel& sys, const std::vector<sysmodel::ProcessId>& critical,
-    std::int64_t needed, std::optional<double> area_budget,
-    std::int64_t ring_cap, const TimingOptPolicy& policy, EvalContext& ctx) {
-  const std::uint64_t key = selection_key(
-      0x71u, sys, ctx,
-      {static_cast<std::uint64_t>(needed),
-       area_budget ? 0x1uLL : 0x0uLL,
-       area_budget ? static_cast<std::uint64_t>(double_to_bits(*area_budget))
-                   : 0uLL,
-       static_cast<std::uint64_t>(ring_cap),
-       (policy.allow_critical_slowdown ? 0x2uLL : 0uLL) |
-           (policy.pin_non_critical ? 0x4uLL : 0uLL)});
-  std::vector<std::int64_t> payload;
-  if (ctx.cache->lookup_aux(key, &payload)) {
-    TimingOptResult result;
-    result.feasible = payload[0] != 0;
-    result.latency_gain = payload[1];
-    result.area_gain = bits_to_double(payload[2]);
-    result.selection.assign(payload.begin() + 3, payload.end());
-#ifndef NDEBUG
-    if (g_solver_verify_tick.fetch_add(1, std::memory_order_relaxed) % 16 ==
-        0) {
-      const TimingOptResult expected = timing_optimization(
-          sys, critical, needed, area_budget, ring_cap, policy, ctx.pool);
-      assert(expected.feasible == result.feasible &&
-             expected.selection == result.selection &&
-             "dse: memoized timing-opt proposal diverges from a re-solve "
-             "(selection memo key under-covers the solver inputs)");
-    }
-#endif
-    return result;
-  }
-  const TimingOptResult result = timing_optimization(
-      sys, critical, needed, area_budget, ring_cap, policy, ctx.pool);
-  payload = {result.feasible ? 1 : 0, result.latency_gain,
-             double_to_bits(result.area_gain)};
-  payload.insert(payload.end(), result.selection.begin(),
-                 result.selection.end());
-  ctx.cache->insert_aux(key, payload);
-  return result;
-}
-
-AreaRecoveryResult memoized_area_recovery(
-    const SystemModel& sys, const std::vector<sysmodel::ProcessId>& critical,
-    std::int64_t slack, std::int64_t ring_cap, EvalContext& ctx) {
-  const std::uint64_t key =
-      selection_key(0xa2u, sys, ctx,
-                    {static_cast<std::uint64_t>(slack),
-                     static_cast<std::uint64_t>(ring_cap)});
-  std::vector<std::int64_t> payload;
-  if (ctx.cache->lookup_aux(key, &payload)) {
-    AreaRecoveryResult result;
-    result.feasible = payload[0] != 0;
-    result.area_gain = bits_to_double(payload[1]);
-    result.latency_spent = payload[2];
-    result.selection.assign(payload.begin() + 3, payload.end());
-#ifndef NDEBUG
-    if (g_solver_verify_tick.fetch_add(1, std::memory_order_relaxed) % 16 ==
-        0) {
-      const AreaRecoveryResult expected =
-          area_recovery(sys, critical, slack, ring_cap, ctx.pool);
-      assert(expected.feasible == result.feasible &&
-             expected.selection == result.selection &&
-             "dse: memoized area-recovery proposal diverges from a re-solve "
-             "(selection memo key under-covers the solver inputs)");
-    }
-#endif
-    return result;
-  }
-  const AreaRecoveryResult result =
-      area_recovery(sys, critical, slack, ring_cap, ctx.pool);
-  payload = {result.feasible ? 1 : 0, double_to_bits(result.area_gain),
-             result.latency_spent};
-  payload.insert(payload.end(), result.selection.begin(),
-                 result.selection.end());
-  ctx.cache->insert_aux(key, payload);
-  return result;
-}
-
 // Distinct selections in first-seen order (candidate lists are tiny).
 std::vector<SelectionVector> dedup_selections(
     std::vector<SelectionVector> selections) {
@@ -355,8 +201,8 @@ bool timing_opt_move(const SystemModel& sys, const PerformanceReport& report,
     obs::ObsSpan select_span("dse.select", "dse");
     obs::count("dse.timing_opts");
     const TimingOptResult to =
-        memoized_timing_opt(sys, report.critical_processes, needed,
-                            area_budget, ring_cap, policy, ctx);
+        timing_optimization(sys, report.critical_processes, needed,
+                            area_budget, ring_cap, policy, ctx.pool);
     if (to.feasible && to.selection != current_selection(sys)) {
       proposals.push_back(to.selection);
     }
@@ -385,7 +231,6 @@ ExplorationResult explore(SystemModel sys, const ExplorerOptions& options) {
   std::set<SelectionVector> visited;
   EvalContext ctx(options.jobs, options.cache, options.pool,
                   options.solver);
-  ctx.impl_fp = analysis::implementation_fingerprint(sys);
 
   // Best state seen so far: a target-meeting state with minimal area beats
   // everything; among violating states, minimal cycle time. The exploration
@@ -463,8 +308,8 @@ ExplorationResult explore(SystemModel sys, const ExplorerOptions& options) {
       obs::ObsSpan select_span("dse.select", "dse");
       obs::count("dse.area_recoveries");
       const AreaRecoveryResult ar =
-          memoized_area_recovery(sys, report.critical_processes, slack,
-                                 options.target_cycle_time, ctx);
+          area_recovery(sys, report.critical_processes, slack,
+                        options.target_cycle_time, ctx.pool);
       select_span.close();
       if (ar.feasible && ar.selection != current_selection(sys)) {
         next = ar.selection;
@@ -538,7 +383,6 @@ ExplorationResult explore_area_constrained(SystemModel sys,
   std::set<SelectionVector> visited;
   EvalContext ctx(options.jobs, options.cache, options.pool,
                   options.solver);
-  ctx.impl_fp = analysis::implementation_fingerprint(sys);
 
   auto record = [&](int iteration, Action action,
                     const PerformanceReport& report) {

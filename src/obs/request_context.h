@@ -35,7 +35,7 @@ namespace ermes::obs {
 enum class Stage : int {
   kQueueWait = 0,  // admission -> execution start (recorded by the broker)
   kParse,          // model text -> SystemModel
-  kCacheProbe,     // EvalCache lookups (all memo families)
+  kCacheProbe,     // EvalCache lookups
   kSolve,          // cycle-ratio solves (partitioned, incremental, or flat)
   kRender,         // result -> response text/JSON
   kCount,

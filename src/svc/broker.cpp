@@ -54,9 +54,7 @@ struct Broker::Session {
   std::mutex mu;
   comp::IncrementalAnalyzer analyzer;
 
-  Session(sysmodel::SystemModel sys,
-          const comp::IncrementalAnalyzer::Options& options)
-      : analyzer(std::move(sys), options) {}
+  explicit Session(sysmodel::SystemModel sys) : analyzer(std::move(sys)) {}
 };
 
 // The pool gets `workers` dedicated threads (ThreadPool counts the caller,
@@ -604,7 +602,6 @@ JsonValue session_report_json(const comp::PartitionedReport& part,
              JsonValue::integer(static_cast<std::int64_t>(part.sccs.size())));
   result.set("critical_scc", JsonValue::integer(part.critical_scc));
   result.set("sccs_solved", JsonValue::integer(part.solved));
-  result.set("sccs_reused", JsonValue::integer(part.reused));
   // Embedded CSR solver counters: weight_refreshes / compiles is the warm
   // ratio — how often a patch re-solved without rebuilding the snapshot.
   const tmg::CycleMeanSolver::Stats& solver = analyzer.solver_stats();
@@ -624,10 +621,7 @@ JsonValue Broker::run_open_session(const Request& request, std::string* error,
     *error = "soc: " + parsed.error;
     return JsonValue::null();
   }
-  comp::IncrementalAnalyzer::Options options;
-  options.cache = &env_.cache;
-  auto session =
-      std::make_shared<Session>(std::move(parsed.system), options);
+  auto session = std::make_shared<Session>(std::move(parsed.system));
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
     if (sessions_.count(request.session) != 0) {
@@ -906,23 +900,6 @@ JsonValue Broker::run_stats(int version) {
               JsonValue::integer(env_.cache.admission_rejects()));
     cache.set("restored",
               JsonValue::integer(static_cast<std::int64_t>(cache_restored_)));
-    // Per-family split of the capacity plane: the report/eval/aux memos own
-    // separate slices of the budget, so pressure is per-family, not global.
-    JsonValue families = JsonValue::array();
-    for (const analysis::EvalCache::FamilyStats& family :
-         env_.cache.family_stats()) {
-      JsonValue row = JsonValue::object();
-      row.set("name", JsonValue::string(family.name));
-      row.set("entries",
-              JsonValue::integer(static_cast<std::int64_t>(family.entries)));
-      row.set("bytes", JsonValue::integer(family.bytes));
-      row.set("byte_budget", JsonValue::integer(family.byte_budget));
-      row.set("evictions", JsonValue::integer(family.evictions));
-      row.set("admission_rejects",
-              JsonValue::integer(family.admission_rejects));
-      families.push_back(std::move(row));
-    }
-    cache.set("families", std::move(families));
   }
 
   JsonValue out = JsonValue::object();
@@ -1004,34 +981,6 @@ JsonValue Broker::run_metrics() {
   for (std::size_t i = 0; i < shards.size(); ++i) {
     body += "ermes_cache_shard_bytes{shard=\"" + std::to_string(i) + "\"} " +
             std::to_string(shards[i].bytes) + "\n";
-  }
-  const std::vector<analysis::EvalCache::FamilyStats> families =
-      env_.cache.family_stats();
-  body += "# TYPE ermes_cache_family_entries gauge\n";
-  for (const auto& f : families) {
-    body += "ermes_cache_family_entries{family=\"" + std::string(f.name) +
-            "\"} " + std::to_string(f.entries) + "\n";
-  }
-  body += "# TYPE ermes_cache_family_bytes gauge\n";
-  for (const auto& f : families) {
-    body += "ermes_cache_family_bytes{family=\"" + std::string(f.name) +
-            "\"} " + std::to_string(f.bytes) + "\n";
-  }
-  body += "# TYPE ermes_cache_family_byte_budget gauge\n";
-  for (const auto& f : families) {
-    body += "ermes_cache_family_byte_budget{family=\"" + std::string(f.name) +
-            "\"} " + std::to_string(f.byte_budget) + "\n";
-  }
-  body += "# TYPE ermes_cache_family_evictions counter\n";
-  for (const auto& f : families) {
-    body += "ermes_cache_family_evictions_total{family=\"" +
-            std::string(f.name) + "\"} " + std::to_string(f.evictions) + "\n";
-  }
-  body += "# TYPE ermes_cache_family_admission_rejects counter\n";
-  for (const auto& f : families) {
-    body += "ermes_cache_family_admission_rejects_total{family=\"" +
-            std::string(f.name) + "\"} " +
-            std::to_string(f.admission_rejects) + "\n";
   }
   body += "# TYPE ermes_cache_bytes gauge\n";
   body += "ermes_cache_bytes " + std::to_string(env_.cache.bytes()) + "\n";

@@ -104,8 +104,9 @@ struct BrokerOptions {
   /// when the file exists (a corrupt or incompatible file is logged and the
   /// cache starts cold), written by save_cache() — which the server calls
   /// on clean shutdown — and by the v2 `cache_save` op. Empty = no
-  /// persistence.
-  std::string cache_file;
+  /// persistence. (`= {}` keeps designated initializers that omit it free
+  /// of -Wmissing-field-initializers.)
+  std::string cache_file = {};
   /// Background snapshot interval (`ermes serve --cache-save-secs`): when
   /// > 0 and cache_file is set, a saver thread writes the snapshot every N
   /// seconds through the same atomic tmp+rename writer — skipping intervals

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "comp/partition.h"
 #include "dse/explorer.h"
 #include "io/soc_hier.h"
 #include "obs/request_context.h"
@@ -17,7 +16,7 @@ namespace {
 
 JsonValue run_analyze(const sysmodel::SystemModel& sys, OpEnv& env) {
   const analysis::PerformanceReport report =
-      comp::analyze_cached(sys, env.cache, &env.solvers.local());
+      env.cache.analyze(sys, env.solvers.local());
   JsonValue result = JsonValue::object();
   result.set("live", JsonValue::boolean(report.live));
   result.set("cycle_time", JsonValue::number(report.cycle_time));
@@ -36,11 +35,11 @@ JsonValue run_analyze(const sysmodel::SystemModel& sys, OpEnv& env) {
 JsonValue run_order(const io::ParseResult& parsed, OpEnv& env) {
   tmg::CycleMeanSolver& solver = env.solvers.local();
   const analysis::PerformanceReport before =
-      comp::analyze_cached(parsed.system, env.cache, &solver);
+      env.cache.analyze(parsed.system, solver);
   const sysmodel::SystemModel ordered =
       ordering::with_optimal_ordering(parsed.system);
   const analysis::PerformanceReport after =
-      comp::analyze_cached(ordered, env.cache, &solver);
+      env.cache.analyze(ordered, solver);
   JsonValue result = JsonValue::object();
   if (before.live) {
     result.set("cycle_time_before", JsonValue::number(before.cycle_time));

@@ -2,9 +2,9 @@
 // integration: clock/second-chance eviction, byte-budget accounting,
 // pin-while-in-use semantics, the versioned snapshot container (including
 // rejection of corrupt and incompatible files), EvalCache snapshot
-// round-trips across all three memo families, bit-identity of bounded
-// analysis, and the shard-stats/window-rate surface under concurrent
-// mutation (the suite CI runs under TSan).
+// round-trips of the report memo, bit-identity of bounded analysis, and the
+// shard-stats/window-rate surface under concurrent mutation (the suite CI
+// runs under TSan).
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <map>
 #include <string>
 #include <thread>
@@ -22,6 +23,7 @@
 #include "cache/clock_cache.h"
 #include "cache/snapshot.h"
 #include "sysmodel/builder.h"
+#include "tmg/csr.h"
 #include "util/rng.h"
 
 namespace ermes {
@@ -362,10 +364,11 @@ sysmodel::SystemModel variant(std::int64_t i) {
 TEST(EvalCacheBounded, AnalyzeIsBitIdenticalToUncachedUnderEviction) {
   // A budget small enough to force constant eviction across the loop.
   analysis::EvalCache cache(4, 16 * 1024);
+  tmg::CycleMeanSolver solver;
   for (int round = 0; round < 3; ++round) {
     for (std::int64_t i = 0; i < 64; ++i) {
       const sysmodel::SystemModel sys = variant(i);
-      const analysis::PerformanceReport cached = cache.analyze(sys);
+      const analysis::PerformanceReport cached = cache.analyze(sys, solver);
       const analysis::PerformanceReport direct = analysis::analyze_system(sys);
       ASSERT_EQ(cached.live, direct.live);
       ASSERT_EQ(cached.ct_num, direct.ct_num);
@@ -378,19 +381,14 @@ TEST(EvalCacheBounded, AnalyzeIsBitIdenticalToUncachedUnderEviction) {
   EXPECT_GT(cache.evictions(), 0);
 }
 
-TEST(EvalCacheBounded, SnapshotRoundTripsAllThreeFamilies) {
+TEST(EvalCacheBounded, SnapshotRoundTripsReports) {
   const std::string path = ::testing::TempDir() + "/eval_cache_rt.snap";
   analysis::EvalCache cache(4);
+  tmg::CycleMeanSolver solver;
   const sysmodel::SystemModel sys = sysmodel::make_dac14_motivating_example();
   const std::uint64_t fp = analysis::system_fingerprint(sys);
-  const analysis::PerformanceReport report = cache.analyze(sys);
-
-  analysis::OrderedEval eval;
-  eval.input_orders = {{0, 1}, {2}};
-  eval.output_orders = {{3}, {}};
-  eval.report = report;
-  cache.insert_eval(fp, eval);
-  cache.insert_aux(analysis::fingerprint_mix(fp, 7), {1, -2, 3'000'000'000});
+  const analysis::PerformanceReport report = cache.analyze(sys, solver);
+  for (std::int64_t i = 0; i < 8; ++i) cache.analyze(variant(i), solver);
 
   std::string error;
   ASSERT_TRUE(cache.save_snapshot(path, &error)) << error;
@@ -398,7 +396,7 @@ TEST(EvalCacheBounded, SnapshotRoundTripsAllThreeFamilies) {
   analysis::EvalCache restored(4);
   std::size_t count = 0;
   ASSERT_TRUE(restored.load_snapshot(path, &error, &count)) << error;
-  EXPECT_EQ(count, 3u);
+  EXPECT_EQ(count, cache.size());
   EXPECT_EQ(restored.size(), cache.size());
   // Byte accounting is reproduced exactly (costs use size(), not capacity).
   EXPECT_EQ(restored.bytes(), cache.bytes());
@@ -409,20 +407,15 @@ TEST(EvalCacheBounded, SnapshotRoundTripsAllThreeFamilies) {
   EXPECT_EQ(r2.ct_den, report.ct_den);
   EXPECT_EQ(r2.cycle_time, report.cycle_time);
   EXPECT_EQ(r2.critical_processes, report.critical_processes);
-  analysis::OrderedEval e2;
-  ASSERT_TRUE(restored.lookup_eval(fp, &e2));
-  EXPECT_EQ(e2.input_orders, eval.input_orders);
-  EXPECT_EQ(e2.output_orders, eval.output_orders);
-  EXPECT_EQ(e2.report.ct_num, report.ct_num);
-  std::vector<std::int64_t> a2;
-  ASSERT_TRUE(restored.lookup_aux(analysis::fingerprint_mix(fp, 7), &a2));
-  EXPECT_EQ(a2, (std::vector<std::int64_t>{1, -2, 3'000'000'000}));
+  EXPECT_EQ(r2.critical_channels, report.critical_channels);
+  EXPECT_EQ(r2.critical_places, report.critical_places);
 }
 
 TEST(EvalCacheBounded, RestoreRespectsByteBudget) {
   const std::string path = ::testing::TempDir() + "/eval_cache_budget.snap";
   analysis::EvalCache big(4);  // unbounded
-  for (std::int64_t i = 0; i < 128; ++i) big.analyze(variant(i));
+  tmg::CycleMeanSolver solver;
+  for (std::int64_t i = 0; i < 128; ++i) big.analyze(variant(i), solver);
   std::string error;
   ASSERT_TRUE(big.save_snapshot(path, &error)) << error;
 
@@ -441,7 +434,8 @@ TEST(EvalCacheBounded, RestoreRespectsByteBudget) {
 TEST(EvalCacheBounded, LoadRejectsCorruptFileAndStaysCold) {
   const std::string path = ::testing::TempDir() + "/eval_cache_bad.snap";
   analysis::EvalCache cache(4);
-  cache.analyze(sysmodel::make_dac14_motivating_example());
+  tmg::CycleMeanSolver solver;
+  cache.analyze(sysmodel::make_dac14_motivating_example(), solver);
   std::string error;
   ASSERT_TRUE(cache.save_snapshot(path, &error)) << error;
 
@@ -466,6 +460,32 @@ TEST(EvalCacheBounded, LoadRejectsCorruptFileAndStaysCold) {
   // And a missing file fails cleanly too.
   EXPECT_FALSE(fresh.load_snapshot(path + ".does-not-exist", &error));
   EXPECT_EQ(fresh.size(), 0u);
+
+  // A well-formed format-1 file (the report section plus the retired
+  // ordering-replay and aux sections 2 and 3) is refused by version, not
+  // misread; the error names both versions.
+  {
+    cache::Snapshot old;
+    old.build = "ermes-test 0.1";
+    for (const std::uint32_t id : {1u, 2u, 3u}) {
+      cache::SnapshotSection section;
+      section.id = id;
+      section.records.push_back({id, "payload"});
+      old.sections.push_back(section);
+    }
+    std::string data = cache::write_snapshot(old);
+    data[4] = 1;  // the u16 format field, little-endian
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << data;
+  }
+  count = 123;
+  EXPECT_FALSE(fresh.load_snapshot(path, &error, &count));
+  EXPECT_EQ(count, 0u);
+  EXPECT_EQ(fresh.size(), 0u) << "a format-1 snapshot must leave cache cold";
+  EXPECT_NE(error.find("v1"), std::string::npos) << error;
+  EXPECT_NE(error.find("v" + std::to_string(cache::kSnapshotFormatVersion)),
+            std::string::npos)
+      << error;
+  EXPECT_EQ(cache::kSnapshotFormatVersion, 2);
 }
 
 // The satellite regression: shard_stats(), window_hit_rate(), bytes(), and
@@ -477,14 +497,15 @@ TEST(EvalCacheBounded, ShardStatsAndWindowRateUnderConcurrentMutation) {
   std::vector<std::thread> mutators;
   for (int t = 0; t < 3; ++t) {
     mutators.emplace_back([&cache, t] {
+      tmg::CycleMeanSolver solver;
       for (std::int64_t i = 0; i < 200; ++i) {
-        cache.analyze(variant(t * 200 + (i % 97)));
-        std::vector<std::int64_t> aux;
+        const analysis::PerformanceReport report =
+            cache.analyze(variant(t * 200 + (i % 97)), solver);
+        // Direct probes and inserts under keys analyze() never uses.
+        analysis::PerformanceReport probe;
         const std::uint64_t key =
             analysis::fingerprint_mix(static_cast<std::uint64_t>(i), t);
-        if (!cache.lookup_aux(key, &aux)) {
-          cache.insert_aux(key, {i, t});
-        }
+        if (!cache.lookup(key, &probe)) cache.insert(key, report);
       }
     });
   }

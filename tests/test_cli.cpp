@@ -287,6 +287,35 @@ TEST(CliSimulate, OutputIsPinnedOnExampleModels) {
   std::remove(metrics.c_str());
 }
 
+// A run that stops at the default 10^8-cycle limit before reaching the
+// requested item count still exits 0 with its normal stdout, and says so in
+// one `warning:` line on stderr in both output modes.
+TEST(CliSimulate, CycleLimitWarnsOnStderr) {
+  const std::string dir = ERMES_EXAMPLES_DIR;
+  const std::string warning =
+      "warning: simulation stopped at the 100000000-cycle limit after 34 of "
+      "500 items\n";
+  const RunResult text = run_cli("simulate " + dir + "/mpeg2_encoder.soc 500");
+  EXPECT_EQ(text.exit_code, 0);
+  EXPECT_EQ(text.err, warning);
+  EXPECT_EQ(text.out.rfind("34 items in 99862089 cycles: ", 0), 0u)
+      << text.out;
+
+  const RunResult json =
+      run_cli("simulate " + dir + "/mpeg2_encoder.soc 500 --json");
+  EXPECT_EQ(json.exit_code, 0);
+  EXPECT_EQ(json.err, warning);
+  EXPECT_EQ(json.out.rfind("{\"items\":34,\"cycles\":99862089,", 0), 0u)
+      << json.out;
+  EXPECT_NE(json.out.find("\"hit_cycle_limit\":true"), std::string::npos)
+      << json.out;
+  EXPECT_EQ(std::count(json.out.begin(), json.out.end(), '\n'), 1)
+      << json.out;
+
+  // Under the limit: no warning.
+  EXPECT_TRUE(run_cli("simulate " + dir + "/mpeg2_encoder.soc 20").err.empty());
+}
+
 TEST(CliExitCodes, SimulateDeadlockIsAnalysisFailure) {
   const std::string dead = temp_path("simdead.soc");
   std::ofstream(dead) << "system dead\n"

@@ -5,9 +5,9 @@
 //    dotted names, deterministic elaboration order, bit-identity of a
 //    flattened hierarchy against the same system hand-written flat
 //    (fixed case + randomized property over generated hierarchies);
-//  * analyze_partitioned: bit-identical reports vs the monolithic path at
-//    every cache/solver setting, per-component provenance and slack,
-//    fingerprint sensitivity, the aux-memo payload codec;
+//  * analyze_partitioned: bit-identical reports vs the monolithic path with
+//    fresh and warm solvers and vs the report memo, per-component
+//    provenance and slack;
 //  * IncrementalAnalyzer: patch-by-patch bit-identity against a cold
 //    analysis of a mirror model for randomized patch sequences, patch
 //    validation, dirty-tracking stats;
@@ -451,28 +451,24 @@ TEST(Partitioned, BitIdenticalToMonolithicAtEverySetting) {
     util::Rng rng = util::Rng::for_shard(0x9a97, static_cast<std::uint64_t>(iter));
     systems.push_back(random_hierarchy(rng).flat);
   }
-  analysis::EvalCache cache;
+  tmg::CycleMeanSolver shared;  // one solver across every system, in turn
   for (std::size_t i = 0; i < systems.size(); ++i) {
     const SystemModel& sys = systems[i];
     const PerformanceReport mono = analysis::analyze_system(sys);
     const std::string what = "system " + std::to_string(i);
-    expect_report_eq(analyze_partitioned(sys).report, mono, what);
-    const PartitionedReport cold =
-        analyze_partitioned(sys, {.cache = &cache});
-    expect_report_eq(cold.report, mono, what + " +cache cold");
-    // A second run replays every component from the aux memo.
-    const PartitionedReport warm =
-        analyze_partitioned(sys, {.cache = &cache});
-    expect_report_eq(warm.report, mono, what + " +cache warm");
-    EXPECT_EQ(warm.solved, 0) << what;
-    EXPECT_EQ(warm.reused, static_cast<int>(warm.sccs.size())) << what;
+    tmg::CycleMeanSolver fresh;
+    const PartitionedReport cold = analyze_partitioned(sys, fresh);
+    expect_report_eq(cold.report, mono, what + " fresh solver");
+    EXPECT_EQ(cold.solved, static_cast<int>(cold.sccs.size())) << what;
+    expect_report_eq(analyze_partitioned(sys, shared).report, mono,
+                     what + " shared solver");
   }
 }
 
 TEST(Partitioned, CsrSolverBitIdenticalWarmAndAcrossCache) {
   // A caller-owned solver in analyze_partitioned: warm re-prepares on
-  // repeated solves, and memo sharing with call-local solvers through a
-  // shared EvalCache.
+  // repeated solves, and agreement with the report memo, whose entries do
+  // not depend on the solver that computed them.
   std::vector<SystemModel> systems;
   systems.push_back(sysmodel::make_dac14_motivating_example());
   systems.push_back(pipeline_flat());
@@ -485,36 +481,35 @@ TEST(Partitioned, CsrSolverBitIdenticalWarmAndAcrossCache) {
     const SystemModel& sys = systems[i];
     const PerformanceReport mono = analysis::analyze_system(sys);
     const std::string what = "system " + std::to_string(i);
-    expect_report_eq(analyze_partitioned(sys, {.solver = &solver}).report,
-                     mono, what + " +solver");
+    expect_report_eq(analyze_partitioned(sys, solver).report, mono,
+                     what + " +solver");
     // Same structure again: the solver must stay warm (weight refresh, no
     // recompile) and still reproduce the report bit for bit.
     const std::int64_t compiles = solver.stats().compiles;
-    expect_report_eq(analyze_partitioned(sys, {.solver = &solver}).report,
-                     mono, what + " +solver warm");
+    expect_report_eq(analyze_partitioned(sys, solver).report, mono,
+                     what + " +solver warm");
     EXPECT_EQ(solver.stats().compiles, compiles) << what;
   }
   EXPECT_GT(solver.stats().weight_refreshes, 0);
 
-  // Memo entries written through a call-local solver are replayed through
-  // a caller-owned one: the key depends only on the component's solve
-  // inputs, so a shared cache sees one key space.
+  // A report memoized through one solver is served to a caller holding
+  // another, and equals the partitioned report.
   analysis::EvalCache cache;
+  tmg::CycleMeanSolver other;
   const SystemModel& sys = systems[0];
   const PerformanceReport mono = analysis::analyze_system(sys);
-  const PartitionedReport local_cold =
-      analyze_partitioned(sys, {.cache = &cache});
-  expect_report_eq(local_cold.report, mono, "call-local solver cold");
-  const PartitionedReport solver_warm =
-      analyze_partitioned(sys, {.cache = &cache, .solver = &solver});
-  expect_report_eq(solver_warm.report, mono, "solver replay");
-  EXPECT_EQ(solver_warm.solved, 0);
-  EXPECT_EQ(solver_warm.reused, static_cast<int>(solver_warm.sccs.size()));
+  expect_report_eq(cache.analyze(sys, other), mono, "memo cold");
+  expect_report_eq(cache.analyze(sys, solver), mono, "memo replay");
+  EXPECT_EQ(cache.misses(), 1);
+  EXPECT_EQ(cache.hits(), 1);
+  expect_report_eq(analyze_partitioned(sys, solver).report,
+                   cache.analyze(sys, other), "partitioned vs memo");
 }
 
 TEST(Partitioned, ProvenanceOnTheDecoupledPipeline) {
   const SystemModel flat = pipeline_flat();
-  const PartitionedReport part = analyze_partitioned(flat);
+  tmg::CycleMeanSolver solver;
+  const PartitionedReport part = analyze_partitioned(flat, solver);
   ASSERT_TRUE(part.report.live);
   // Each stage is its own SCC (bounded internal channel); the unbounded
   // joins keep src, snk, and the three stages in five separate components.
@@ -560,104 +555,6 @@ TEST(Partitioned, ProvenanceOnTheDecoupledPipeline) {
     }
   }
   EXPECT_TRUE(found_src);
-}
-
-TEST(Partitioned, AnalyzeCachedInteroperatesWithEvalCache) {
-  const SystemModel sys = pipeline_flat();
-  const PerformanceReport mono = analysis::analyze_system(sys);
-
-  // Partitioned first: the whole-report memo is filled for cache.analyze.
-  analysis::EvalCache first;
-  expect_report_eq(analyze_cached(sys, first), mono, "cold analyze_cached");
-  const std::int64_t misses_after_cold = first.misses();
-  expect_report_eq(first.analyze(sys), mono, "EvalCache::analyze after");
-  EXPECT_EQ(first.misses(), misses_after_cold) << "expected a memo hit";
-
-  // EvalCache::analyze first: analyze_cached replays the same entry.
-  analysis::EvalCache second;
-  expect_report_eq(second.analyze(sys), mono, "cold EvalCache::analyze");
-  const std::int64_t misses_after_mono = second.misses();
-  expect_report_eq(analyze_cached(sys, second), mono, "analyze_cached after");
-  EXPECT_EQ(second.misses(), misses_after_mono) << "expected a memo hit";
-}
-
-TEST(Partitioned, FingerprintIsSensitiveToSolveInputs) {
-  const SystemModel sys = pipeline_flat();
-  const analysis::SystemTmg stmg = analysis::build_tmg(sys);
-  tmg::CycleMeanSolver solver;
-  solver.prepare(stmg.graph);
-  const graph::SccResult& sccs = solver.sccs();
-  ASSERT_GT(sccs.num_components, 1);
-  tmg::CsrGraph csr = solver.csr();  // a copy the test may perturb
-
-  const auto fp = [&](std::int32_t comp) {
-    return scc_fingerprint(csr, sccs.component, comp,
-                           sccs.members[static_cast<std::size_t>(comp)]);
-  };
-  // Deterministic, and distinct across components.
-  EXPECT_EQ(fp(0), fp(0));
-  EXPECT_NE(fp(0), fp(1));
-
-  // Find a component with an internal arc and perturb that arc.
-  for (std::int32_t comp = 0; comp < sccs.num_components; ++comp) {
-    const std::vector<graph::NodeId>& members =
-        sccs.members[static_cast<std::size_t>(comp)];
-    if (members.size() < 2) continue;
-    const std::uint64_t base = fp(comp);
-    for (graph::ArcId a = 0; a < csr.num_arcs; ++a) {
-      const auto ai = static_cast<std::size_t>(a);
-      if (sccs.component[static_cast<std::size_t>(csr.arc_tail[ai])] != comp ||
-          sccs.component[static_cast<std::size_t>(csr.arc_head[ai])] != comp) {
-        continue;
-      }
-      const auto slot = static_cast<std::size_t>(csr.arc_slot[ai]);
-      csr.slot_weight[slot] += 1;
-      EXPECT_NE(fp(comp), base) << "weight change must change the key";
-      csr.slot_weight[slot] -= 1;
-      csr.slot_tokens[slot] += 1;
-      EXPECT_NE(fp(comp), base) << "token change must change the key";
-      csr.slot_tokens[slot] -= 1;
-      EXPECT_EQ(fp(comp), base) << "restored graph must restore the key";
-      return;
-    }
-  }
-  FAIL() << "no multi-member component with an internal arc";
-}
-
-TEST(Partitioned, SccResultCodecRoundTrips) {
-  tmg::CycleRatioResult finite;
-  finite.has_cycle = true;
-  finite.ratio_num = 22;
-  finite.ratio_den = 7;
-  finite.ratio = static_cast<double>(22) / static_cast<double>(7);
-  finite.critical_cycle = {3, 1, 4};
-  tmg::CycleRatioResult decoded;
-  ASSERT_TRUE(decode_scc_result(encode_scc_result(finite), &decoded));
-  EXPECT_EQ(decoded.has_cycle, finite.has_cycle);
-  EXPECT_EQ(decoded.ratio_num, finite.ratio_num);
-  EXPECT_EQ(decoded.ratio_den, finite.ratio_den);
-  EXPECT_EQ(decoded.ratio, finite.ratio);
-  EXPECT_EQ(decoded.critical_cycle, finite.critical_cycle);
-
-  tmg::CycleRatioResult none;  // trivial component: no cycle
-  ASSERT_TRUE(decode_scc_result(encode_scc_result(none), &decoded));
-  EXPECT_FALSE(decoded.has_cycle);
-  EXPECT_EQ(decoded.ratio, 0.0);
-
-  tmg::CycleRatioResult infinite;  // zero-token cycle
-  infinite.has_cycle = true;
-  infinite.ratio_num = 5;
-  infinite.ratio_den = 0;
-  infinite.ratio = std::numeric_limits<double>::infinity();
-  infinite.critical_cycle = {2};
-  ASSERT_TRUE(decode_scc_result(encode_scc_result(infinite), &decoded));
-  EXPECT_TRUE(decoded.is_infinite());
-  EXPECT_EQ(decoded.critical_cycle, infinite.critical_cycle);
-
-  // Malformed payloads are rejected, not misread.
-  EXPECT_FALSE(decode_scc_result({}, &decoded));
-  EXPECT_FALSE(decode_scc_result({1, 2}, &decoded));
-  EXPECT_FALSE(decode_scc_result({1, 2, -1}, &decoded));  // negative den
 }
 
 // ---------------------------------------------------------------------------
@@ -750,13 +647,10 @@ TEST(Incremental, InvalidPatchesAreRejectedWithoutSideEffects) {
 TEST(IncrementalProperty, RandomPatchSequencesMatchColdAnalysis) {
   constexpr int kSystems = 8;
   constexpr int kPatches = 12;
-  analysis::EvalCache shared;  // exercised across all sessions
   for (int s = 0; s < kSystems; ++s) {
     util::Rng rng = util::Rng::for_shard(0x1ac4e5, static_cast<std::uint64_t>(s));
     SystemModel mirror = random_hierarchy(rng).flat;
-    IncrementalAnalyzer::Options options;
-    options.cache = &shared;
-    IncrementalAnalyzer inc(mirror, options);
+    IncrementalAnalyzer inc(mirror);
     expect_report_eq(inc.analyze().report, analysis::analyze_system(mirror),
                      "system " + std::to_string(s) + " cold");
     for (int k = 0; k < kPatches; ++k) {

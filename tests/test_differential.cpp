@@ -23,8 +23,8 @@
 //  D7. solve_seeded() reaches the exact same maximum ratio as the canonical
 //      solve (compare_ratios == 0) and its witness reproduces that ratio.
 //  D8. Every production entry point that reaches the CSR engine — analyze,
-//      the partitioned engine (cache-cold and cache-warm),
-//      EvalCache::analyze over latency variants with and without a warm
+//      the partitioned engine (fresh and reused solver),
+//      EvalCache::analyze over latency variants with a warm and a fresh
 //      solver, and IncrementalAnalyzer under random patch streams — reports
 //      bit-identically to the legacy Howard oracle on seeded synthetic SoCs.
 //      Production never runs the oracle itself.
@@ -480,18 +480,8 @@ TEST(DifferentialCsrSolver, SeededSolveReachesExactRatio) {
 // --- D8 (production entry points vs the legacy oracle) ---------------------
 
 using analysis::PerformanceReport;
+using analysis::reports_bit_identical;
 using sysmodel::SystemModel;
-
-bool reports_bit_identical(const PerformanceReport& a,
-                           const PerformanceReport& b) {
-  return a.live == b.live && bits_equal(a.cycle_time, b.cycle_time) &&
-         a.ct_num == b.ct_num && a.ct_den == b.ct_den &&
-         bits_equal(a.throughput, b.throughput) &&
-         a.dead_cycle == b.dead_cycle &&
-         a.critical_processes == b.critical_processes &&
-         a.critical_channels == b.critical_channels &&
-         a.critical_places == b.critical_places;
-}
 
 // The analysis every production entry point must reproduce: the liveness
 // gate they all apply, then the legacy oracle on the ratio graph.
@@ -566,25 +556,19 @@ TEST(DifferentialProduction, AnalyzeMatchesOracle) {
 }
 
 TEST(DifferentialProduction, PartitionedMatchesOracle) {
+  CycleMeanSolver reused;  // one solver across every model, twice each
   for (const OracleModel& model : oracle_models()) {
     const analysis::SystemTmg stmg = analysis::build_tmg(model.sys);
     const PerformanceReport want = oracle_report(stmg);
-    EXPECT_TRUE(
-        reports_bit_identical(comp::analyze_partitioned(stmg).report, want))
-        << "no cache, " << model_tag(model);
-
-    analysis::EvalCache cache;
-    comp::PartitionOptions cached;
-    cached.cache = &cache;
-    const comp::PartitionedReport cold = comp::analyze_partitioned(stmg, cached);
-    EXPECT_TRUE(reports_bit_identical(cold.report, want))
-        << "cache-cold, " << model_tag(model);
-    EXPECT_EQ(cold.reused, 0) << model_tag(model);
-    const comp::PartitionedReport warm = comp::analyze_partitioned(stmg, cached);
-    EXPECT_TRUE(reports_bit_identical(warm.report, want))
-        << "cache-warm, " << model_tag(model);
-    EXPECT_EQ(warm.solved, 0) << "every component must come from the memo, "
-                              << model_tag(model);
+    CycleMeanSolver fresh;
+    EXPECT_TRUE(reports_bit_identical(
+        comp::analyze_partitioned(stmg, fresh).report, want))
+        << "fresh solver, " << model_tag(model);
+    for (const char* pass : {"reused solver", "reused solver, warm"}) {
+      EXPECT_TRUE(reports_bit_identical(
+          comp::analyze_partitioned(stmg, reused).report, want))
+          << pass << ", " << model_tag(model);
+    }
   }
 }
 
@@ -611,10 +595,12 @@ TEST(DifferentialProduction, CachedAnalyzeMatchesOracle) {
     for (std::size_t i = 0; i < sequence.size(); ++i) {
       const PerformanceReport want = oracle_report(*sequence[i]);
       EXPECT_TRUE(
-          reports_bit_identical(cache.analyze(*sequence[i], &solver), want))
+          reports_bit_identical(cache.analyze(*sequence[i], solver), want))
           << "entry " << i << " with a solver, " << model_tag(model);
-      EXPECT_TRUE(reports_bit_identical(fresh.analyze(*sequence[i]), want))
-          << "entry " << i << " without a solver, " << model_tag(model);
+      CycleMeanSolver call_local;
+      EXPECT_TRUE(
+          reports_bit_identical(fresh.analyze(*sequence[i], call_local), want))
+          << "entry " << i << " with a fresh solver, " << model_tag(model);
     }
   }
 }

@@ -17,6 +17,7 @@
 #include "analysis/performance.h"
 #include "exec/thread_pool.h"
 #include "sysmodel/system.h"
+#include "tmg/csr.h"
 
 namespace ermes {
 namespace {
@@ -168,12 +169,13 @@ sysmodel::SystemModel make_ring_system() {
 
 TEST(EvalCache, HitAndMissAccounting) {
   analysis::EvalCache cache;
+  tmg::CycleMeanSolver solver;
   const sysmodel::SystemModel sys = make_ring_system();
-  const analysis::PerformanceReport first = cache.analyze(sys);
+  const analysis::PerformanceReport first = cache.analyze(sys, solver);
   EXPECT_EQ(cache.misses(), 1);
   EXPECT_EQ(cache.hits(), 0);
   EXPECT_EQ(cache.size(), 1u);
-  const analysis::PerformanceReport second = cache.analyze(sys);
+  const analysis::PerformanceReport second = cache.analyze(sys, solver);
   EXPECT_EQ(cache.misses(), 1);
   EXPECT_EQ(cache.hits(), 1);
   EXPECT_DOUBLE_EQ(cache.hit_rate(), 0.5);
@@ -184,9 +186,10 @@ TEST(EvalCache, HitAndMissAccounting) {
 
 TEST(EvalCache, CachedReportMatchesUncachedAnalysis) {
   analysis::EvalCache cache;
+  tmg::CycleMeanSolver solver;
   const sysmodel::SystemModel sys = make_ring_system();
-  cache.analyze(sys);  // populate
-  const analysis::PerformanceReport cached = cache.analyze(sys);  // hit
+  cache.analyze(sys, solver);  // populate
+  const analysis::PerformanceReport cached = cache.analyze(sys, solver);
   const analysis::PerformanceReport plain = analysis::analyze_system(sys);
   EXPECT_EQ(cached.cycle_time, plain.cycle_time);
   EXPECT_EQ(cached.ct_num, plain.ct_num);
@@ -255,11 +258,12 @@ TEST(EvalCache, NamesAndAreasDoNotAffectTheFingerprint) {
 
 TEST(EvalCache, MarkingChangeIsReanalyzedNotServedStale) {
   analysis::EvalCache cache;
+  tmg::CycleMeanSolver solver;
   sysmodel::SystemModel sys = make_ring_system();
-  const analysis::PerformanceReport live_report = cache.analyze(sys);
+  const analysis::PerformanceReport live_report = cache.analyze(sys, solver);
   EXPECT_TRUE(live_report.live);
   sys.set_primed(0, false);  // token-free feedback loop -> deadlock
-  const analysis::PerformanceReport dead_report = cache.analyze(sys);
+  const analysis::PerformanceReport dead_report = cache.analyze(sys, solver);
   EXPECT_FALSE(dead_report.live);
   EXPECT_EQ(cache.misses(), 2);
   EXPECT_EQ(cache.size(), 2u);
@@ -279,48 +283,6 @@ TEST(EvalCache, LookupInsertRoundtripAndClear) {
   EXPECT_FALSE(cache.lookup(fp, &out));
   EXPECT_EQ(cache.hits(), 1);   // statistics survive clear()
   EXPECT_EQ(cache.misses(), 2);
-}
-
-TEST(EvalCache, OrderedEvalMemoRoundtrip) {
-  analysis::EvalCache cache;
-  const sysmodel::SystemModel sys = make_ring_system();
-  const std::uint64_t fp = analysis::system_fingerprint(sys);
-  analysis::OrderedEval eval;
-  EXPECT_FALSE(cache.lookup_eval(fp, &eval));
-  eval.input_orders = {{}, {0}, {1}};
-  eval.output_orders = {{0}, {1}, {2}};
-  eval.report = analysis::analyze_system(sys);
-  cache.insert_eval(fp, eval);
-  analysis::OrderedEval back;
-  ASSERT_TRUE(cache.lookup_eval(fp, &back));
-  EXPECT_EQ(back.input_orders, eval.input_orders);
-  EXPECT_EQ(back.output_orders, eval.output_orders);
-  EXPECT_EQ(back.report.cycle_time, eval.report.cycle_time);
-}
-
-TEST(EvalCache, AuxMemoRoundtrip) {
-  analysis::EvalCache cache;
-  const std::uint64_t key =
-      analysis::fingerprint_mix(0x1234u, /*word=*/0x42u);
-  std::vector<std::int64_t> payload;
-  EXPECT_FALSE(cache.lookup_aux(key, &payload));
-  cache.insert_aux(key, {1, -5, 99});
-  ASSERT_TRUE(cache.lookup_aux(key, &payload));
-  EXPECT_EQ(payload, (std::vector<std::int64_t>{1, -5, 99}));
-}
-
-TEST(EvalCache, ImplementationFingerprintSeesParetoSets) {
-  sysmodel::SystemModel a = make_ring_system();
-  sysmodel::SystemModel b = make_ring_system();
-  EXPECT_EQ(analysis::implementation_fingerprint(a),
-            analysis::implementation_fingerprint(b));
-  b.set_implementations(
-      1, sysmodel::ParetoSet({{"fast", 3, 9.0}, {"small", 7, 2.0}}), 1);
-  EXPECT_NE(analysis::implementation_fingerprint(a),
-            analysis::implementation_fingerprint(b));
-  // The TMG fingerprint keeps ignoring areas: selecting the implementation
-  // with the same latency as the original leaves it unchanged.
-  EXPECT_EQ(analysis::system_fingerprint(a), analysis::system_fingerprint(b));
 }
 
 TEST(EvalCache, ConcurrentAnalyzeIsRaceFreeAndConsistent) {
@@ -347,7 +309,9 @@ TEST(EvalCache, ConcurrentAnalyzeIsRaceFreeAndConsistent) {
       kTasks,
       [&](std::size_t i) {
         const std::size_t v = i % variants.size();
-        const analysis::PerformanceReport got = cache.analyze(variants[v]);
+        tmg::CycleMeanSolver solver;  // solvers are per task, not shared
+        const analysis::PerformanceReport got =
+            cache.analyze(variants[v], solver);
         if (got.cycle_time != expected[v].cycle_time ||
             got.live != expected[v].live ||
             got.critical_processes != expected[v].critical_processes) {

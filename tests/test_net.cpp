@@ -320,7 +320,7 @@ TEST(EventServer, StopFdRequestsStop) {
 
 // Collects N async responses and blocks until all arrived.
 struct Collector {
-  explicit Collector(int expect) : expect_(expect), responses(expect) {}
+  explicit Collector(int expect) : responses(expect), expect_(expect) {}
 
   svc::Broker::DoneFn slot(int index) {
     return [this, index](std::string response) {
@@ -348,16 +348,15 @@ TEST(Coalesce, IdenticalConcurrentRequestsProduceOneSolve) {
   const std::string line = svc::encode_request(
       svc::Op::kAnalyze, svc::JsonValue::null(), demo_soc());
 
-  // A single cold analyze costs >1 miss (whole-system memo + per-SCC
-  // entries inside the partitioned solve), so "one solve" is asserted
-  // against a one-request baseline, not a literal count.
+  // A single cold analyze costs one miss: the report memo is the only memo
+  // an analyze probes.
   std::int64_t one_solve_misses = 0;
   {
     svc::Broker baseline({.workers = 1});
     baseline.handle_line_sync(line);
     one_solve_misses = baseline.cache().misses();
   }
-  ASSERT_GE(one_solve_misses, 1);
+  ASSERT_EQ(one_solve_misses, 1);
 
   svc::Broker broker({.workers = 4, .test_exec_delay_ms = 60});
   constexpr int kRequests = 8;

@@ -180,7 +180,9 @@ TEST(ParetoGenTest, AttachSkipsTestbenchAndRelays) {
   EXPECT_FALSE(sys.has_implementations(sys.find_process("src")));
   EXPECT_FALSE(sys.has_implementations(sys.find_process("snk")));
   for (ProcessId p = 0; p < sys.num_processes(); ++p) {
-    if (sys.primed(p)) EXPECT_FALSE(sys.has_implementations(p));
+    if (sys.primed(p)) {
+      EXPECT_FALSE(sys.has_implementations(p));
+    }
   }
 }
 

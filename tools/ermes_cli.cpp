@@ -391,7 +391,8 @@ int cmd_compose(int argc, char** argv) {
   }
 
   if (report) {
-    const comp::PartitionedReport part = comp::analyze_partitioned(sys);
+    tmg::CycleMeanSolver solver;
+    const comp::PartitionedReport part = comp::analyze_partitioned(sys, solver);
     std::printf("%s\n", comp::summarize_partitioned(part, sys).c_str());
     if (!part.report.live) {
       std::fprintf(stderr, "error: system deadlocks\n");
@@ -414,7 +415,8 @@ int cmd_compose(int argc, char** argv) {
 // the per-run build_kernel); the text output shape is unchanged. --json
 // swaps the human lines for one machine-readable object (result + stall
 // summary) with the same exit-code and stderr contract: a deadlock still
-// prints exactly one `error:` line and exits 4.
+// prints exactly one `error:` line and exits 4, and a run cut short by the
+// cycle limit prints one `warning:` line and exits 0.
 int cmd_simulate(const io::ParseResult& parsed, std::int64_t items,
                  bool json) {
   const sim::CompiledSim compiled(parsed.system);
@@ -423,6 +425,16 @@ int cmd_simulate(const io::ParseResult& parsed, std::int64_t items,
   opts.target_transfers = items;
   const sim::ScenarioResult result = instance.run({}, opts);
   if (obs::enabled()) sim::publish_metrics(parsed.system, result);
+  if (result.hit_cycle_limit) {
+    // Not an error (the numbers measured so far are valid), but the run is
+    // shorter than asked for; say so in both output modes.
+    std::fprintf(stderr,
+                 "warning: simulation stopped at the %lld-cycle limit after "
+                 "%lld of %lld items\n",
+                 static_cast<long long>(opts.max_cycles),
+                 static_cast<long long>(result.observed_count),
+                 static_cast<long long>(items));
+  }
 
   if (json) {
     std::int64_t transfers = 0, blocked_puts = 0, blocked_gets = 0;
