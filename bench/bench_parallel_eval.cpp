@@ -1,17 +1,16 @@
 // Parallel, memoized evaluation engine benchmark.
 //
-// Three experiments on the MPEG-2 DSE workload (the paper's case study):
+// Two experiments:
 //
-//  B1. Multi-TCT sweep: every target explored serially in sequence vs all
-//      targets fanned across the pool sharing one EvalCache — the `ermes
-//      sweep` hot path. Checks that the parallel histories are bit-identical
-//      to the sequential ones, then reports speedup and warm-cache hit rate
-//      (every analysis of the warm re-run is a report-memo hit; channel
-//      ordering and the selection solves still run).
-//  B2. Within-run parallel DSE: dse::explore at jobs=1 vs jobs=N (candidate
-//      evaluations of each iteration fan out), bit-identical trajectories.
-//  B3. Sensitivity fan-out: per-process perturbation analyses of a synthetic
-//      SoC, serial vs pooled.
+//  B1. Multi-TCT sweep over the MPEG-2 encoder (the paper's case study):
+//      every target explored alone in sequence vs dse::sweep spreading the
+//      targets over N threads that share one EvalCache — the `ermes sweep`
+//      path. Checks that the sweep's histories are bit-identical to the
+//      sequential ones, then reports speedup and warm-cache hit rate (every
+//      analysis of the warm re-run is a report-memo hit; channel ordering
+//      and the selection solves still run).
+//  B3. Sensitivity: per-process perturbation analyses of a synthetic SoC at
+//      jobs = 1 vs jobs = N.
 //
 // Flags: --jobs N (default: all cores), --smoke (tiny sizes, used as the
 // bench-smoke CTest entry).
@@ -51,28 +50,6 @@ bool histories_identical(const dse::ExplorationResult& a,
   return a.converged == b.converged && a.met_target == b.met_target;
 }
 
-std::vector<dse::ExplorationResult> run_sweep(
-    const sysmodel::SystemModel& sys, const std::vector<std::int64_t>& targets,
-    exec::ThreadPool* pool, analysis::EvalCache* cache) {
-  const auto run_one = [&](std::size_t i) {
-    dse::ExplorerOptions options;
-    options.target_cycle_time = targets[i];
-    options.jobs = 1;
-    options.cache = cache;
-    return dse::explore(sys, options);
-  };
-  if (pool != nullptr) {
-    return pool->parallel_map<dse::ExplorationResult>(targets.size(), run_one,
-                                                      /*grain=*/1);
-  }
-  std::vector<dse::ExplorationResult> results;
-  results.reserve(targets.size());
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    results.push_back(run_one(i));
-  }
-  return results;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -89,7 +66,6 @@ int main(int argc, char** argv) {
 
   std::printf("== parallel, memoized evaluation engine (%zu jobs) ==\n\n",
               jobs);
-  exec::ThreadPool pool(jobs);
 
   // ---- B1: multi-TCT sweep over the MPEG-2 encoder -------------------------
   sysmodel::SystemModel mpeg2 = mpeg2::make_characterized_mpeg2_encoder();
@@ -112,7 +88,6 @@ int main(int argc, char** argv) {
       analysis::EvalCache cold;
       dse::ExplorerOptions options;
       options.target_cycle_time = targets[i];
-      options.jobs = 1;
       options.cache = &cold;
       seq.push_back(dse::explore(mpeg2, options));
     }
@@ -120,9 +95,12 @@ int main(int argc, char** argv) {
   const double seq_ms = sw.elapsed_ms();
 
   analysis::EvalCache cache;
+  dse::ExplorerOptions sweep_opts;
+  sweep_opts.jobs = static_cast<int>(jobs);
+  sweep_opts.cache = &cache;
   sw.reset();
   const std::vector<dse::ExplorationResult> par =
-      run_sweep(mpeg2, targets, &pool, &cache);
+      dse::sweep(mpeg2, targets, sweep_opts);
   const double par_ms = sw.elapsed_ms();
   const std::int64_t cold_hits = cache.hits();
   const std::int64_t cold_misses = cache.misses();
@@ -134,7 +112,7 @@ int main(int argc, char** argv) {
 
   sw.reset();
   const std::vector<dse::ExplorationResult> warm =
-      run_sweep(mpeg2, targets, &pool, &cache);
+      dse::sweep(mpeg2, targets, sweep_opts);
   const double warm_ms = sw.elapsed_ms();
   const std::int64_t warm_hits = cache.hits() - cold_hits;
   const std::int64_t warm_misses = cache.misses() - cold_misses;
@@ -154,48 +132,19 @@ int main(int argc, char** argv) {
                   "bit-identical"});
   b1.add_row({"sequential, cold caches", util::format_double(seq_ms, 1), "1.00",
               "-", "baseline"});
-  b1.add_row({"parallel, shared cold cache", util::format_double(par_ms, 1),
+  b1.add_row({"sweep, shared cold cache", util::format_double(par_ms, 1),
               util::format_double(seq_ms / par_ms, 2),
               std::to_string(cold_hits) + "h/" + std::to_string(cold_misses) +
                   "m",
               identical ? "yes" : "NO"});
-  b1.add_row({"parallel, warm cache", util::format_double(warm_ms, 1),
+  b1.add_row({"sweep, warm cache", util::format_double(warm_ms, 1),
               util::format_double(seq_ms / warm_ms, 2),
               std::to_string(warm_hits) + "h/" + std::to_string(warm_misses) +
                   "m (" + util::format_double(warm_rate * 100.0, 1) + "%)",
               warm_identical ? "yes" : "NO"});
   std::printf("%s\n", b1.to_text(2).c_str());
 
-  // ---- B2: within-run candidate parallelism --------------------------------
-  const std::int64_t tight = static_cast<std::int64_t>(ct0 * 0.55);
-  sw.reset();
-  dse::ExplorerOptions serial_opts;
-  serial_opts.target_cycle_time = tight;
-  serial_opts.jobs = 1;
-  const dse::ExplorationResult serial_run = dse::explore(mpeg2, serial_opts);
-  const double serial_run_ms = sw.elapsed_ms();
-
-  sw.reset();
-  dse::ExplorerOptions parallel_opts;
-  parallel_opts.target_cycle_time = tight;
-  parallel_opts.jobs = static_cast<int>(jobs);
-  parallel_opts.pool = &pool;
-  const dse::ExplorationResult parallel_run =
-      dse::explore(mpeg2, parallel_opts);
-  const double parallel_run_ms = sw.elapsed_ms();
-
-  std::printf("B2: single exploration at TCT %lld (%zu iterations)\n",
-              static_cast<long long>(tight), serial_run.history.size());
-  util::Table b2({"configuration", "time (ms)", "speedup", "bit-identical"});
-  b2.add_row({"jobs=1", util::format_double(serial_run_ms, 1), "1.00",
-              "baseline"});
-  b2.add_row({"jobs=" + std::to_string(jobs),
-              util::format_double(parallel_run_ms, 1),
-              util::format_double(serial_run_ms / parallel_run_ms, 2),
-              histories_identical(serial_run, parallel_run) ? "yes" : "NO"});
-  std::printf("%s\n", b2.to_text(2).c_str());
-
-  // ---- B3: sensitivity fan-out ---------------------------------------------
+  // ---- B3: sensitivity at jobs = 1 vs jobs = N -------------------------------------------
   synth::GeneratorConfig config;
   config.num_processes = smoke ? 40 : 300;
   config.num_channels = smoke ? 60 : 450;
@@ -210,7 +159,7 @@ int main(int argc, char** argv) {
   const double sens_seq_ms = sw.elapsed_ms();
   sw.reset();
   const analysis::SensitivityReport sens_par =
-      analysis::latency_sensitivity(synth_sys, 1, &pool);
+      analysis::latency_sensitivity(synth_sys, 1, static_cast<int>(jobs));
   const double sens_par_ms = sw.elapsed_ms();
   bool sens_identical =
       sens_seq.base_cycle_time == sens_par.base_cycle_time &&
@@ -228,16 +177,15 @@ int main(int argc, char** argv) {
   std::printf("B3: sensitivity on synthetic SoC (%d processes)\n",
               config.num_processes);
   util::Table b3({"configuration", "time (ms)", "speedup", "bit-identical"});
-  b3.add_row({"serial", util::format_double(sens_seq_ms, 1), "1.00",
+  b3.add_row({"jobs=1", util::format_double(sens_seq_ms, 1), "1.00",
               "baseline"});
-  b3.add_row({"pooled", util::format_double(sens_par_ms, 1),
+  b3.add_row({"jobs=" + std::to_string(jobs),
+              util::format_double(sens_par_ms, 1),
               util::format_double(sens_seq_ms / sens_par_ms, 2),
               sens_identical ? "yes" : "NO"});
   std::printf("%s\n", b3.to_text(2).c_str());
 
-  const bool ok = identical && warm_identical &&
-                  histories_identical(serial_run, parallel_run) &&
-                  sens_identical;
+  const bool ok = identical && warm_identical && sens_identical;
   std::printf("verdict: %s\n", ok ? "parallel results bit-identical"
                                   : "MISMATCH vs sequential path");
   return ok ? 0 : 1;

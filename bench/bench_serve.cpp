@@ -108,7 +108,6 @@ std::string expected_explore_text(const sysmodel::SystemModel& sys,
                                   std::int64_t tct) {
   dse::ExplorerOptions options;
   options.target_cycle_time = tct;
-  options.jobs = 1;
   return svc::explore_text(dse::explore(sys, options));
 }
 

@@ -13,13 +13,10 @@
 //           runs only the CSR engine;
 //   warm:   set_delay + CycleMeanSolver::prepare (weight-only refresh) +
 //           solve — the CSR core; the initial compile is outside the timed
-//           loop (paid once per structure);
-//   seeded: same, but solve_seeded() — policy iteration starts from the
-//           previous optimum (exact-ratio guarantee only, see tmg/csr.h).
+//           loop (paid once per structure).
 //
 // Every step asserts bit-identity of the warm result against the cold one
-// (num/den, critical cycle, and the raw double bits) and compare_ratios == 0
-// for the seeded result. The run fails on any mismatch or when the warm
+// (num/den, critical cycle, and the raw double bits). The run fails on any mismatch or when the warm
 // speedup falls below 3x — the floor, asserted in --smoke too. Each loop is
 // timed as the best of 5 repetitions of the same work (fresh graph, fresh
 // solver): load on the machine only ever slows a repetition down, so the
@@ -181,32 +178,8 @@ int main(int argc, char** argv) {
     stats = solver.stats();
   }
 
-  // Seeded mode: previous-optimum warm start; exact ratio only.
-  int seeded_mismatches = 0;
-  double seeded_ms = kNoTime;
-  for (int rep = 0; rep < kRepetitions; ++rep) {
-    tmg::MarkedGraph seeded_g = make_tmg(n, 42);
-    tmg::CycleMeanSolver seeded_solver;
-    seeded_solver.prepare(seeded_g);
-    seeded_solver.solve();  // establish a previous policy
-    util::Stopwatch sw;
-    for (std::size_t s = 0; s < mutations.size(); ++s) {
-      seeded_g.set_delay(mutations[s].transition, mutations[s].delay);
-      seeded_solver.prepare(seeded_g);
-      const tmg::CycleRatioResult r = seeded_solver.solve_seeded();
-      const tmg::CycleRatioResult& c = cold_results[s];
-      if (r.has_cycle != c.has_cycle ||
-          tmg::compare_ratios(r.ratio_num, r.ratio_den, c.ratio_num,
-                              c.ratio_den) != 0) {
-        ++seeded_mismatches;
-      }
-    }
-    seeded_ms = std::min(seeded_ms, sw.elapsed_ms());
-  }
-
   const double cold_ns = cold_ms * 1e6 / steps;
   const double warm_ns = warm_ms * 1e6 / steps;
-  const double seeded_ns = seeded_ms * 1e6 / steps;
   const double speedup = warm_ms > 0.0 ? cold_ms / warm_ms : 0.0;
 
   util::Table table({"engine", "per solve (us)", "speedup", "correct"});
@@ -216,17 +189,12 @@ int main(int argc, char** argv) {
                  util::format_double(warm_ns / 1e3, 2),
                  util::format_double(speedup, 2),
                  mismatches == 0 ? "bit-identical" : "MISMATCH"});
-  table.add_row({"seeded (previous policy)",
-                 util::format_double(seeded_ns / 1e3, 2),
-                 util::format_double(
-                     seeded_ms > 0.0 ? cold_ms / seeded_ms : 0.0, 2),
-                 seeded_mismatches == 0 ? "exact ratio" : "MISMATCH"});
   std::printf("%s\n", table.to_text(2).c_str());
   std::printf("  solver: %lld compiles, %lld weight refreshes\n",
               static_cast<long long>(stats.compiles),
               static_cast<long long>(stats.weight_refreshes));
 
-  const bool identical = mismatches == 0 && seeded_mismatches == 0;
+  const bool identical = mismatches == 0;
   const bool fast_enough = speedup >= 3.0;
 
   svc::JsonValue report = svc::JsonValue::object();
@@ -237,7 +205,6 @@ int main(int argc, char** argv) {
   report.set("steps", svc::JsonValue::integer(steps));
   report.set("cold_ns", svc::JsonValue::number(cold_ns));
   report.set("warm_ns", svc::JsonValue::number(warm_ns));
-  report.set("seeded_ns", svc::JsonValue::number(seeded_ns));
   report.set("speedup", svc::JsonValue::number(speedup));
   report.set("speedup_floor", svc::JsonValue::number(3.0));
   report.set("meets_floor", svc::JsonValue::boolean(fast_enough));

@@ -1,10 +1,13 @@
 #include "analysis/sensitivity.h"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 
 #include "analysis/eval_cache.h"
 #include "analysis/performance.h"
+#include "exec/thread_pool.h"
+#include "exec/worker_slots.h"
 #include "tmg/csr.h"
 
 namespace ermes::analysis {
@@ -12,35 +15,40 @@ namespace ermes::analysis {
 using sysmodel::ProcessId;
 using sysmodel::SystemModel;
 
+namespace {
+
+// What one executing slot perturbs and solves on: a scratch copy of the
+// model (made on the slot's first perturbation) and a warm CSR solver — every
+// perturbation keeps the topology, so the solver compiles once per slot.
+struct Slot {
+  std::optional<SystemModel> scratch;
+  tmg::CycleMeanSolver solver;
+};
+
+}  // namespace
+
 SensitivityReport latency_sensitivity(const SystemModel& sys,
-                                      std::int64_t step,
-                                      exec::ThreadPool* pool,
-                                      EvalCache* cache,
-                                      tmg::CycleMeanSolver* solver) {
+                                      std::int64_t step, int jobs,
+                                      EvalCache* cache) {
   SensitivityReport report;
-  const bool parallel = pool != nullptr && pool->jobs() > 1 &&
-                        sys.num_processes() > 1;
-  // The solver is not synchronized: the calling thread solves through
-  // `solver` (or a call-local one), pool workers through their own.
-  tmg::CycleMeanSolver local_solver;
-  if (solver == nullptr) solver = &local_solver;
-  const auto analyze = [&](const SystemModel& candidate,
-                           tmg::CycleMeanSolver& with) {
-    return cache != nullptr ? cache->analyze(candidate, with)
-                            : analyze_system(candidate, with);
+  const auto n = static_cast<std::size_t>(sys.num_processes());
+  const std::size_t threads = std::min(
+      n, jobs <= 0 ? exec::hardware_jobs() : static_cast<std::size_t>(jobs));
+  exec::SlotLocal<Slot> slots(threads);
+  const auto analyze = [&](const SystemModel& candidate, Slot& slot) {
+    return cache != nullptr ? cache->analyze(candidate, slot.solver)
+                            : analyze_system(candidate, slot.solver);
   };
-  const PerformanceReport base = analyze(sys, *solver);
+  const PerformanceReport base = analyze(sys, slots[0]);
   if (!base.live) return report;
   report.base_cycle_time = base.cycle_time;
   const std::set<ProcessId> critical(base.critical_processes.begin(),
                                      base.critical_processes.end());
 
-  const auto n = static_cast<std::size_t>(sys.num_processes());
   report.processes.resize(n);
   // Each perturbation is an independent one-change analysis; entry i only
-  // ever depends on (sys, i), so fanning out cannot change any value.
-  const auto perturb = [&](std::size_t i, SystemModel& scratch,
-                           tmg::CycleMeanSolver& with) {
+  // ever depends on (sys, i), so spreading them cannot change any value.
+  const auto perturb = [&](std::size_t i) {
     const auto p = static_cast<ProcessId>(i);
     ProcessSensitivity entry;
     entry.process = p;
@@ -50,28 +58,22 @@ SensitivityReport latency_sensitivity(const SystemModel& sys,
     if (reduced == original) {
       entry.ct_after_step = base.cycle_time;
     } else {
-      scratch.set_latency(p, reduced);
-      entry.ct_after_step = analyze(scratch, with).cycle_time;
-      scratch.set_latency(p, original);
+      Slot& slot = slots.local();
+      if (!slot.scratch) slot.scratch = sys;
+      slot.scratch->set_latency(p, reduced);
+      entry.ct_after_step = analyze(*slot.scratch, slot).cycle_time;
+      slot.scratch->set_latency(p, original);
       entry.ct_gain_per_cycle =
           (base.cycle_time - entry.ct_after_step) /
           static_cast<double>(original - reduced);
     }
     report.processes[i] = entry;
   };
-
-  if (parallel) {
-    // Thread-local scratch copies: parallel_for chunks are contiguous, so a
-    // per-chunk copy would also work, but one copy per task keeps the body
-    // trivially data-race-free at any grain.
-    pool->parallel_for(n, [&](std::size_t i) {
-      SystemModel scratch = sys;
-      tmg::CycleMeanSolver task_solver;
-      perturb(i, scratch, task_solver);
-    });
+  if (threads > 1) {
+    exec::ThreadPool pool(threads);
+    pool.parallel_for(n, perturb);
   } else {
-    SystemModel scratch = sys;
-    for (std::size_t i = 0; i < n; ++i) perturb(i, scratch, *solver);
+    for (std::size_t i = 0; i < n; ++i) perturb(i);
   }
 
   std::stable_sort(report.processes.begin(), report.processes.end(),

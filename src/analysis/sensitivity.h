@@ -13,12 +13,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "exec/thread_pool.h"
 #include "sysmodel/system.h"
-
-namespace ermes::tmg {
-class CycleMeanSolver;
-}  // namespace ermes::tmg
 
 namespace ermes::analysis {
 
@@ -42,19 +37,14 @@ struct SensitivityReport {
 
 /// Finite-difference sensitivity with the given latency step. The system
 /// must be live. Channel orders are held fixed (run the ordering first).
-/// The per-process perturbations are independent analyses; they fan out
-/// across `pool` when given and memoize through `cache` when given, with a
-/// report identical to the serial uncached one (entries are slotted by
-/// process, then stably sorted).
-///
-/// Every analysis runs on the CSR engine. `solver`, when given, warms the
-/// calling thread's analyses through one caller-owned solver; a null solver
-/// means a call-local one, and pool workers solve on their own per-task
-/// solvers.
+/// The per-process perturbations are independent analyses; they spread over
+/// `jobs` threads (1 = serial, <= 0 = all cores), each perturbing one
+/// scratch copy of the model and solving on one warm CSR solver, and
+/// memoize through `cache` when given. The report is identical at every
+/// `jobs` and with or without a cache (entries are slotted by process, then
+/// stably sorted).
 SensitivityReport latency_sensitivity(const sysmodel::SystemModel& sys,
-                                      std::int64_t step = 1,
-                                      exec::ThreadPool* pool = nullptr,
-                                      EvalCache* cache = nullptr,
-                                      tmg::CycleMeanSolver* solver = nullptr);
+                                      std::int64_t step = 1, int jobs = 1,
+                                      EvalCache* cache = nullptr);
 
 }  // namespace ermes::analysis

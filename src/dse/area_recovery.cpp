@@ -12,8 +12,7 @@ using sysmodel::SystemModel;
 AreaRecoveryResult area_recovery(const SystemModel& sys,
                                  const std::vector<ProcessId>& critical,
                                  std::int64_t slack,
-                                 std::int64_t ring_cap,
-                                 exec::ThreadPool* pool) {
+                                 std::int64_t ring_cap) {
   AreaRecoveryResult result;
   if (slack <= 0) return result;
 
@@ -36,8 +35,7 @@ AreaRecoveryResult area_recovery(const SystemModel& sys,
               io_latency + sys.latency(p) - cand.latency_gain;
           return cand.latency_gain != 0 && ring >= ring_cap;
         });
-      },
-      pool);
+      });
 
   // Multiple-choice knapsack: one item per candidate implementation;
   // value = area gain; weight = latency *cost* (-latency gain) for critical

@@ -27,13 +27,10 @@ struct AreaRecoveryResult {
 /// `critical` = processes on the critical cycle; `slack` = TCT - CT (> 0).
 /// `ring_cap` (0 = disabled; typically the TCT) excludes candidates whose
 /// process ring would reach the cap — a cheap structural guard against
-/// creating an obvious new critical cycle off the current one. Per-process
-/// candidate scoring fans out across `pool` when given (the result does not
-/// depend on the worker count).
+/// creating an obvious new critical cycle off the current one.
 AreaRecoveryResult area_recovery(const sysmodel::SystemModel& sys,
                                  const std::vector<sysmodel::ProcessId>& critical,
                                  std::int64_t slack,
-                                 std::int64_t ring_cap = 0,
-                                 exec::ThreadPool* pool = nullptr);
+                                 std::int64_t ring_cap = 0);
 
 }  // namespace ermes::dse

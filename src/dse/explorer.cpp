@@ -1,5 +1,7 @@
 #include "dse/explorer.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <memory>
@@ -8,6 +10,8 @@
 #include "analysis/performance.h"
 #include "dse/area_recovery.h"
 #include "dse/timing_opt.h"
+#include "exec/thread_pool.h"
+#include "exec/worker_slots.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "ordering/channel_ordering.h"
@@ -32,64 +36,32 @@ const char* to_string(Action action) {
 
 namespace {
 
-// Execution context of one exploration run: the evaluation pool and memo,
+// Execution context of one exploration run: the memo and the CSR solver,
 // owned locally unless the caller shared theirs through the options.
+// Candidate systems share one topology — only latencies and orders vary —
+// so the solver compiles once and then re-solves warm for the rest of the
+// run.
 struct EvalContext {
   EvalCache* cache = nullptr;
-  exec::ThreadPool* pool = nullptr;
+  tmg::CycleMeanSolver* solver = nullptr;
   std::unique_ptr<EvalCache> owned_cache;
-  std::unique_ptr<exec::ThreadPool> owned_pool;
-  // One CSR solver per worker slot (slot 0 = the caller thread). Candidate
-  // systems share one topology — only latencies and orders vary — so each
-  // worker's solver compiles once and then re-solves warm for the rest of
-  // the run. Solvers are per-slot (not shared): CycleMeanSolver is not
-  // internally synchronized. Slot 0 can be supplied externally
-  // (ExplorerOptions::solver) so a sweep driver keeps it warm across runs.
-  std::vector<tmg::CycleMeanSolver*> solvers;
-  std::vector<std::unique_ptr<tmg::CycleMeanSolver>> owned_solvers;
+  std::unique_ptr<tmg::CycleMeanSolver> owned_solver;
 
-  EvalContext(int jobs, EvalCache* shared_cache, exec::ThreadPool* shared_pool,
-              tmg::CycleMeanSolver* shared_solver = nullptr) {
-    if (shared_cache != nullptr) {
-      cache = shared_cache;
-    } else {
+  explicit EvalContext(const ExplorerOptions& options)
+      : cache(options.cache), solver(options.solver) {
+    if (cache == nullptr) {
       owned_cache = std::make_unique<EvalCache>();
       cache = owned_cache.get();
     }
-    const std::size_t want =
-        jobs <= 0 ? exec::hardware_jobs() : static_cast<std::size_t>(jobs);
-    if (shared_pool != nullptr) {
-      pool = shared_pool;
-    } else if (want > 1) {
-      owned_pool = std::make_unique<exec::ThreadPool>(want);
-      pool = owned_pool.get();
+    if (solver == nullptr) {
+      owned_solver = std::make_unique<tmg::CycleMeanSolver>();
+      solver = owned_solver.get();
     }
-    const std::size_t slots = pool != nullptr ? pool->jobs() : 1;
-    solvers.reserve(slots);
-    for (std::size_t i = 0; i < slots; ++i) {
-      if (i == 0 && shared_solver != nullptr) {
-        solvers.push_back(shared_solver);
-      } else {
-        owned_solvers.push_back(std::make_unique<tmg::CycleMeanSolver>());
-        solvers.push_back(owned_solvers.back().get());
-      }
-    }
-  }
-
-  // The calling thread's solver. Inside evaluation workers the slot is the
-  // worker's dense pool id; any other thread (including a worker of a
-  // foreign pool, e.g. a service request task running a nested exploration
-  // with jobs=1) falls back to slot 0, which is then the only user.
-  tmg::CycleMeanSolver& solver() const {
-    std::size_t slot = exec::current_worker_slot();
-    if (slot >= solvers.size()) slot = 0;
-    return *solvers[slot];
   }
 };
 
 // Reorders `sys` in place (when asked) and analyzes it through the memo;
-// cache misses solve through the calling worker's CSR solver, which stays
-// warm across candidates (same topology, different latencies).
+// cache misses solve through the run's warm CSR solver.
 PerformanceReport reorder_and_analyze(SystemModel& sys, bool reorder,
                                       EvalContext& ctx) {
   if (reorder) {
@@ -97,21 +69,7 @@ PerformanceReport reorder_and_analyze(SystemModel& sys, bool reorder,
     ordering::apply_ordering(sys, ordering::channel_ordering(sys));
   }
   obs::ObsSpan analyze_span("dse.analyze", "dse");
-  return ctx.cache->analyze(sys, ctx.solver());
-}
-
-// Applies a selection (plus reordering) to a copy and analyzes it through
-// the memo.
-PerformanceReport evaluate_candidate(const SystemModel& sys,
-                                     const SelectionVector& selection,
-                                     bool reorder, SystemModel* out,
-                                     EvalContext& ctx) {
-  SystemModel candidate = sys;
-  apply_selection(candidate, selection);
-  const PerformanceReport report = reorder_and_analyze(candidate, reorder, ctx);
-  obs::count("dse.candidates_evaluated");
-  if (out != nullptr) *out = std::move(candidate);
-  return report;
+  return ctx.cache->analyze(sys, *ctx.solver);
 }
 
 struct Evaluated {
@@ -119,74 +77,40 @@ struct Evaluated {
   PerformanceReport report;
 };
 
-// Evaluates every candidate selection of an iteration, fanning across the
-// pool when one is available. Result slot i always corresponds to
-// selection i, and each evaluation is a pure function of (sys, selection),
-// so the outcome is identical at any worker count.
-std::vector<Evaluated> evaluate_candidates(
-    const SystemModel& sys, const std::vector<SelectionVector>& selections,
-    bool reorder, EvalContext& ctx) {
-  std::vector<Evaluated> out(selections.size());
-  const auto eval_one = [&](std::size_t i) {
-    out[i].report =
-        evaluate_candidate(sys, selections[i], reorder, &out[i].system, ctx);
-  };
-  if (ctx.pool != nullptr && selections.size() > 1) {
-    ctx.pool->parallel_for(selections.size(), eval_one, /*grain=*/1);
-  } else {
-    for (std::size_t i = 0; i < selections.size(); ++i) eval_one(i);
-  }
+// Applies a selection (plus reordering) to a copy and analyzes it through
+// the memo.
+Evaluated evaluate_candidate(const SystemModel& sys,
+                             const SelectionVector& selection, bool reorder,
+                             EvalContext& ctx) {
+  Evaluated out{sys, {}};
+  apply_selection(out.system, selection);
+  out.report = reorder_and_analyze(out.system, reorder, ctx);
+  obs::count("dse.candidates_evaluated");
 #ifndef NDEBUG
-  // Parallel/sequential equivalence guard: re-run a sampled candidate
-  // through the plain sequential path and insist on a bit-identical report.
-  if (!selections.empty()) {
-    const std::size_t probe = selections.size() / 2;
-    SystemModel replay = sys;
-    apply_selection(replay, selections[probe]);
-    if (reorder) {
-      ordering::apply_ordering(replay, ordering::channel_ordering(replay));
-    }
-    const PerformanceReport expected = analysis::analyze_system(replay);
-    const PerformanceReport& got = out[probe].report;
-    assert(got.live == expected.live &&
-           got.cycle_time == expected.cycle_time &&
-           got.ct_num == expected.ct_num && got.ct_den == expected.ct_den &&
-           got.critical_processes == expected.critical_processes &&
-           "dse: parallel evaluation diverged from the sequential path");
-  }
+  // Memo guard: the report served through the memo and the warm solver must
+  // be bit-identical to a cold analysis of the same candidate.
+  const PerformanceReport expected = analysis::analyze_system(out.system);
+  assert(out.report.live == expected.live &&
+         out.report.cycle_time == expected.cycle_time &&
+         out.report.ct_num == expected.ct_num &&
+         out.report.ct_den == expected.ct_den &&
+         out.report.critical_processes == expected.critical_processes &&
+         "dse: memoized warm evaluation diverged from a cold analysis");
 #endif
   return out;
-}
-
-// Distinct selections in first-seen order (candidate lists are tiny).
-std::vector<SelectionVector> dedup_selections(
-    std::vector<SelectionVector> selections) {
-  std::vector<SelectionVector> unique;
-  for (SelectionVector& sel : selections) {
-    bool seen = false;
-    for (const SelectionVector& have : unique) {
-      if (have == sel) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) unique.push_back(std::move(sel));
-  }
-  return unique;
 }
 
 // Timing optimization, shared by both loops: cascade from the paper's
 // liberal formulation to progressively stricter ones. A liberal move can
 // slow a process that sits on a *different* near-critical cycle (the
-// per-cycle ILP cannot see the coupling), so each candidate is
-// trial-evaluated and the first non-degrading one — in policy order — wins;
-// under an area budget it must also fit the budget. Every ILP and every
-// evaluation is pure, so all the iteration's candidates are proposed up
-// front and analyzed together: the accepted move is identical to the
-// sequential cascade's. Plateaus (<=) are accepted: with several
-// co-critical cycles, fixing one keeps CT flat until the next iteration
-// attacks the twin cycle; the callers' visited sets guarantee termination.
-// Returns false when no candidate is accepted.
+// per-cycle ILP cannot see the coupling), so each policy in turn solves its
+// ILP, its selection is trial-evaluated (unless it equals the current
+// selection or an earlier policy's, already rejected), and the first
+// non-degrading one wins; under an area budget it must also fit the budget.
+// Plateaus (<=) are accepted: with several co-critical cycles, fixing one
+// keeps CT flat until the next iteration attacks the twin cycle; the
+// callers' visited sets guarantee termination. Returns false when no
+// candidate is accepted.
 bool timing_opt_move(const SystemModel& sys, const PerformanceReport& report,
                      std::int64_t needed, std::optional<double> area_budget,
                      std::int64_t ring_cap, bool reorder, EvalContext& ctx,
@@ -196,29 +120,29 @@ bool timing_opt_move(const SystemModel& sys, const PerformanceReport& report,
       {/*allow_critical_slowdown=*/false, /*pin_non_critical=*/false},
       {/*allow_critical_slowdown=*/false, /*pin_non_critical=*/true},
   };
-  std::vector<SelectionVector> proposals;
+  std::vector<SelectionVector> tried = {current_selection(sys)};
   for (const TimingOptPolicy& policy : kPolicies) {
-    obs::ObsSpan select_span("dse.select", "dse");
-    obs::count("dse.timing_opts");
-    const TimingOptResult to =
-        timing_optimization(sys, report.critical_processes, needed,
-                            area_budget, ring_cap, policy, ctx.pool);
-    if (to.feasible && to.selection != current_selection(sys)) {
-      proposals.push_back(to.selection);
+    TimingOptResult to;
+    {
+      obs::ObsSpan select_span("dse.select", "dse");
+      obs::count("dse.timing_opts");
+      to = timing_optimization(sys, report.critical_processes, needed,
+                               area_budget, ring_cap, policy);
     }
-  }
-  proposals = dedup_selections(std::move(proposals));
-  std::vector<Evaluated> evaluated =
-      evaluate_candidates(sys, proposals, reorder, ctx);
-  for (std::size_t i = 0; i < evaluated.size(); ++i) {
-    if (evaluated[i].report.live &&
-        evaluated[i].report.cycle_time <= report.cycle_time &&
+    if (!to.feasible ||
+        std::find(tried.begin(), tried.end(), to.selection) != tried.end()) {
+      continue;
+    }
+    Evaluated candidate = evaluate_candidate(sys, to.selection, reorder, ctx);
+    if (candidate.report.live &&
+        candidate.report.cycle_time <= report.cycle_time &&
         (!area_budget ||
-         evaluated[i].system.total_area() <= *area_budget + 1e-9)) {
-      *next = std::move(proposals[i]);
-      *move = std::move(evaluated[i]);
+         candidate.system.total_area() <= *area_budget + 1e-9)) {
+      *next = std::move(to.selection);
+      *move = std::move(candidate);
       return true;
     }
+    tried.push_back(std::move(to.selection));
   }
   return false;
 }
@@ -229,8 +153,7 @@ ExplorationResult explore(SystemModel sys, const ExplorerOptions& options) {
   obs::ObsSpan explore_span("dse.explore", "dse");
   ExplorationResult result;
   std::set<SelectionVector> visited;
-  EvalContext ctx(options.jobs, options.cache, options.pool,
-                  options.solver);
+  EvalContext ctx(options);
 
   // Best state seen so far: a target-meeting state with minimal area beats
   // everything; among violating states, minimal cycle time. The exploration
@@ -298,8 +221,7 @@ ExplorationResult explore(SystemModel sys, const ExplorerOptions& options) {
     SelectionVector next;
     Action action = Action::kNone;
     bool accepted = false;
-    SystemModel accepted_system;
-    PerformanceReport accepted_report;
+    Evaluated move;
 
     if (slack > 0) {
       // Area recovery. Overshooting the target is allowed (the next
@@ -309,25 +231,19 @@ ExplorationResult explore(SystemModel sys, const ExplorerOptions& options) {
       obs::count("dse.area_recoveries");
       const AreaRecoveryResult ar =
           area_recovery(sys, report.critical_processes, slack,
-                        options.target_cycle_time, ctx.pool);
+                        options.target_cycle_time);
       select_span.close();
       if (ar.feasible && ar.selection != current_selection(sys)) {
         next = ar.selection;
         action = Action::kAreaRecovery;
-        accepted_report = evaluate_candidate(
-            sys, next, options.reorder_channels, &accepted_system, ctx);
-        accepted = accepted_report.live;
+        move = evaluate_candidate(sys, next, options.reorder_channels, ctx);
+        accepted = move.report.live;
       }
     } else {
-      Evaluated move;
       accepted = timing_opt_move(sys, report, -slack, std::nullopt,
                                  options.target_cycle_time,
                                  options.reorder_channels, ctx, &next, &move);
-      if (accepted) {
-        action = Action::kTimingOpt;
-        accepted_system = std::move(move.system);
-        accepted_report = move.report;
-      }
+      if (accepted) action = Action::kTimingOpt;
     }
 
     if (!accepted) {
@@ -346,8 +262,8 @@ ExplorationResult explore(SystemModel sys, const ExplorerOptions& options) {
       result.converged = true;
       break;
     }
-    sys = std::move(accepted_system);
-    report = accepted_report;
+    sys = std::move(move.system);
+    report = move.report;
     record(iter, action, report);
     ERMES_LOG(kDebug) << "dse: iter " << iter << " action="
                       << to_string(action) << " CT=" << report.cycle_time
@@ -381,8 +297,7 @@ ExplorationResult explore_area_constrained(SystemModel sys,
   obs::ObsSpan explore_span("dse.explore_area_constrained", "dse");
   ExplorationResult result;
   std::set<SelectionVector> visited;
-  EvalContext ctx(options.jobs, options.cache, options.pool,
-                  options.solver);
+  EvalContext ctx(options);
 
   auto record = [&](int iteration, Action action,
                     const PerformanceReport& report) {
@@ -429,6 +344,40 @@ ExplorationResult explore_area_constrained(SystemModel sys,
                       result.history.back().meets_target;
   result.final_system = std::move(sys);
   return result;
+}
+
+std::vector<ExplorationResult> sweep(const SystemModel& sys,
+                                     const std::vector<std::int64_t>& targets,
+                                     const ExplorerOptions& options) {
+  std::vector<ExplorationResult> results(targets.size());
+  const std::size_t jobs = std::min(
+      targets.size(), options.jobs <= 0 ? exec::hardware_jobs()
+                                        : static_cast<std::size_t>(options.jobs));
+  // One warm solver per executing slot; the caller's own solver, when it
+  // passed one, serves slot 0 (the calling thread).
+  exec::SlotLocal<tmg::CycleMeanSolver> solvers(jobs);
+  std::atomic<bool> stopped{false};
+  const auto explore_one = [&](std::size_t i) {
+    if (stopped.load(std::memory_order_relaxed)) {
+      results[i].cancelled = true;
+      return;
+    }
+    ExplorerOptions one = options;
+    one.target_cycle_time = targets[i];
+    if (one.solver == nullptr ||
+        (jobs > 1 && exec::current_worker_slot() != 0)) {
+      one.solver = &solvers.local();
+    }
+    results[i] = explore(sys, one);
+    if (results[i].cancelled) stopped.store(true, std::memory_order_relaxed);
+  };
+  if (jobs > 1) {
+    exec::ThreadPool pool(jobs);
+    pool.parallel_for(targets.size(), explore_one, /*grain=*/1);
+  } else {
+    for (std::size_t i = 0; i < targets.size(); ++i) explore_one(i);
+  }
+  return results;
 }
 
 }  // namespace ermes::dse

@@ -11,7 +11,8 @@
 //      selection repeats, or at the iteration cap.
 //
 // The per-iteration (CT, area) history is exactly the series plotted in
-// Fig. 6.
+// Fig. 6. One exploration runs serially on the calling thread; sweep()
+// spreads the explorations of several targets over threads.
 
 #include <cstdint>
 #include <functional>
@@ -20,7 +21,6 @@
 
 #include "analysis/eval_cache.h"
 #include "dse/selection.h"
-#include "exec/thread_pool.h"
 #include "sysmodel/system.h"
 
 namespace ermes::dse {
@@ -43,14 +43,11 @@ struct ExplorerOptions {
   int max_iterations = 32;
   bool reorder_channels = true;  // run Algorithm 1 after each selection
 
-  // --- execution (see src/exec and analysis/eval_cache.h) ------------------
+  // --- execution (see analysis/eval_cache.h) ------------------------------
   //
-  // Candidate evaluation (apply + reorder + analyze) is a pure function of
-  // the candidate labeling, so the per-iteration candidates can be analyzed
-  // concurrently and memoized without changing any result: the exploration
-  // trajectory is bit-identical at every jobs setting.
-  //
-  /// Evaluation parallelism: 1 = serial (default), <= 0 = all cores.
+  /// Threads sweep() spreads its targets over: 1 = serial (default), <= 0 =
+  /// all cores. One exploration always runs serially; explore() and
+  /// explore_area_constrained() ignore this field.
   int jobs = 1;
   /// Memo for candidate evaluations. nullptr = a fresh per-run cache (still
   /// reuses results across iterations); pass a shared cache to also reuse
@@ -58,13 +55,10 @@ struct ExplorerOptions {
   /// analyzed through EvalCache::analyze, memoized by the fingerprint of its
   /// labeling.
   analysis::EvalCache* cache = nullptr;
-  /// Worker pool to evaluate on. nullptr = a per-run pool when jobs > 1.
-  exec::ThreadPool* pool = nullptr;
-  /// External CSR solver for the calling thread's evaluation slot (slot 0).
-  /// nullptr = a per-run solver. A sweep driver passes one solver per worker
-  /// slot so adjacent targets executed on that slot share a warm compiled
-  /// structure across the sweep's serial explorations. Not internally synchronized — the caller must ensure one
-  /// thread at a time, which per-slot ownership gives for free.
+  /// CSR solver for the run's cache misses. nullptr = a per-run solver.
+  /// Candidate systems share one topology, so a solver kept across runs
+  /// (a daemon worker's, a sweep slot's) stays warm from one run to the
+  /// next. Not internally synchronized: one thread at a time.
   tmg::CycleMeanSolver* solver = nullptr;
   /// Cooperative cancellation, polled between iterations. Returning true
   /// stops the run after the last completed iteration with
@@ -95,6 +89,18 @@ ExplorationResult explore(sysmodel::SystemModel sys,
 ExplorationResult explore_area_constrained(sysmodel::SystemModel sys,
                                            double area_budget,
                                            const ExplorerOptions& options);
+
+/// One exploration of `sys` per target, result i for targets[i]; every
+/// other option applies as in explore(). The targets spread over
+/// options.jobs threads, each with one warm CSR solver (options.solver
+/// serves the calling thread), and share options.cache, so targets that
+/// revisit a candidate find it in the memo. Each result is the one explore()
+/// returns for its target alone. Once an exploration is cancelled by
+/// options.should_stop, the targets not yet started are skipped and come
+/// back with `cancelled` set and no history.
+std::vector<ExplorationResult> sweep(const sysmodel::SystemModel& sys,
+                                     const std::vector<std::int64_t>& targets,
+                                     const ExplorerOptions& options);
 
 const char* to_string(Action action);
 

@@ -25,20 +25,12 @@ std::vector<Candidate> candidates_of(const SystemModel& sys, ProcessId p) {
 
 std::vector<std::vector<Candidate>> candidate_lists(
     const SystemModel& sys,
-    const std::function<void(ProcessId, std::vector<Candidate>&)>& filter,
-    exec::ThreadPool* pool) {
-  const auto n = static_cast<std::size_t>(sys.num_processes());
-  std::vector<std::vector<Candidate>> lists(n);
-  const auto score = [&](std::size_t i) {
-    const auto p = static_cast<ProcessId>(i);
-    std::vector<Candidate> list = candidates_of(sys, p);
-    if (filter) filter(p, list);
-    lists[i] = std::move(list);
-  };
-  if (pool != nullptr && pool->jobs() > 1) {
-    pool->parallel_for(n, score);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) score(i);
+    const std::function<void(ProcessId, std::vector<Candidate>&)>& filter) {
+  std::vector<std::vector<Candidate>> lists;
+  lists.reserve(static_cast<std::size_t>(sys.num_processes()));
+  for (ProcessId p = 0; p < sys.num_processes(); ++p) {
+    lists.push_back(candidates_of(sys, p));
+    if (filter) filter(p, lists.back());
   }
   return lists;
 }

@@ -12,7 +12,6 @@
 #include <functional>
 #include <vector>
 
-#include "exec/thread_pool.h"
 #include "sysmodel/system.h"
 
 namespace ermes::dse {
@@ -28,15 +27,13 @@ struct Candidate {
 std::vector<Candidate> candidates_of(const sysmodel::SystemModel& sys,
                                      sysmodel::ProcessId p);
 
-/// Per-process candidate lists for the whole system, with `filter` applied
-/// to each process' list (policy pruning, ring caps). Scoring fans out
-/// across `pool` when given; result slot p always holds process p's list,
-/// so the output is identical at any worker count.
+/// Per-process candidate lists for the whole system (slot p holds process
+/// p's list), with `filter` applied to each process' list (policy pruning,
+/// ring caps).
 std::vector<std::vector<Candidate>> candidate_lists(
     const sysmodel::SystemModel& sys,
     const std::function<void(sysmodel::ProcessId, std::vector<Candidate>&)>&
-        filter,
-    exec::ThreadPool* pool = nullptr);
+        filter);
 
 /// A full selection: implementation index per process.
 using SelectionVector = std::vector<std::size_t>;

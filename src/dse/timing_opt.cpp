@@ -14,8 +14,7 @@ TimingOptResult timing_optimization(const SystemModel& sys,
                                     std::int64_t needed,
                                     std::optional<double> area_budget,
                                     std::int64_t ring_cap,
-                                    TimingOptPolicy policy,
-                                    exec::ThreadPool* pool) {
+                                    TimingOptPolicy policy) {
   TimingOptResult result;
   std::vector<bool> on_critical(static_cast<std::size_t>(sys.num_processes()),
                                 false);
@@ -44,8 +43,7 @@ TimingOptResult timing_optimization(const SystemModel& sys,
             return cand.latency_gain != 0 && ring >= ring_cap;
           });
         }
-      },
-      pool);
+      });
 
   // Stage A: maximize the critical-cycle latency gain, optionally under the
   // area budget.

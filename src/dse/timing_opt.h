@@ -49,13 +49,10 @@ struct TimingOptPolicy {
 };
 
 /// `ring_cap` as in area_recovery (0 = disabled; typically the TCT).
-/// Per-process candidate scoring fans out across `pool` when given (the
-/// result does not depend on the worker count).
 TimingOptResult timing_optimization(
     const sysmodel::SystemModel& sys,
     const std::vector<sysmodel::ProcessId>& critical, std::int64_t needed,
     std::optional<double> area_budget = std::nullopt,
-    std::int64_t ring_cap = 0, TimingOptPolicy policy = {},
-    exec::ThreadPool* pool = nullptr);
+    std::int64_t ring_cap = 0, TimingOptPolicy policy = {});
 
 }  // namespace ermes::dse

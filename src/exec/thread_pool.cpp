@@ -204,7 +204,12 @@ void ThreadPool::parallel_for(std::size_t n,
     work_cv_.notify_all();
   }
 
+  // The caller runs chunks as this pool's slot 0, even when it is itself a
+  // worker of another pool.
+  const std::size_t caller_slot = t_worker_slot;
+  t_worker_slot = 0;
   run_chunks(*batch);
+  t_worker_slot = caller_slot;
 
   {
     std::unique_lock<std::mutex> lock(batch->mu);

@@ -2,8 +2,8 @@
 // Fixed-worker thread pool with chunked data-parallel helpers.
 //
 // The execution layer exists for one job: fan the pure, embarrassingly
-// parallel evaluations of the methodology (candidate analysis in the DSE
-// loop, per-process sensitivity perturbations, multi-TCT sweeps) across
+// parallel evaluations of the methodology (the explorations of a multi-TCT
+// sweep, per-process sensitivity perturbations, batch simulations) across
 // cores without changing any result. The design is deliberately minimal:
 //
 //  * A ThreadPool owns jobs-1 worker threads; the calling thread always
@@ -46,10 +46,11 @@ namespace ermes::exec {
 std::size_t hardware_jobs();
 
 /// Dense id of the calling thread within its owning pool: 0 for any thread
-/// that is not a pool worker (including every pool's caller thread), i in
-/// [1, jobs()) for a pool's i-th worker. Stable for the worker's lifetime,
-/// which lets parallel bodies index per-worker state (e.g. one solver
-/// workspace per worker) without locks: within one parallel_for, each slot
+/// that is not a pool worker and for every pool's caller thread inside its
+/// parallel_for (a worker of another pool included), i in [1, jobs()) for a
+/// pool's i-th worker. Stable for the worker's lifetime, which lets
+/// parallel bodies index per-worker state (e.g. one solver workspace per
+/// worker) without locks: within one parallel_for, each slot
 /// in [0, jobs()) is used by at most one thread.
 std::size_t current_worker_slot();
 

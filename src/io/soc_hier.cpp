@@ -217,8 +217,4 @@ ParseResult parse_soc_flattened(const std::string& text) {
   return out;
 }
 
-ParseResult load_soc_flattened(const std::string& path) {
-  return load_file(path, parse_soc_flattened);
-}
-
 }  // namespace ermes::io

@@ -48,7 +48,4 @@ HierParseResult load_soc_hier(const std::string& path);
 /// names, not line numbers) are reported through ParseResult::error.
 ParseResult parse_soc_flattened(const std::string& text);
 
-/// Reads, parses, and flattens a .soc file.
-ParseResult load_soc_flattened(const std::string& path);
-
 }  // namespace ermes::io

@@ -61,8 +61,8 @@ struct Broker::Session {
 // and the broker's callers — connection threads — never execute tasks).
 Broker::Broker(BrokerOptions options)
     : options_(std::move(options)),
-      env_(effective_workers(options_.workers) + 1,
-           OpEnv::SweepFanOut::kSerial, options_.cache_bytes),
+      env_(effective_workers(options_.workers) + 1, /*jobs=*/1,
+           options_.cache_bytes),
       pool_(effective_workers(options_.workers) + 1) {
   if (!options_.cache_file.empty()) {
     // A missing snapshot is the normal first launch — silent cold start. A
@@ -416,7 +416,7 @@ void Broker::execute(const Request& request, bool has_deadline,
   // Request-scoped telemetry: everything below (parse, cache probes, solves,
   // rendering) attributes its time to this context through thread-local
   // StageTimers — requests execute serially on this worker (the broker's
-  // OpEnv has no fan-out pool), so the scope covers the whole call tree.
+  // OpEnv sweeps at jobs = 1), so the scope covers the whole call tree.
   // `traced` implements span sampling: with trace_sample N, only every Nth
   // request records ObsSpans.
   obs::RequestContext ctx;
@@ -941,8 +941,8 @@ JsonValue Broker::run_stats(int version) {
     // tmg::CycleMeanSolver::Stats, aggregated across every solver).
     JsonValue solver = JsonValue::object();
     for (const char* key :
-         {"compiles", "weight_refreshes", "solves", "seeded_solves",
-          "iterations", "cap_hits"}) {
+         {"compiles", "weight_refreshes", "solves", "iterations",
+          "cap_hits"}) {
       solver.set(key, JsonValue::integer(
                           registry.counter(std::string("tmg.solver.") + key)
                               .value()));

@@ -1,6 +1,5 @@
 #include "svc/ops.h"
 
-#include <atomic>
 #include <stdexcept>
 #include <vector>
 
@@ -56,16 +55,16 @@ JsonValue run_order(const io::ParseResult& parsed, OpEnv& env) {
   return result;
 }
 
-// One serial exploration toward `tct` on the calling slot's warm solver.
-dse::ExplorationResult explore_target(
-    const sysmodel::SystemModel& sys, std::int64_t tct, OpEnv& env,
-    const std::function<bool()>& should_stop) {
+// Exploration options on the env: its memo, the calling slot's warm
+// solver and its sweep parallelism.
+dse::ExplorerOptions explorer_options(OpEnv& env,
+                                      const std::function<bool()>& should_stop) {
   dse::ExplorerOptions options;
-  options.target_cycle_time = tct;
+  options.jobs = env.jobs;
   options.cache = &env.cache;
   options.solver = &env.solvers.local();
   options.should_stop = should_stop;
-  return dse::explore(sys, options);
+  return options;
 }
 
 JsonValue history_json(const dse::ExplorationResult& result) {
@@ -99,32 +98,23 @@ JsonValue explore_json(const dse::ExplorationResult& result) {
   return out;
 }
 
-// One per-target body, run across env.pool when the env has one and in
-// order otherwise. Targets share env.cache — sweep points revisit the same
-// candidate systems constantly, so the memo does a large share of the work.
-// Once an exploration is cut short by `should_stop`, the remaining targets
-// are skipped and *cancelled is set.
+// The targets spread over env.jobs threads through dse::sweep and share
+// env.cache — sweep points revisit the same candidate systems constantly,
+// so the memo does a large share of the work. A cancelled target sets
+// *cancelled.
 JsonValue run_sweep(const Request& request, const sysmodel::SystemModel& sys,
                     OpEnv& env, const std::function<bool()>& should_stop,
                     bool* cancelled) {
   std::string range_error;  // both callers validated the range already
   const std::vector<std::int64_t> targets =
       sweep_targets(request.lo, request.hi, request.step, &range_error);
-  std::vector<dse::ExplorationResult> results(targets.size());
-  std::atomic<bool> stopped{false};
-  const auto explore_one = [&](std::size_t i) {
-    if (stopped.load(std::memory_order_relaxed)) return;
-    results[i] = explore_target(sys, targets[i], env, should_stop);
-    if (results[i].cancelled) stopped.store(true, std::memory_order_relaxed);
-  };
-  if (env.pool != nullptr) {
-    env.pool->parallel_for(targets.size(), explore_one, /*grain=*/1);
-  } else {
-    for (std::size_t i = 0; i < targets.size(); ++i) explore_one(i);
-  }
-  if (stopped.load()) {
-    *cancelled = true;
-    return JsonValue::null();
+  const std::vector<dse::ExplorationResult> results =
+      dse::sweep(sys, targets, explorer_options(env, should_stop));
+  for (const dse::ExplorationResult& result : results) {
+    if (result.cancelled) {
+      *cancelled = true;
+      return JsonValue::null();
+    }
   }
   JsonValue rows = JsonValue::array();
   bool all_met = true;
@@ -150,12 +140,8 @@ JsonValue run_sweep(const Request& request, const sysmodel::SystemModel& sys,
 
 }  // namespace
 
-OpEnv::OpEnv(std::size_t jobs, SweepFanOut fan_out, std::int64_t cache_bytes)
-    : cache(16, cache_bytes),
-      pool(fan_out == SweepFanOut::kPool
-               ? std::make_unique<exec::ThreadPool>(jobs)
-               : nullptr),
-      solvers(pool != nullptr ? pool->jobs() : jobs) {}
+OpEnv::OpEnv(std::size_t slots, int jobs, std::int64_t cache_bytes)
+    : cache(16, cache_bytes), solvers(slots), jobs(jobs) {}
 
 io::ParseResult parse_model(const Request& request) {
   obs::StageTimer parse_timer(obs::Stage::kParse);
@@ -184,8 +170,10 @@ OpResult run_op(const Request& request, OpEnv& env,
       out.result = run_order(parsed, env);
       break;
     case Op::kExplore: {
+      dse::ExplorerOptions options = explorer_options(env, should_stop);
+      options.target_cycle_time = request.tct;
       const dse::ExplorationResult result =
-          explore_target(parsed.system, request.tct, env, should_stop);
+          dse::explore(parsed.system, options);
       if (result.cancelled) {
         out.cancelled = true;
       } else {

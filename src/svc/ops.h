@@ -7,11 +7,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 
 #include "analysis/eval_cache.h"
-#include "exec/thread_pool.h"
 #include "exec/worker_slots.h"
 #include "io/soc_format.h"
 #include "svc/json.h"
@@ -21,23 +19,19 @@
 namespace ermes::svc {
 
 /// What the ops run against: one memo, one warm CSR solver per executing
-/// slot (exec::current_worker_slot()), and optionally a pool that a sweep
-/// spreads its targets over.
+/// slot (exec::current_worker_slot()), and the threads a sweep spreads its
+/// targets over.
 struct OpEnv {
-  enum class SweepFanOut {
-    kSerial,  // sweep targets run in order on the calling thread (daemon:
-              // requests are its unit of parallelism)
-    kPool,    // the env owns a `jobs`-thread pool for them (CLI --jobs)
-  };
-
-  /// `jobs`: the threads that may run ops at once — the host pool's jobs()
-  /// under kSerial, the owned pool's size under kPool (0 = all cores).
-  /// `cache_bytes` bounds the memo (0 = unbounded).
-  OpEnv(std::size_t jobs, SweepFanOut fan_out, std::int64_t cache_bytes = 0);
+  /// `slots`: the threads that may run ops at once (the host pool's jobs();
+  /// 1 for a single-threaded caller). `jobs`: dse::sweep's target
+  /// parallelism (1 = serial, as in the daemon, whose unit of parallelism
+  /// is the request; <= 0 = all cores). `cache_bytes` bounds the memo
+  /// (0 = unbounded).
+  OpEnv(std::size_t slots, int jobs, std::int64_t cache_bytes = 0);
 
   analysis::EvalCache cache;
-  std::unique_ptr<exec::ThreadPool> pool;  // kPool only
   exec::SlotLocal<tmg::CycleMeanSolver> solvers;
+  int jobs = 1;
 };
 
 struct OpResult {

@@ -38,11 +38,6 @@ void SystemModel::set_latency(ProcessId p, std::int64_t latency) {
   procs_[static_cast<std::size_t>(p)].latency = latency;
 }
 
-void SystemModel::set_area(ProcessId p, double area) {
-  assert(valid_process(p));
-  procs_[static_cast<std::size_t>(p)].area = area;
-}
-
 double SystemModel::total_area() const {
   double total = 0.0;
   for (const ProcRec& rec : procs_) total += rec.area;

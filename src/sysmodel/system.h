@@ -72,7 +72,6 @@ class SystemModel {
   double area(ProcessId p) const {
     return procs_[static_cast<std::size_t>(p)].area;
   }
-  void set_area(ProcessId p, double area);
 
   /// Sum of process areas.
   double total_area() const;

@@ -28,7 +28,6 @@ struct SolverCounters {
   obs::Counter& compiles;
   obs::Counter& weight_refreshes;
   obs::Counter& solves;
-  obs::Counter& seeded_solves;
   obs::Counter& iterations;
   obs::Counter& cap_hits;
 
@@ -37,7 +36,6 @@ struct SolverCounters {
         obs::Registry::global().counter("tmg.solver.compiles"),
         obs::Registry::global().counter("tmg.solver.weight_refreshes"),
         obs::Registry::global().counter("tmg.solver.solves"),
-        obs::Registry::global().counter("tmg.solver.seeded_solves"),
         obs::Registry::global().counter("tmg.solver.iterations"),
         obs::Registry::global().counter("tmg.solver.cap_hits")};
     return counters;
@@ -602,9 +600,6 @@ void CycleMeanSolver::compile_plan() {
       plan.kind = SccKind::kHoward;
     }
   }
-
-  last_policy_.assign(n, -1);
-  have_last_policy_ = false;
 }
 
 bool CycleMeanSolver::prepare(const RatioGraph& rg) {
@@ -637,9 +632,11 @@ bool CycleMeanSolver::prepare(const MarkedGraph& g) {
   return false;
 }
 
-CycleRatioResult CycleMeanSolver::solve_component_impl(
-    std::int32_t comp_id, HowardWorkspace& ws, int* iterations, bool* capped,
-    bool seeded) const {
+CycleRatioResult CycleMeanSolver::solve_component(std::int32_t comp_id,
+                                                  HowardWorkspace& ws,
+                                                  int* iterations,
+                                                  bool* capped) const {
+  assert(prepared_);
   if (iterations != nullptr) *iterations = 0;
   if (capped != nullptr) *capped = false;
   CycleRatioResult result;
@@ -680,45 +677,19 @@ CycleRatioResult CycleMeanSolver::solve_component_impl(
     case SccKind::kHoward:
       break;
   }
-  // Seeding is sound only when every member carries a remembered policy
-  // (the structure is unchanged since it was recorded — recompiles reset
-  // last_policy_); otherwise fall back to the canonical initial policy.
-  bool use_seed = seeded;
-  if (use_seed) {
-    for (const NodeId u : members) {
-      if (last_policy_[static_cast<std::size_t>(u)] < 0) {
-        use_seed = false;
-        break;
-      }
-    }
-  }
   CsrSccSolver solver(csr_, sccs_.component, comp_id, members, ws);
-  if (solver.solve(use_seed ? last_policy_ : init_slot_, result)) {
+  if (solver.solve(init_slot_, result)) {
     if (iterations != nullptr) *iterations = solver.iterations();
     if (capped != nullptr) *capped = solver.capped();
   }
   return result;
 }
 
-CycleRatioResult CycleMeanSolver::solve_component(std::int32_t comp_id,
-                                                  HowardWorkspace& ws,
-                                                  int* iterations,
-                                                  bool* capped) const {
-  assert(prepared_);
-  return solve_component_impl(comp_id, ws, iterations, capped,
-                              /*seeded=*/false);
-}
-
-CycleRatioResult CycleMeanSolver::run(bool seeded) {
+CycleRatioResult CycleMeanSolver::solve() {
   assert(prepared_);
   obs::ObsSpan span("howard.solve", "tmg");
-  if (seeded) {
-    ++stats_.seeded_solves;
-    if (obs::enabled()) SolverCounters::get().seeded_solves.add();
-  } else {
-    ++stats_.solves;
-    if (obs::enabled()) SolverCounters::get().solves.add();
-  }
+  ++stats_.solves;
+  if (obs::enabled()) SolverCounters::get().solves.add();
   CycleRatioResult result;
   if (has_zero_witness_) {
     result.has_cycle = true;
@@ -739,24 +710,15 @@ CycleRatioResult CycleMeanSolver::run(bool seeded) {
     int iters = 0;
     bool capped = false;
     const CycleRatioResult scc =
-        solve_component_impl(c, ws_, &iters, &capped, seeded);
+        solve_component(c, ws_, &iters, &capped);
     total_iterations += iters;
     if (capped) {
       ++stats_.cap_hits;
       if (obs::enabled()) SolverCounters::get().cap_hits.add();
     }
-    // Remember this component's final policy as the seed for the next
-    // warm-started solve (only Howard components run policy iteration).
-    if (plans_[static_cast<std::size_t>(c)].kind == SccKind::kHoward) {
-      for (const NodeId u : sccs_.members[static_cast<std::size_t>(c)]) {
-        last_policy_[static_cast<std::size_t>(u)] =
-            ws_.policy[static_cast<std::size_t>(u)];
-      }
-    }
     fold_cycle_ratio(scc, &result);
     if (result.is_infinite()) break;  // deadlock dominates
   }
-  have_last_policy_ = true;
   stats_.iterations += total_iterations;
   if (obs::enabled()) {
     SolverCounters::get().iterations.add(total_iterations);
@@ -766,12 +728,6 @@ CycleRatioResult CycleMeanSolver::run(bool seeded) {
                     << " policy iterations over " << sccs_.num_components
                     << " SCCs";
   return result;
-}
-
-CycleRatioResult CycleMeanSolver::solve() { return run(/*seeded=*/false); }
-
-CycleRatioResult CycleMeanSolver::solve_seeded() {
-  return run(/*seeded=*/true);
 }
 
 CycleRatioResult CycleMeanSolver::solve(const RatioGraph& rg) {

@@ -27,11 +27,9 @@
 // initial policy (first internal out-arc per node) is structure-only, so
 // warm solves start from the same policy a cold solve would, and (c) every
 // floating-point expression is evaluated in the same order with the same
-// 1e-9 epsilon. `solve_seeded()` trades the witness guarantee for speed: it
-// seeds policy iteration from the previous optimal policy, which converges
-// to the *exact same maximum ratio* (compare_ratios == 0) but may report a
-// different co-optimal critical cycle. The differential harness enforces
-// both contracts (tests/test_differential.cpp).
+// 1e-9 epsilon. Every solve starts from that canonical policy, so a result
+// never depends on what the solver solved before. The differential harness
+// enforces the contract (tests/test_differential.cpp).
 
 #include <cstdint>
 #include <vector>
@@ -111,10 +109,8 @@ class CycleMeanSolver {
   struct Stats {
     std::int64_t compiles = 0;          // structure (re)compilations
     std::int64_t weight_refreshes = 0;  // warm prepares (structure reused)
-    std::int64_t solves = 0;            // canonical full-graph solves
-    std::int64_t seeded_solves = 0;     // warm-policy full-graph solves
+    std::int64_t solves = 0;            // full-graph solves
     std::int64_t iterations = 0;        // policy-improvement rounds, total
-                                        // (solve/solve_seeded)
     std::int64_t cap_hits = 0;          // SCC solves that exhausted the cap
   };
 
@@ -138,13 +134,6 @@ class CycleMeanSolver {
   /// prepare + solve in one call.
   CycleRatioResult solve(const RatioGraph& rg);
   CycleRatioResult solve(const MarkedGraph& g);
-
-  /// Whole-graph solve seeded from the previous solve's optimal policy
-  /// (falls back to the canonical policy where no previous policy exists).
-  /// Converges to the exact same maximum ratio as solve() — compare_ratios
-  /// of the two results is always 0 — but may report a different co-optimal
-  /// critical cycle, so it is opt-in rather than the default.
-  CycleRatioResult solve_seeded();
 
   /// One component's solve on caller-provided scratch; bit-identical to the
   /// max_cycle_ratio_howard_scc oracle. `capped`, when non-null, reports
@@ -183,10 +172,6 @@ class CycleMeanSolver {
   };
 
   void compile_plan();
-  CycleRatioResult run(bool seeded);
-  CycleRatioResult solve_component_impl(std::int32_t comp_id,
-                                        HowardWorkspace& ws, int* iterations,
-                                        bool* capped, bool seeded) const;
 
   CsrGraph csr_;
   graph::SccResult sccs_;
@@ -199,11 +184,6 @@ class CycleMeanSolver {
   std::vector<SccPlan> plans_;
   std::vector<std::int32_t> plan_slots_;  // self-loop slots of trivial SCCs
   std::vector<graph::ArcId> plan_arcs_;   // per-SCC zero-token witnesses
-
-  // Previous optimal policy (slot per node, -1 where unknown) for
-  // solve_seeded(); invalidated by every recompile.
-  std::vector<std::int32_t> last_policy_;
-  bool have_last_policy_ = false;
 
   HowardWorkspace ws_;
   Stats stats_;

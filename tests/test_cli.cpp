@@ -442,6 +442,28 @@ TEST(CliSweep, JobsDoNotChangeTheTable) {
   }
 }
 
+// `sens` perturbs on one warm solver per --jobs slot: the shared topology
+// compiles at most once per slot, and the report does not depend on --jobs.
+TEST(CliSens, JobsCompileOncePerSlotAndKeepTheReport) {
+  const std::string mpeg2 =
+      std::string(ERMES_EXAMPLES_DIR) + "/mpeg2_encoder.soc";
+  const std::string metrics = temp_path("sens_metrics.json");
+  const RunResult serial = run_cli("--jobs 1 sens " + mpeg2);
+  const RunResult parallel =
+      run_cli("--jobs 4 --metrics " + metrics + " sens " + mpeg2);
+  EXPECT_EQ(serial.exit_code, 0) << serial.err;
+  EXPECT_EQ(parallel.exit_code, 0) << parallel.err;
+  EXPECT_EQ(serial.out, parallel.out);
+  const std::string json = slurp(metrics);
+  const std::string key = "\"tmg.solver.compiles\":";
+  const std::size_t at = json.find(key);
+  ASSERT_NE(at, std::string::npos) << json;
+  const long long compiles = std::atoll(json.c_str() + at + key.size());
+  EXPECT_GE(compiles, 1);
+  EXPECT_LE(compiles, 4) << json;
+  std::remove(metrics.c_str());
+}
+
 // An `ermes serve` child on a per-process unix socket, stopped with SIGTERM
 // (a clean drain) when the test ends.
 class Daemon {

@@ -20,8 +20,6 @@
 //      after any sequence of warm weight-only re-prepares.
 //  D6. One CycleMeanSolver reused across differently-shaped graphs (its
 //      workspaces only ever grow) never contaminates a later solve.
-//  D7. solve_seeded() reaches the exact same maximum ratio as the canonical
-//      solve (compare_ratios == 0) and its witness reproduces that ratio.
 //  D8. Every production entry point that reaches the CSR engine — analyze,
 //      the partitioned engine (fresh and reused solver),
 //      EvalCache::analyze over latency variants with a warm and a fresh
@@ -429,49 +427,6 @@ TEST(DifferentialCsrSolver, SolverReusedAcrossGraphsStaysBitIdentical) {
       };
       report_failure(shard, spec, fails,
                      "reused solver diverged after a differently-sized graph");
-      return;
-    }
-  }
-}
-
-// --- D7 (seeded warm start: exact ratio, self-consistent witness) ------------
-
-bool csr_seeded_diverges(const TmgSpec& spec) {
-  MarkedGraph g = spec.build();
-  CycleMeanSolver solver;
-  solver.prepare(g);
-  solver.solve();  // establish a previous optimal policy
-  util::Rng rng(kBaseSeed ^ 0x5eedeULL ^
-                (static_cast<std::uint64_t>(spec.delays.size()) * 137));
-  for (int s = 0; s < 16; ++s) {
-    const auto t =
-        static_cast<TransitionId>(rng.index(spec.delays.size()));
-    g.set_delay(t, rng.uniform_int(0, 20));
-    solver.prepare(g);
-    const CycleRatioResult seeded = solver.solve_seeded();
-    const RatioGraph rg = to_ratio_graph(g);
-    const CycleRatioResult legacy = max_cycle_ratio_howard(rg);
-    if (seeded.has_cycle != legacy.has_cycle) return true;
-    if (!seeded.has_cycle) continue;
-    if (seeded.is_infinite() != legacy.is_infinite()) return true;
-    if (seeded.is_infinite()) continue;
-    // Exact same maximum ratio, and a witness that actually attains it.
-    if (compare_ratios(seeded.ratio_num, seeded.ratio_den, legacy.ratio_num,
-                       legacy.ratio_den) != 0) {
-      return true;
-    }
-    if (!critical_cycle_consistent(rg, seeded)) return true;
-  }
-  return false;
-}
-
-TEST(DifferentialCsrSolver, SeededSolveReachesExactRatio) {
-  for (std::uint64_t shard = 0; shard < 60; ++shard) {
-    util::Rng rng = util::Rng::for_shard(kBaseSeed ^ 0x5eedeULL, shard);
-    const TmgSpec spec = random_spec(rng, /*unit_tokens=*/shard % 2 == 0);
-    if (csr_seeded_diverges(spec)) {
-      report_failure(shard, spec, csr_seeded_diverges,
-                     "seeded CSR solve missed the exact maximum ratio");
       return;
     }
   }

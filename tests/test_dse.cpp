@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "analysis/performance.h"
 #include "apps/mpeg2/characterization.h"
 #include "dse/area_recovery.h"
@@ -223,6 +225,31 @@ TEST(ExplorerTest, ActionStringsStable) {
   EXPECT_STREQ(to_string(Action::kInit), "init");
   EXPECT_STREQ(to_string(Action::kTimingOpt), "timing-opt");
   EXPECT_STREQ(to_string(Action::kAreaRecovery), "area-recovery");
+}
+
+// ---- sweep -----------------------------------------------------------------------
+
+TEST(SweepTest, SkipsTheTargetsAfterACancelledOne) {
+  Fixture f;
+  ExplorerOptions options;
+  options.should_stop = [] { return true; };
+  const std::vector<ExplorationResult> results =
+      sweep(f.sys, {12, 30, 100}, options);
+  ASSERT_EQ(results.size(), 3u);
+  // The first exploration stops after its init record; the rest never run.
+  EXPECT_TRUE(results[0].cancelled);
+  EXPECT_EQ(results[0].history.size(), 1u);
+  for (std::size_t i = 1; i < results.size(); ++i) {
+    EXPECT_TRUE(results[i].cancelled);
+    EXPECT_TRUE(results[i].history.empty());
+  }
+}
+
+TEST(SweepTest, EmptyTargetListIsEmpty) {
+  Fixture f;
+  ExplorerOptions options;
+  options.jobs = 4;
+  EXPECT_TRUE(sweep(f.sys, {}, options).empty());
 }
 
 // ---- explorer on the MPEG-2 model ------------------------------------------------

@@ -151,6 +151,30 @@ TEST(ThreadPool, SubmittingToADifferentPoolFromATaskIsAllowed) {
   EXPECT_EQ(total.load(), 12);
 }
 
+TEST(ThreadPool, CallerIsSlotZeroOfAnInnerPoolItRuns) {
+  // A worker of the outer pool that runs an inner pool's parallel_for is
+  // that pool's slot 0 while it does, so it never shares a slot with the
+  // inner pool's own worker; afterwards it is its outer slot again.
+  exec::ThreadPool outer(3);
+  std::atomic<int> bad{0};
+  outer.parallel_for(6, [&](std::size_t) {
+    const std::size_t outer_slot = exec::current_worker_slot();
+    exec::ThreadPool inner(2);
+    std::vector<std::size_t> slots(8);
+    inner.parallel_for(
+        slots.size(),
+        [&](std::size_t i) { slots[i] = exec::current_worker_slot(); },
+        /*grain=*/1);
+    for (const std::size_t slot : slots) {
+      if (slot >= inner.jobs()) bad.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (exec::current_worker_slot() != outer_slot) {
+      bad.fetch_add(1, std::memory_order_relaxed);
+    }
+  }, /*grain=*/1);
+  EXPECT_EQ(bad.load(), 0);
+}
+
 // ---------------------------------------------------------------------------
 // EvalCache
 

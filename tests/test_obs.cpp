@@ -24,7 +24,6 @@
 #include "obs/span.h"
 #include "sim/kernel.h"
 #include "sim/stall_report.h"
-#include "util/timer.h"
 
 namespace ermes::obs {
 namespace {
@@ -459,21 +458,6 @@ TEST(SpanRecorderTest, ChromeTraceJsonIsWellFormed) {
   EXPECT_DOUBLE_EQ(events[0].obj().at("ts").num(), 1.5);
   EXPECT_DOUBLE_EQ(events[0].obj().at("dur").num(), 2.5);
   EXPECT_EQ(events[1].obj().at("name").str(), "beta \"quoted\"");
-}
-
-// ---- util::Timer -------------------------------------------------------------
-
-TEST(TimerTest, FeedsHistogramOnlyWhenEnabled) {
-  Histogram hist;
-  set_enabled(false);
-  { util::Timer t(hist); }
-  EXPECT_EQ(hist.count(), 0);
-  {
-    EnabledGuard guard(true);
-    util::Timer t(hist);
-  }
-  EXPECT_EQ(hist.count(), 1);
-  EXPECT_GE(hist.snapshot().min, 0);
 }
 
 // ---- kernel stall accounting -------------------------------------------------

@@ -18,11 +18,11 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <vector>
 
 #include "analysis/eval_cache.h"
 #include "analysis/performance.h"
 #include "dse/explorer.h"
-#include "exec/thread_pool.h"
 #include "synth/pareto_gen.h"
 #include "ordering/baselines.h"
 #include "ordering/channel_ordering.h"
@@ -258,10 +258,11 @@ TEST(SmallOptimalityAggregate, MeanGaps) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SmallOptimality,
                          ::testing::Range<std::uint64_t>(1, 16));
 
-// P6. End-to-end sequential/parallel equivalence: the full DSE loop (which
-// exercises ordering, analysis, and both selection problems on every
-// iteration) must produce bit-identical trajectories at any worker count,
-// with a cold private cache, a shared cache, and a warm shared cache.
+// P6. End-to-end sweep equivalence: the full DSE loop (which exercises
+// ordering, analysis, and both selection problems on every iteration) must
+// produce bit-identical trajectories whether the targets of a sweep run
+// alone at jobs = 1 with private caches or together through dse::sweep at
+// jobs = 4 on one shared cache, cold and then warm.
 class ExplorerEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
 bool histories_identical(const dse::ExplorationResult& a,
@@ -277,7 +278,10 @@ bool histories_identical(const dse::ExplorationResult& a,
       return false;
     }
   }
-  return a.converged == b.converged && a.met_target == b.met_target;
+  return a.converged == b.converged && a.met_target == b.met_target &&
+         a.cancelled == b.cancelled &&
+         dse::current_selection(a.final_system) ==
+             dse::current_selection(b.final_system);
 }
 
 TEST_P(ExplorerEquivalence, ParallelExplorationMatchesSequentialBitwise) {
@@ -290,32 +294,43 @@ TEST_P(ExplorerEquivalence, ParallelExplorationMatchesSequentialBitwise) {
   SystemModel sys = synth::generate_soc(config);
   synth::attach_pareto_sets(sys, seed * 31 + 7);
 
+  // From timing-optimization heavy (0.5x) to area-recovery heavy (1.2x).
   const double ct0 = analysis::analyze_system(sys).cycle_time;
-  dse::ExplorerOptions sequential;
-  sequential.target_cycle_time = static_cast<std::int64_t>(ct0 * 0.6);
-  sequential.jobs = 1;
-  const dse::ExplorationResult expected = dse::explore(sys, sequential);
-  ASSERT_FALSE(expected.history.empty());
+  std::vector<std::int64_t> targets;
+  for (int i = 0; i < 6; ++i) {
+    targets.push_back(static_cast<std::int64_t>(ct0 * (0.5 + 0.14 * i)));
+  }
+  std::vector<dse::ExplorationResult> expected;
+  for (const std::int64_t tct : targets) {
+    dse::ExplorerOptions alone;
+    alone.target_cycle_time = tct;
+    expected.push_back(dse::explore(sys, alone));
+    ASSERT_FALSE(expected.back().history.empty());
+  }
 
-  exec::ThreadPool pool(4);
   analysis::EvalCache cache;
-  dse::ExplorerOptions parallel = sequential;
-  parallel.jobs = 4;
-  parallel.pool = &pool;
-  parallel.cache = &cache;
-  const dse::ExplorationResult cold = dse::explore(sys, parallel);
-  EXPECT_TRUE(histories_identical(expected, cold))
-      << "parallel cold-cache trajectory diverged (seed " << seed << ")";
-
-  // Warm re-run through the now-populated cache: same trajectory again.
-  const dse::ExplorationResult warm = dse::explore(sys, parallel);
-  EXPECT_TRUE(histories_identical(expected, warm))
-      << "warm-cache trajectory diverged (seed " << seed << ")";
+  dse::ExplorerOptions shared;
+  shared.jobs = 4;
+  shared.cache = &cache;
+  const std::vector<dse::ExplorationResult> cold =
+      dse::sweep(sys, targets, shared);
+  // Warm re-run through the now-populated cache: same trajectories again.
+  const std::vector<dse::ExplorationResult> warm =
+      dse::sweep(sys, targets, shared);
+  ASSERT_EQ(cold.size(), targets.size());
+  ASSERT_EQ(warm.size(), targets.size());
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    EXPECT_TRUE(histories_identical(expected[i], cold[i]))
+        << "cold-cache sweep diverged (seed " << seed << ", TCT "
+        << targets[i] << ")";
+    EXPECT_TRUE(histories_identical(expected[i], warm[i]))
+        << "warm-cache sweep diverged (seed " << seed << ", TCT "
+        << targets[i] << ")";
+    // Ordering safety (P1) through the sweep: the explored system remains
+    // live.
+    EXPECT_TRUE(analysis::analyze_system(cold[i].final_system).live);
+  }
   EXPECT_GT(cache.hits(), 0);
-
-  // Ordering safety (P1) through the parallel path: the explored system
-  // remains live.
-  EXPECT_TRUE(analysis::analyze_system(cold.final_system).live);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExplorerEquivalence,

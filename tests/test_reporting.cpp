@@ -11,12 +11,10 @@
 #include "apps/mpeg2/characterization.h"
 #include "dse/explorer.h"
 #include "dse/report.h"
-#include "exec/thread_pool.h"
 #include "ordering/channel_ordering.h"
 #include "ordering/repair.h"
 #include "synth/generator.h"
 #include "sysmodel/builder.h"
-#include "tmg/csr.h"
 
 namespace ermes {
 namespace {
@@ -95,9 +93,10 @@ void expect_same_sensitivity(const analysis::SensitivityReport& got,
 }
 
 TEST(SensitivityTest, EveryExecutionPathGivesTheSameReport) {
-  // The serial, pooled (per-task solvers), warm-solver serial (cache +
-  // solver) and call-local-solver (cache only) paths must agree bit for bit.
-  // Each call gets its own cache so no path is served from another's memo.
+  // The serial uncached path, the serial cached path and four threads
+  // (per-slot scratch models and warm solvers, cached and uncached) must
+  // agree bit for bit. Each call gets its own cache so no path is served
+  // from another's memo.
   struct Case {
     std::string name;
     SystemModel sys;
@@ -120,29 +119,24 @@ TEST(SensitivityTest, EveryExecutionPathGivesTheSameReport) {
     cases.push_back({"synthetic seed " + std::to_string(seed), std::move(sys),
                      5});
   }
-  exec::ThreadPool pool(4);
   for (const Case& c : cases) {
     const analysis::SensitivityReport plain =
         analysis::latency_sensitivity(c.sys, c.step);
     ASSERT_FALSE(plain.processes.empty()) << c.name;
     EXPECT_GT(plain.processes.front().ct_gain_per_cycle, 0.0) << c.name;
 
+    expect_same_sensitivity(analysis::latency_sensitivity(c.sys, c.step, 4),
+                            plain, c.name + ": jobs 4");
+
     analysis::EvalCache pooled_cache;
     expect_same_sensitivity(
-        analysis::latency_sensitivity(c.sys, c.step, &pool, &pooled_cache),
-        plain, c.name + ": pool(4) + cache");
+        analysis::latency_sensitivity(c.sys, c.step, 4, &pooled_cache), plain,
+        c.name + ": jobs 4 + cache");
 
-    analysis::EvalCache solver_cache;
-    tmg::CycleMeanSolver solver;
+    analysis::EvalCache serial_cache;
     expect_same_sensitivity(
-        analysis::latency_sensitivity(c.sys, c.step, nullptr, &solver_cache,
-                                      &solver),
-        plain, c.name + ": cache + solver");
-
-    analysis::EvalCache local_cache;
-    expect_same_sensitivity(
-        analysis::latency_sensitivity(c.sys, c.step, nullptr, &local_cache),
-        plain, c.name + ": cache, no solver");
+        analysis::latency_sensitivity(c.sys, c.step, 1, &serial_cache), plain,
+        c.name + ": jobs 1 + cache");
   }
 }
 

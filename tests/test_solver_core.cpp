@@ -305,7 +305,7 @@ TEST(CycleMeanSolver, EachPolicyIterationIsCountedOnce) {
   // howard.iterations and tmg.solver.iterations are summed into one
   // iteration figure downstream, so every round the engine runs must land in
   // exactly one of them. howard.solves and the per-solve histogram still see
-  // every solve()/solve_seeded() call.
+  // every solve() call.
   obs::Registry& reg = obs::Registry::global();
   obs::Counter& howard_iters = reg.counter("howard.iterations");
   obs::Counter& solver_iters = reg.counter("tmg.solver.iterations");
@@ -322,10 +322,9 @@ TEST(CycleMeanSolver, EachPolicyIterationIsCountedOnce) {
   CycleMeanSolver solver;
   solver.prepare(rg);
   solver.solve();
-  // The self-loop stops dominating: a different optimum, reached from the
-  // previous policy.
+  // The self-loop stops dominating: a warm re-solve to a different optimum.
   solver.set_arc_weight(4, 1);
-  solver.solve_seeded();
+  solver.solve();
   obs::set_enabled(false);
 
   const std::int64_t iterations = solver.stats().iterations;

@@ -55,6 +55,7 @@
 #include "comp/flatten.h"
 #include "comp/partition.h"
 #include "dse/explorer.h"
+#include "exec/thread_pool.h"
 #include "graph/dot.h"
 #include "io/soc_format.h"
 #include "io/soc_hier.h"
@@ -298,7 +299,9 @@ int cmd_op(const svc::Request& request, const char* path,
                   "misses (%.1f%% hit rate, %zu entries)\n",
                   result.find("targets")->items().size(),
                   util::format_double(elapsed_ms, 1).c_str(),
-                  env.pool->jobs(), static_cast<long long>(env.cache.hits()),
+                  env.jobs > 0 ? static_cast<std::size_t>(env.jobs)
+                               : exec::hardware_jobs(),
+                  static_cast<long long>(env.cache.hits()),
                   static_cast<long long>(env.cache.misses()),
                   env.cache.hit_rate() * 100.0, env.cache.size());
       if (result.find("all_met")->as_bool()) return kExitOk;
@@ -585,11 +588,11 @@ int cmd_stats(const io::ParseResult& parsed) {
   return kExitOk;
 }
 
-// Perturbations fan out over the env's --jobs pool; with --jobs 1 they
-// re-solve warm on the slot-0 solver.
+// Perturbations spread over --jobs threads, each re-solving on its own warm
+// solver, and memoize through the env's cache.
 int cmd_sensitivity(const io::ParseResult& parsed, svc::OpEnv& env) {
   const analysis::SensitivityReport report = analysis::latency_sensitivity(
-      parsed.system, 1, env.pool.get(), &env.cache, &env.solvers[0]);
+      parsed.system, 1, env.jobs, &env.cache);
   if (report.processes.empty()) {
     std::printf("system is deadlocked; no sensitivity available\n");
     std::fprintf(stderr, "error: system deadlocks\n");
@@ -1049,10 +1052,9 @@ int dispatch(int argc, char** argv, const GlobalOptions& global) {
     return usage();
   }
   if (!read_model(argv[2], global, &request)) return kExitParse;
-  // The model ops and `sens` share one env: the memo, the --jobs pool and
-  // one warm solver per pool slot.
-  svc::OpEnv env(static_cast<std::size_t>(global.jobs),
-                 svc::OpEnv::SweepFanOut::kPool);
+  // The model ops and `sens` share one env: the memo, the main thread's
+  // warm solver and the --jobs parallelism of sweep and sens.
+  svc::OpEnv env(1, static_cast<int>(global.jobs));
   if (cmd == "analyze" || cmd == "order" || cmd == "dse" || cmd == "sweep") {
     return cmd_op(request, argv[2], out_path, env);
   }
