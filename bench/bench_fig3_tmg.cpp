@@ -40,9 +40,11 @@ int main() {
     const char* kind = role.kind == PlaceRole::Kind::kGet   ? "get-place"
                        : role.kind == PlaceRole::Kind::kPut ? "put-place"
                                                             : "compute-in";
-    table.add_row({stmg.graph.place_name(pl),
-                   stmg.graph.transition_name(stmg.graph.producer(pl)),
-                   stmg.graph.transition_name(stmg.graph.consumer(pl)),
+    table.add_row({analysis::place_name(sys, stmg, pl),
+                   analysis::transition_name(sys, stmg,
+                                             stmg.graph.producer(pl)),
+                   analysis::transition_name(sys, stmg,
+                                             stmg.graph.consumer(pl)),
                    std::to_string(stmg.graph.tokens(pl)), kind});
   }
   std::printf("%s", table.to_text(2).c_str());

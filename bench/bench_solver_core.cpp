@@ -51,8 +51,7 @@ tmg::MarkedGraph make_tmg(std::int32_t n, std::uint64_t seed) {
   tmg::MarkedGraph g;
   g.reserve(n, 3 * n);
   for (std::int32_t t = 0; t < n; ++t) {
-    g.add_transition("t" + std::to_string(t),
-                     rng.uniform_int(1, 100));
+    g.add_transition(rng.uniform_int(1, 100));
   }
   for (std::int32_t t = 0; t < n; ++t) {
     // The only token-free path segments lie on the ring, and the lone pure

@@ -5,7 +5,6 @@
 
 #include "analysis/performance.h"
 #include "analysis/tmg_builder.h"
-#include "tmg/liveness.h"
 
 namespace ermes::analysis {
 
@@ -32,10 +31,10 @@ SizingResult size_for_liveness(SystemModel& sys, std::int64_t max_slots) {
   SizingResult result;
   while (result.slots_added <= max_slots) {
     const SystemTmg stmg = build_tmg(sys);
-    const tmg::LivenessResult liveness = tmg::check_liveness(stmg.graph);
-    if (liveness.live) {
+    const PerformanceReport report = analyze(stmg);
+    if (report.live) {
       result.success = true;
-      result.cycle_time = analyze(stmg).cycle_time;
+      result.cycle_time = report.cycle_time;
       return result;
     }
     if (result.slots_added == max_slots) break;
@@ -45,10 +44,10 @@ SizingResult size_for_liveness(SystemModel& sys, std::int64_t max_slots) {
     // channel producer->consumer are forward wait chains — buffering cannot
     // break them (only priming can).
     ChannelId pick = sysmodel::kInvalidChannel;
-    const std::size_t n = liveness.dead_cycle.size();
+    const std::size_t n = report.dead_cycle.size();
     for (std::size_t i = 0; i < n && pick == sysmodel::kInvalidChannel; ++i) {
-      const tmg::PlaceId pl = liveness.dead_cycle[i];
-      const tmg::PlaceId nxt = liveness.dead_cycle[(i + 1) % n];
+      const tmg::PlaceId pl = report.dead_cycle[i];
+      const tmg::PlaceId nxt = report.dead_cycle[(i + 1) % n];
       const PlaceRole& role = stmg.place_role[static_cast<std::size_t>(pl)];
       const PlaceRole& role2 = stmg.place_role[static_cast<std::size_t>(nxt)];
       if (role.kind != PlaceRole::Kind::kGet) continue;

@@ -128,15 +128,20 @@ void EvalCache::record_insert(const cache::InsertResult& result) const {
   }
 }
 
-bool EvalCache::lookup(std::uint64_t fingerprint,
-                       PerformanceReport* out) const {
-  obs::StageTimer probe_timer(obs::Stage::kCacheProbe);
-  const bool hit = reports_.lookup(fingerprint, out);
+void EvalCache::record_probe(std::uint64_t fingerprint, bool hit) const {
+  reports_.record(fingerprint, hit);
   (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
   if (obs::enabled()) {
     (hit ? window_hits_ : window_misses_).record();
     obs::count(hit ? "analysis.eval_cache.hits" : "analysis.eval_cache.misses");
   }
+}
+
+bool EvalCache::lookup(std::uint64_t fingerprint,
+                       PerformanceReport* out) const {
+  obs::StageTimer probe_timer(obs::Stage::kCacheProbe);
+  const bool hit = reports_.peek(fingerprint, out);
+  record_probe(fingerprint, hit);
   return hit;
 }
 
@@ -149,7 +154,34 @@ PerformanceReport EvalCache::analyze(const sysmodel::SystemModel& sys,
                                      tmg::CycleMeanSolver& solver) {
   const std::uint64_t fingerprint = system_fingerprint(sys);
   PerformanceReport report;
-  if (lookup(fingerprint, &report)) {
+  bool hit = false;
+  std::shared_ptr<InFlight> flight;  // set when this thread computes
+  {
+    obs::StageTimer probe_timer(obs::Stage::kCacheProbe);
+    hit = reports_.peek(fingerprint, &report);
+    if (!hit) {
+      // Join the computation another thread already runs for this
+      // fingerprint, or register as its owner. The re-probe under the lock
+      // closes the window in which an owner inserted and unregistered after
+      // the probe above (owners insert before they unregister).
+      std::unique_lock<std::mutex> lock(inflight_mu_);
+      hit = reports_.peek(fingerprint, &report);
+      if (!hit) {
+        std::shared_ptr<InFlight>& slot = inflight_[fingerprint];
+        if (slot == nullptr) {
+          slot = std::make_shared<InFlight>();
+          flight = slot;
+        } else {
+          const std::shared_ptr<InFlight> joined = slot;
+          inflight_cv_.wait(lock, [&] { return joined->done; });
+          hit = joined->ok;
+          if (hit) report = joined->report;
+        }
+      }
+    }
+  }
+  record_probe(fingerprint, hit);
+  if (hit) {
 #ifndef NDEBUG
     // Sampled collision/staleness guard: every 16th hit re-runs the full
     // sequential analysis and insists on a bit-identical report.
@@ -161,8 +193,30 @@ PerformanceReport EvalCache::analyze(const sysmodel::SystemModel& sys,
 #endif
     return report;
   }
+  if (flight == nullptr) {
+    // The owner this thread waited for threw: compute without dedup.
+    report = analyze_system(sys, solver);
+    insert(fingerprint, report);
+    return report;
+  }
+  // Unregisters the flight on every exit; after an exception `ok` stays
+  // false and the waiters compute for themselves. Waiters read `report` and
+  // `ok` only after seeing `done`, which is set under inflight_mu_.
+  struct Finish {
+    EvalCache& cache;
+    std::uint64_t fingerprint;
+    InFlight& flight;
+    ~Finish() {
+      const std::lock_guard<std::mutex> lock(cache.inflight_mu_);
+      flight.done = true;
+      cache.inflight_.erase(fingerprint);
+      cache.inflight_cv_.notify_all();
+    }
+  } finish{*this, fingerprint, *flight};
   report = analyze_system(sys, solver);
   insert(fingerprint, report);
+  flight->report = report;
+  flight->ok = true;
   return report;
 }
 

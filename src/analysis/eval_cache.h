@@ -44,8 +44,12 @@
 // (src/comp) solve their components without a memo.
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "analysis/performance.h"
@@ -81,6 +85,12 @@ class EvalCache {
   /// Memoized analysis::analyze_system: returns the cached report when the
   /// fingerprint of `sys` was seen before, computes and stores it otherwise.
   /// Thread-safe; results are bit-identical to the uncached path.
+  ///
+  /// Misses are deduplicated in flight: the first thread to miss on a
+  /// fingerprint computes the report, and threads missing on it meanwhile
+  /// wait for that report and count as hits. Without a byte budget, misses()
+  /// therefore equals the number of distinct fingerprints analyzed, however
+  /// many threads share the cache.
   ///
   /// Cache misses are computed through `solver` (see tmg/csr.h), so
   /// repeated same-topology misses reuse the compiled CSR and workspace.
@@ -149,7 +159,17 @@ class EvalCache {
   double window_hit_rate() const;
 
  private:
+  // A miss being computed; waiters read `report` once `done` is set.
+  struct InFlight {
+    bool done = false;
+    bool ok = false;  // false when the computing thread threw
+    PerformanceReport report;
+  };
+
   void record_insert(const cache::InsertResult& result) const;
+  // Counts one request's outcome: per shard, in aggregate, in the windows
+  // and in the obs registry.
+  void record_probe(std::uint64_t fingerprint, bool hit) const;
 
   // mutable: const lookups still set reference bits and hit counters
   // (logically const — observable values never change).
@@ -159,6 +179,11 @@ class EvalCache {
   mutable obs::WindowRate window_hits_;
   mutable obs::WindowRate window_misses_;
   std::atomic<std::uint64_t> verify_tick_{0};  // debug-only sampling cursor
+
+  // Misses being computed, by fingerprint (touched on misses only).
+  std::mutex inflight_mu_;
+  std::condition_variable inflight_cv_;
+  std::unordered_map<std::uint64_t, std::shared_ptr<InFlight>> inflight_;
 };
 
 }  // namespace ermes::analysis

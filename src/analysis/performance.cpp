@@ -8,7 +8,6 @@
 #include "obs/request_context.h"
 #include "obs/span.h"
 #include "tmg/csr.h"
-#include "tmg/liveness.h"
 #include "util/table.h"
 
 namespace ermes::analysis {
@@ -21,13 +20,14 @@ PerformanceReport analyze(const SystemTmg& stmg) {
 PerformanceReport analyze(const SystemTmg& stmg, tmg::CycleMeanSolver& solver) {
   obs::ObsSpan span("analysis.analyze", "analysis");
   obs::count("analysis.analyses");
-  const tmg::LivenessResult liveness = tmg::check_liveness(stmg.graph);
-  if (!liveness.live) {
+  // prepare() screens the structure for a token-free cycle once; its
+  // witness is the liveness verdict (no second DFS here).
+  solver.prepare(stmg.graph);
+  if (!solver.live()) {
     PerformanceReport report;
-    report.dead_cycle = liveness.dead_cycle;
+    report.dead_cycle = solver.dead_cycle();
     return report;
   }
-  solver.prepare(stmg.graph);
   obs::StageTimer solve_timer(obs::Stage::kSolve);
   return report_from_ratio(stmg, solver.solve());
 }
@@ -85,12 +85,16 @@ bool reports_bit_identical(const PerformanceReport& a,
 }
 
 PerformanceReport analyze_system(const sysmodel::SystemModel& sys) {
-  return analyze(build_tmg(sys));
+  tmg::CycleMeanSolver solver;
+  return analyze_system(sys, solver);
 }
 
 PerformanceReport analyze_system(const sysmodel::SystemModel& sys,
                                  tmg::CycleMeanSolver& solver) {
-  return analyze(build_tmg(sys), solver);
+  obs::ObsSpan build_span("analysis.build_tmg", "analysis");
+  const SystemTmg stmg = build_tmg(sys);
+  build_span.close();
+  return analyze(stmg, solver);
 }
 
 std::string summarize(const PerformanceReport& report,

@@ -14,7 +14,25 @@
 //    first channel transition the process blocks on (the first get-place; for
 //    a source testbench, its first put-place), modeling that each process
 //    starts at its first I/O statement and the environment is always ready.
+//
+// Numbering and storage. Transitions are numbered channel by channel (the
+// write transition, then a FIFO's read transition), then L_p per process;
+// places ring by ring in process order (the place feeding the i-th ring
+// element, i = 0..n-1), then each FIFO's data and space places. build_tmg
+// fills the flat tmg::MarkedGraph arrays in one pass over the orders and
+// allocates nothing per ring and no strings.
+//
+// Naming contract. The graph stores no names; transition_name/place_name
+// derive them from transition_origin/place_role on demand, for DOT export
+// and human-readable witnesses:
+//   ch_<channel>  write (or rendezvous) transition of a channel
+//   rd_<channel>  read transition of a FIFO channel
+//   L_<process>   compute transition
+//   get_<process>_<channel> / put_<process>_<channel> / cin_<process>
+//                 ring places feeding a get, a put and L_p
+//   data_<channel> / space_<channel>  FIFO coupling places
 
+#include <string>
 #include <vector>
 
 #include "sysmodel/system.h"
@@ -64,5 +82,14 @@ struct SystemTmg {
 
 /// Builds the TMG of `sys` under its current I/O orders and latencies.
 SystemTmg build_tmg(const sysmodel::SystemModel& sys);
+
+/// Display name of transition `t` of `stmg` (the TMG of `sys`), per the
+/// naming contract above.
+std::string transition_name(const sysmodel::SystemModel& sys,
+                            const SystemTmg& stmg, tmg::TransitionId t);
+
+/// Display name of place `p` of `stmg` (the TMG of `sys`).
+std::string place_name(const sysmodel::SystemModel& sys, const SystemTmg& stmg,
+                       tmg::PlaceId p);
 
 }  // namespace ermes::analysis

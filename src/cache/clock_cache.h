@@ -91,24 +91,17 @@ class ClockCache {
   /// shard hit). The copy happens outside the shard lock under a pin; the
   /// unpin is a lock-free atomic decrement, so a hit costs one mutex
   /// acquisition.
-  bool lookup(std::uint64_t key, V* out) {
-    Shard& shard = shard_of(key);
-    Entry* entry = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      const auto it = shard.map.find(key);
-      if (it == shard.map.end()) {
-        shard.misses.fetch_add(1, std::memory_order_relaxed);
-        return false;
-      }
-      entry = &it->second;
-      entry->referenced = true;
-      entry->pins.fetch_add(1, std::memory_order_relaxed);
-      shard.hits.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (out != nullptr) *out = entry->value;
-    entry->pins.fetch_sub(1, std::memory_order_release);
-    return true;
+  bool lookup(std::uint64_t key, V* out) { return probe(key, out, true); }
+
+  /// lookup() without counting. A caller that settles a request's outcome
+  /// later (EvalCache counts a wait on an in-flight computation as a hit)
+  /// probes with peek() and then counts once with record().
+  bool peek(std::uint64_t key, V* out) { return probe(key, out, false); }
+
+  /// Counts one hit or miss against `key`'s shard.
+  void record(std::uint64_t key, bool hit) {
+    (hit ? shard_of(key).hits : shard_of(key).misses)
+        .fetch_add(1, std::memory_order_relaxed);
   }
 
   /// First write wins; re-inserting an existing key is a no-op. When the
@@ -316,6 +309,26 @@ class ClockCache {
 
   Shard& shard_of(std::uint64_t key) const {
     return *shards_[static_cast<std::size_t>(key) % shards_.size()];
+  }
+
+  bool probe(std::uint64_t key, V* out, bool count) {
+    Shard& shard = shard_of(key);
+    Entry* entry = nullptr;
+    {
+      std::lock_guard<std::mutex> lock(shard.mu);
+      const auto it = shard.map.find(key);
+      if (it == shard.map.end()) {
+        if (count) shard.misses.fetch_add(1, std::memory_order_relaxed);
+        return false;
+      }
+      entry = &it->second;
+      entry->referenced = true;
+      entry->pins.fetch_add(1, std::memory_order_relaxed);
+      if (count) shard.hits.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (out != nullptr) *out = entry->value;
+    entry->pins.fetch_sub(1, std::memory_order_release);
+    return true;
   }
 
   /// One clock step sequence: sweep until a victim falls. Caller holds the

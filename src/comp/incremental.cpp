@@ -29,12 +29,12 @@ IncrementalAnalyzer::IncrementalAnalyzer(sysmodel::SystemModel sys)
 void IncrementalAnalyzer::rebuild() {
   obs::ObsSpan span("comp.incremental.rebuild", "comp");
   stmg_ = analysis::build_tmg(sys_);
-  const tmg::LivenessResult liveness = tmg::check_liveness(stmg_.graph);
-  live_ = liveness.live;
-  dead_cycle_ = liveness.dead_cycle;
   // Warm when only weights changed since the last rebuild (e.g. a channel
-  // retargeted and retargeted back); recompiles otherwise.
+  // retargeted and retargeted back); recompiles otherwise. The structure's
+  // zero-token screen gives the liveness verdict and witness.
   solver_.prepare(stmg_.graph);
+  live_ = solver_.live();
+  dead_cycle_ = solver_.dead_cycle();
   const auto n = static_cast<std::size_t>(solver_.sccs().num_components);
   res_.assign(n, tmg::CycleRatioResult{});
   dirty_.assign(n, 1);

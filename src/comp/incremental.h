@@ -28,7 +28,6 @@
 #include "sysmodel/system.h"
 #include "tmg/csr.h"
 #include "tmg/cycle_ratio.h"
-#include "tmg/liveness.h"
 
 namespace ermes::comp {
 

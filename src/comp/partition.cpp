@@ -8,7 +8,6 @@
 #include "obs/metrics.h"
 #include "obs/request_context.h"
 #include "obs/span.h"
-#include "tmg/liveness.h"
 #include "util/table.h"
 
 namespace ermes::comp {
@@ -91,16 +90,15 @@ PartitionedReport analyze_partitioned(const SystemTmg& stmg,
   obs::count("comp.analyses");
   PartitionedReport part;
 
-  const tmg::LivenessResult liveness = tmg::check_liveness(stmg.graph);
-  if (!liveness.live) {
+  // Compile once per structure (a caller-owned solver re-reads only the
+  // weights on warm calls) and solve the components one by one. The
+  // compile's zero-token screen is the liveness verdict.
+  solver.prepare(stmg.graph);
+  if (!solver.live()) {
     part.report.live = false;
-    part.report.dead_cycle = liveness.dead_cycle;
+    part.report.dead_cycle = solver.dead_cycle();
     return part;
   }
-
-  // Compile once per structure (a caller-owned solver re-reads only the
-  // weights on warm calls) and solve the components one by one.
-  solver.prepare(stmg.graph);
   const auto n = static_cast<std::size_t>(solver.sccs().num_components);
   std::vector<tmg::CycleRatioResult> per(n);
   {

@@ -91,7 +91,12 @@ RepairResult ensure_live(SystemModel& sys, int max_iterations,
       const tmg::PlaceId pl =
           liveness.dead_cycle[(k + static_cast<std::size_t>(iter)) % n];
       const PlaceRole& role = stmg.place_role[static_cast<std::size_t>(pl)];
-      if (role.kind == PlaceRole::Kind::kComputeIn) continue;
+      // Only ring places of I/O statements can move; compute places and a
+      // FIFO's data place (which belongs to no process) cannot.
+      if (role.kind != PlaceRole::Kind::kGet &&
+          role.kind != PlaceRole::Kind::kPut) {
+        continue;
+      }
       const bool is_put = role.kind == PlaceRole::Kind::kPut;
       const auto& order = is_put ? sys.output_order(role.process)
                                  : sys.input_order(role.process);

@@ -269,12 +269,20 @@ class CsrSccSolver {
   std::int64_t best_t_ = 1;
 };
 
-// Port of cycle_ratio.cpp's find_zero_token_cycle onto the CSR view: same
-// root order (0..n-1), same out-arc (slot) order, so the reported witness is
-// the one the oracle's global screen finds.
-bool csr_zero_token_cycle(const CsrGraph& csr, std::vector<ArcId>* cycle) {
+// The one zero-token-cycle search (Commoner's liveness criterion): a DFS
+// over the token-free arcs, roots in node order 0..n-1 and each node's
+// out-arcs in slot order, reporting the first back arc it meets as the
+// cycle of arcs from its head around the DFS stack. `Slots` reads slot s of
+// the adjacency bracketed by `row_ptr`: arc(s), head(s) and tokens(s). The
+// solver plan runs it on a CsrGraph, tmg::check_liveness directly on a
+// MarkedGraph's out-place arrays; both lay slots out in the same order, so
+// both report the same witness.
+template <typename Slots>
+bool zero_token_dfs(std::int32_t num_nodes,
+                    const std::vector<std::int32_t>& row_ptr,
+                    const Slots& slots, std::vector<ArcId>* cycle) {
   enum class Color : unsigned char { kWhite, kGray, kBlack };
-  const auto n = static_cast<std::size_t>(csr.num_nodes);
+  const auto n = static_cast<std::size_t>(num_nodes);
   std::vector<Color> color(n, Color::kWhite);
   struct Frame {
     NodeId node;
@@ -282,28 +290,28 @@ bool csr_zero_token_cycle(const CsrGraph& csr, std::vector<ArcId>* cycle) {
     ArcId via;
   };
   std::vector<Frame> stack;
-  for (NodeId root = 0; root < csr.num_nodes; ++root) {
+  for (NodeId root = 0; root < num_nodes; ++root) {
     if (color[static_cast<std::size_t>(root)] != Color::kWhite) continue;
     color[static_cast<std::size_t>(root)] = Color::kGray;
     stack.clear();
     stack.push_back(
         {root,
-         static_cast<std::size_t>(csr.row_ptr[static_cast<std::size_t>(root)]),
+         static_cast<std::size_t>(row_ptr[static_cast<std::size_t>(root)]),
          graph::kInvalidArc});
     while (!stack.empty()) {
       Frame& frame = stack.back();
       const auto row_end = static_cast<std::size_t>(
-          csr.row_ptr[static_cast<std::size_t>(frame.node) + 1]);
+          row_ptr[static_cast<std::size_t>(frame.node) + 1]);
       bool descended = false;
       while (frame.next < row_end) {
         const std::size_t s = frame.next++;
-        if (csr.slot_tokens[s] != 0) continue;
-        const NodeId w = csr.slot_head[s];
+        if (slots.tokens(s) != 0) continue;
+        const NodeId w = slots.head(s);
         const auto wi = static_cast<std::size_t>(w);
         if (color[wi] == Color::kWhite) {
           color[wi] = Color::kGray;
-          stack.push_back({w, static_cast<std::size_t>(csr.row_ptr[wi]),
-                           csr.slot_arc[s]});
+          stack.push_back({w, static_cast<std::size_t>(row_ptr[wi]),
+                           slots.arc(s)});
           descended = true;
           break;
         }
@@ -315,7 +323,7 @@ bool csr_zero_token_cycle(const CsrGraph& csr, std::vector<ArcId>* cycle) {
               found.push_back(it->via);
             }
             std::reverse(found.begin(), found.end());
-            found.push_back(csr.slot_arc[s]);
+            found.push_back(slots.arc(s));
             *cycle = std::move(found);
           }
           return true;
@@ -329,6 +337,26 @@ bool csr_zero_token_cycle(const CsrGraph& csr, std::vector<ArcId>* cycle) {
   }
   return false;
 }
+
+struct CsrSlots {
+  const CsrGraph& csr;
+  ArcId arc(std::size_t s) const { return csr.slot_arc[s]; }
+  NodeId head(std::size_t s) const { return csr.slot_head[s]; }
+  std::int64_t tokens(std::size_t s) const { return csr.slot_tokens[s]; }
+};
+
+struct MarkedGraphSlots {
+  const std::vector<PlaceId>& place;
+  const std::vector<TransitionId>& consumer;
+  const std::vector<std::int64_t>& marking;
+  ArcId arc(std::size_t s) const { return place[s]; }
+  NodeId head(std::size_t s) const {
+    return consumer[static_cast<std::size_t>(place[s])];
+  }
+  std::int64_t tokens(std::size_t s) const {
+    return marking[static_cast<std::size_t>(place[s])];
+  }
+};
 
 // Port of howard.cpp's find_zero_token_cycle_in_scc onto the CSR view (same
 // member order, same slot order => same witness). `color`/`via` are shared
@@ -396,6 +424,16 @@ std::atomic<int> g_iteration_cap_override{0};
 
 void set_howard_iteration_cap_for_testing(int cap) {
   g_iteration_cap_override.store(cap, std::memory_order_relaxed);
+}
+
+bool find_zero_token_cycle(const CsrGraph& csr, std::vector<ArcId>* cycle) {
+  return zero_token_dfs(csr.num_nodes, csr.row_ptr, CsrSlots{csr}, cycle);
+}
+
+bool find_zero_token_cycle(const MarkedGraph& g, std::vector<PlaceId>* cycle) {
+  const MarkedGraphSlots slots{g.out_place_array(), g.consumers(),
+                               g.initial_marking()};
+  return zero_token_dfs(g.num_transitions(), g.out_offsets(), slots, cycle);
 }
 
 namespace detail {
@@ -466,44 +504,29 @@ void CsrGraph::compile(const RatioGraph& rg) {
 }
 
 void CsrGraph::compile(const MarkedGraph& g) {
-  // Mirrors compile(to_ratio_graph(g)) without materializing the Digraph:
-  // transition_graph adds one arc per place in PlaceId order, so per-node
-  // out_arcs order equals out_places order and arc ids equal PlaceIds.
+  // Equals compile(to_ratio_graph(g)) without materializing the Digraph:
+  // the MarkedGraph's out-place arrays already are the slot layout (places
+  // per producer in PlaceId order, which is Digraph::out_arcs order), and
+  // arc ids are PlaceIds.
   num_nodes = g.num_transitions();
   num_arcs = g.num_places();
-  const auto n = static_cast<std::size_t>(num_nodes);
   const auto m = static_cast<std::size_t>(num_arcs);
-  arc_tail.resize(m);
-  arc_head.resize(m);
-  arc_tokens.resize(m);
+  arc_tail = g.producers();
+  arc_head = g.consumers();
+  arc_tokens = g.initial_marking();
+  row_ptr = g.out_offsets();
+  slot_arc = g.out_place_array();
   arc_slot.resize(m);
-  row_ptr.assign(n + 1, 0);
-  slot_arc.resize(m);
   slot_head.resize(m);
   slot_weight.resize(m);
   slot_tokens.resize(m);
-  for (PlaceId p = 0; p < num_arcs; ++p) {
-    const auto pi = static_cast<std::size_t>(p);
-    arc_tail[pi] = g.producer(p);
-    arc_head[pi] = g.consumer(p);
-    arc_tokens[pi] = g.tokens(p);
+  for (std::size_t s = 0; s < m; ++s) {
+    const auto pi = static_cast<std::size_t>(slot_arc[s]);
+    slot_head[s] = arc_head[pi];
+    slot_tokens[s] = arc_tokens[pi];
+    arc_slot[pi] = static_cast<std::int32_t>(s);
   }
-  std::int32_t s = 0;
-  for (TransitionId t = 0; t < num_nodes; ++t) {
-    row_ptr[static_cast<std::size_t>(t)] = s;
-    const std::int64_t delay = g.delay(t);
-    for (const PlaceId p : g.out_places(t)) {
-      const auto si = static_cast<std::size_t>(s);
-      slot_arc[si] = p;
-      slot_head[si] = g.consumer(p);
-      slot_weight[si] = delay;
-      slot_tokens[si] = g.tokens(p);
-      arc_slot[static_cast<std::size_t>(p)] = s;
-      ++s;
-    }
-  }
-  row_ptr[n] = s;
-  assert(s == num_arcs);
+  refresh_weights(g);
 }
 
 bool CsrGraph::matches(const RatioGraph& rg) const {
@@ -521,17 +544,8 @@ bool CsrGraph::matches(const RatioGraph& rg) const {
 }
 
 bool CsrGraph::matches(const MarkedGraph& g) const {
-  if (g.num_transitions() != num_nodes || g.num_places() != num_arcs) {
-    return false;
-  }
-  for (PlaceId p = 0; p < num_arcs; ++p) {
-    const auto pi = static_cast<std::size_t>(p);
-    if (arc_tail[pi] != g.producer(p) || arc_head[pi] != g.consumer(p) ||
-        arc_tokens[pi] != g.tokens(p)) {
-      return false;
-    }
-  }
-  return true;
+  return g.num_transitions() == num_nodes && arc_tail == g.producers() &&
+         arc_head == g.consumers() && arc_tokens == g.initial_marking();
 }
 
 void CsrGraph::refresh_weights(const RatioGraph& rg) {
@@ -541,8 +555,10 @@ void CsrGraph::refresh_weights(const RatioGraph& rg) {
 }
 
 void CsrGraph::refresh_weights(const MarkedGraph& g) {
-  for (PlaceId p = 0; p < num_arcs; ++p) {
-    set_arc_weight(p, g.delay(g.producer(p)));
+  // Every out-slot of t carries t's delay.
+  for (std::size_t t = 0; t < static_cast<std::size_t>(num_nodes); ++t) {
+    std::fill(slot_weight.begin() + row_ptr[t],
+              slot_weight.begin() + row_ptr[t + 1], g.delays()[t]);
   }
 }
 
@@ -567,7 +583,7 @@ void CycleMeanSolver::compile_plan() {
     }
   }
   zero_witness_.clear();
-  has_zero_witness_ = csr_zero_token_cycle(csr_, &zero_witness_);
+  has_zero_witness_ = find_zero_token_cycle(csr_, &zero_witness_);
 
   plans_.assign(static_cast<std::size_t>(sccs_.num_components), SccPlan{});
   plan_slots_.clear();

@@ -37,11 +37,10 @@
 #include "graph/digraph.h"
 #include "graph/scc.h"
 #include "tmg/cycle_ratio.h"
+#include "tmg/marked_graph.h"
 #include "tmg/workspace.h"
 
 namespace ermes::tmg {
-
-class MarkedGraph;
 
 /// Flat CSR snapshot of a ratio graph. Arc ids equal the source graph's arc
 /// ids (== PlaceIds when compiled from a MarkedGraph); "slots" are positions
@@ -154,6 +153,13 @@ class CycleMeanSolver {
   /// graph::strongly_connected_components on the source Digraph.
   const graph::SccResult& sccs() const { return sccs_; }
 
+  /// Liveness of the prepared graph, from the structure-only zero-token
+  /// screen compile_plan() runs: false iff some cycle carries no token.
+  bool live() const { return !has_zero_witness_; }
+  /// When !live(): the deadlock witness, the token-free cycle
+  /// find_zero_token_cycle reports (arc ids == PlaceIds for a MarkedGraph).
+  const std::vector<graph::ArcId>& dead_cycle() const { return zero_witness_; }
+
   /// The solver's own scratch, for solve_component() callers.
   HowardWorkspace& workspace() { return ws_; }
 
@@ -188,6 +194,16 @@ class CycleMeanSolver {
   HowardWorkspace ws_;
   Stats stats_;
 };
+
+/// The one zero-token-cycle search (a deadlock witness for a TMG): a DFS
+/// over token-free arcs, roots in node order and out-arcs in slot order.
+/// Returns true and fills `cycle` (if non-null) with the first token-free
+/// cycle it closes, as arcs in traversal order. The MarkedGraph overload
+/// walks the graph's own out-place arrays, which are the CSR slot layout,
+/// so it reports exactly the witness the solver plan caches.
+bool find_zero_token_cycle(const CsrGraph& csr,
+                           std::vector<graph::ArcId>* cycle);
+bool find_zero_token_cycle(const MarkedGraph& g, std::vector<PlaceId>* cycle);
 
 /// Test-only override of the defensive policy-iteration cap. `cap` > 0
 /// replaces the default 64 + 2*|SCC| bound for every subsequent solve; 0

@@ -1,9 +1,9 @@
 #include "tmg/cycle_ratio.h"
 
-#include <algorithm>
 #include <cassert>
 #include <limits>
 
+#include "tmg/csr.h"
 #include "tmg/marked_graph.h"
 
 namespace ermes::tmg {
@@ -25,58 +25,11 @@ RatioGraph to_ratio_graph(const MarkedGraph& tmg) {
 
 bool find_zero_token_cycle(const RatioGraph& rg,
                            std::vector<graph::ArcId>* cycle) {
-  using graph::ArcId;
-  using graph::NodeId;
-  enum class Color : unsigned char { kWhite, kGray, kBlack };
-  const auto n = static_cast<std::size_t>(rg.g.num_nodes());
-  std::vector<Color> color(n, Color::kWhite);
-  struct Frame {
-    NodeId node;
-    std::size_t next;
-    ArcId via;
-  };
-  std::vector<Frame> stack;
-  for (NodeId root = 0; root < rg.g.num_nodes(); ++root) {
-    if (color[static_cast<std::size_t>(root)] != Color::kWhite) continue;
-    color[static_cast<std::size_t>(root)] = Color::kGray;
-    stack.clear();
-    stack.push_back({root, 0, graph::kInvalidArc});
-    while (!stack.empty()) {
-      Frame& frame = stack.back();
-      const auto& outs = rg.g.out_arcs(frame.node);
-      bool descended = false;
-      while (frame.next < outs.size()) {
-        const ArcId a = outs[frame.next++];
-        if (rg.arc_tokens(a) != 0) continue;
-        const NodeId w = rg.g.head(a);
-        const auto wi = static_cast<std::size_t>(w);
-        if (color[wi] == Color::kWhite) {
-          color[wi] = Color::kGray;
-          stack.push_back({w, 0, a});
-          descended = true;
-          break;
-        }
-        if (color[wi] == Color::kGray) {
-          if (cycle != nullptr) {
-            std::vector<ArcId> found;
-            for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-              if (it->node == w) break;
-              found.push_back(it->via);
-            }
-            std::reverse(found.begin(), found.end());
-            found.push_back(a);
-            *cycle = std::move(found);
-          }
-          return true;
-        }
-      }
-      if (!descended) {
-        color[static_cast<std::size_t>(frame.node)] = Color::kBlack;
-        stack.pop_back();
-      }
-    }
-  }
-  return false;
+  // CSR slots keep Digraph::out_arcs order, so the shared DFS visits arcs
+  // in the order the oracles expect.
+  CsrGraph csr;
+  csr.compile(rg);
+  return find_zero_token_cycle(csr, cycle);
 }
 
 void fold_cycle_ratio(const CycleRatioResult& scc, CycleRatioResult* out) {

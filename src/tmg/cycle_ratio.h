@@ -76,7 +76,8 @@ void fold_cycle_ratio(const CycleRatioResult& scc, CycleRatioResult* out);
 
 /// Finds a cycle whose arcs all carry zero tokens (a deadlock witness for
 /// TMGs; makes the max ratio infinite). Returns true and fills `cycle` (if
-/// non-null) when one exists.
+/// non-null) when one exists. Runs the CSR search of tmg/csr.h on a
+/// snapshot of `rg`.
 bool find_zero_token_cycle(const RatioGraph& rg,
                            std::vector<graph::ArcId>* cycle);
 

@@ -2,6 +2,7 @@
 
 #include <map>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "graph/dot.h"
@@ -27,10 +28,19 @@ struct DotState {
   // fill[t] = fillcolor for transition t; empty = unfilled.
   std::vector<std::string> fill;
 
+  std::string transition_label(TransitionId t) const {
+    return options.transition_label ? options.transition_label(t)
+                                    : "t" + std::to_string(t);
+  }
+  std::string place_label(PlaceId p) const {
+    return options.place_label ? options.place_label(p)
+                               : "p" + std::to_string(p);
+  }
+
   void emit_transition(std::ostringstream& out, TransitionId t,
                        const std::string& indent) const {
     out << indent << "t" << t << " [shape=box, label=\""
-        << escape(tmg.transition_name(t)) << "\\nd=" << tmg.delay(t) << "\"";
+        << escape(transition_label(t)) << "\\nd=" << tmg.delay(t) << "\"";
     if (!fill.empty() && !fill[static_cast<std::size_t>(t)].empty()) {
       out << ", style=filled, fillcolor=\""
           << fill[static_cast<std::size_t>(t)] << "\"";
@@ -41,7 +51,7 @@ struct DotState {
   void emit_place(std::ostringstream& out, PlaceId p,
                   const std::string& indent) const {
     out << indent << "p" << p << " [shape=circle, label=\""
-        << escape(tmg.place_name(p));
+        << escape(place_label(p));
     if (tmg.tokens(p) > 0) out << "\\n(" << tmg.tokens(p) << ")";
     out << "\"";
     if (tmg.tokens(p) > 0) out << ", style=filled, fillcolor=lightgrey";
@@ -86,29 +96,6 @@ void emit_cluster(std::ostringstream& out, const DotState& state,
 
 }  // namespace
 
-std::string to_dot(const MarkedGraph& tmg, const std::string& graph_name) {
-  std::ostringstream out;
-  out << "digraph \"" << escape(graph_name) << "\" {\n";
-  out << "  rankdir=LR;\n";
-  for (TransitionId t = 0; t < tmg.num_transitions(); ++t) {
-    out << "  t" << t << " [shape=box, label=\""
-        << escape(tmg.transition_name(t)) << "\\nd=" << tmg.delay(t)
-        << "\"];\n";
-  }
-  for (PlaceId p = 0; p < tmg.num_places(); ++p) {
-    out << "  p" << p << " [shape=circle, label=\""
-        << escape(tmg.place_name(p));
-    if (tmg.tokens(p) > 0) out << "\\n(" << tmg.tokens(p) << ")";
-    out << "\"";
-    if (tmg.tokens(p) > 0) out << ", style=filled, fillcolor=lightgrey";
-    out << "];\n";
-    out << "  t" << tmg.producer(p) << " -> p" << p << ";\n";
-    out << "  p" << p << " -> t" << tmg.consumer(p) << ";\n";
-  }
-  out << "}\n";
-  return out.str();
-}
-
 std::string to_dot(const MarkedGraph& tmg, const TmgDotOptions& options) {
   DotState state{tmg, options, {}};
   if (options.color_sccs) {
@@ -127,9 +114,7 @@ std::string to_dot(const MarkedGraph& tmg, const TmgDotOptions& options) {
   out << "digraph \"" << escape(options.graph_name) << "\" {\n";
   out << "  rankdir=LR;\n";
   if (!options.transition_cluster) {
-    // No clustering: keep the legacy layout (each place immediately followed
-    // by its arcs) so the default-options export is byte-identical to the
-    // string-name overload.
+    // No clustering: each place is immediately followed by its arcs.
     for (TransitionId t = 0; t < tmg.num_transitions(); ++t) {
       state.emit_transition(out, t, "  ");
     }

@@ -5,6 +5,11 @@
 // graph is live iff the token count of every directed cycle is positive, and
 // the token count of a cycle is invariant under firing. Deadlock detection
 // therefore reduces to finding a cycle among the zero-token places.
+//
+// check_liveness runs the one zero-token DFS (tmg::find_zero_token_cycle,
+// tmg/csr.h) directly on the graph's flat out-place arrays; the CSR solver
+// plan runs the same search, so CycleMeanSolver::dead_cycle() after
+// prepare() is the same witness.
 
 #include <optional>
 #include <vector>

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "analysis/deadlock.h"
 #include "analysis/performance.h"
@@ -122,6 +124,31 @@ TEST(TmgBuilderTest, RingOrderFollowsIOOrders) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+TEST(TmgBuilderTest, NamesFollowTheNamingContract) {
+  // The graph stores no names; transition_name/place_name derive them from
+  // the origins and roles. A FIFO (capacity 2) and an unbounded channel
+  // cover the rd_/data_/space_ forms.
+  SystemModel sys = two_stage();
+  sys.set_channel_capacity(0, 2);
+  sys.set_channel_capacity(1, sysmodel::kUnboundedCapacity);
+  const SystemTmg stmg = build_tmg(sys);
+  std::vector<std::string> transitions;
+  for (tmg::TransitionId t = 0; t < stmg.graph.num_transitions(); ++t) {
+    transitions.push_back(transition_name(sys, stmg, t));
+  }
+  EXPECT_EQ(transitions,
+            (std::vector<std::string>{"ch_a", "rd_a", "ch_b", "rd_b", "L_src",
+                                      "L_p", "L_snk"}));
+  std::vector<std::string> places;
+  for (tmg::PlaceId p = 0; p < stmg.graph.num_places(); ++p) {
+    places.push_back(place_name(sys, stmg, p));
+  }
+  EXPECT_EQ(places, (std::vector<std::string>{
+                        "cin_src", "put_src_a", "get_p_a", "cin_p",
+                        "put_p_b", "get_snk_b", "cin_snk", "data_a",
+                        "space_a", "data_b"}));
 }
 
 // ---- performance -----------------------------------------------------------

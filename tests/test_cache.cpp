@@ -22,6 +22,8 @@
 #include "analysis/performance.h"
 #include "cache/clock_cache.h"
 #include "cache/snapshot.h"
+#include "obs/metrics.h"
+#include "obs/span.h"
 #include "sysmodel/builder.h"
 #include "tmg/csr.h"
 #include "util/rng.h"
@@ -379,6 +381,66 @@ TEST(EvalCacheBounded, AnalyzeIsBitIdenticalToUncachedUnderEviction) {
     }
   }
   EXPECT_GT(cache.evictions(), 0);
+}
+
+// The TMG build is its own span inside every analysis, so traces split
+// build from solve: one analysis.build_tmg span per miss, none per hit.
+TEST(EvalCacheSpans, BuildTmgSpanRecordedOncePerMiss) {
+  obs::set_enabled(true);
+  obs::SpanRecorder& recorder = obs::SpanRecorder::global();
+  recorder.clear();
+  analysis::EvalCache cache;
+  tmg::CycleMeanSolver solver;
+  for (int round = 0; round < 2; ++round) {
+    for (std::int64_t i = 0; i < 5; ++i) cache.analyze(variant(i), solver);
+  }
+  obs::set_enabled(false);
+  std::int64_t builds = 0;
+  for (const obs::SpanEvent& event : recorder.events()) {
+    if (event.name == "analysis.build_tmg") ++builds;
+  }
+  EXPECT_EQ(cache.misses(), 5);
+  EXPECT_EQ(cache.hits(), 5);
+#ifdef NDEBUG
+  EXPECT_EQ(builds, cache.misses());
+#else
+  // Debug builds also re-analyze every 16th hit (the sampled guard).
+  EXPECT_EQ(builds, cache.misses() + (cache.hits() + 15) / 16);
+#endif
+  recorder.clear();
+}
+
+// Concurrent misses on one fingerprint compute it once: the first thread
+// computes, the others wait for its report and count as hits.
+TEST(EvalCacheInFlight, ConcurrentMissesOnOneFingerprintComputeOnce) {
+  constexpr int kThreads = 4;
+  constexpr std::int64_t kModels = 24;
+  for (int trial = 0; trial < 5; ++trial) {
+    analysis::EvalCache cache;
+    std::vector<std::thread> threads;
+    std::vector<std::vector<analysis::PerformanceReport>> got(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&cache, &got, t] {
+        tmg::CycleMeanSolver solver;
+        for (std::int64_t i = 0; i < kModels; ++i) {
+          got[static_cast<std::size_t>(t)].push_back(
+              cache.analyze(variant(i), solver));
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    EXPECT_EQ(cache.misses(), kModels);
+    EXPECT_EQ(cache.hits(), (kThreads - 1) * kModels);
+    EXPECT_EQ(cache.size(), static_cast<std::size_t>(kModels));
+    for (std::int64_t i = 0; i < kModels; ++i) {
+      const analysis::PerformanceReport want =
+          analysis::analyze_system(variant(i));
+      for (const auto& reports : got) {
+        EXPECT_TRUE(analysis::reports_bit_identical(
+            reports[static_cast<std::size_t>(i)], want));
+      }
+    }
+  }
 }
 
 TEST(EvalCacheBounded, SnapshotRoundTripsReports) {

@@ -287,6 +287,27 @@ TEST(CliSimulate, OutputIsPinnedOnExampleModels) {
   std::remove(metrics.c_str());
 }
 
+// Pinned TMG renderings: `tmgdot` on the shipped flat models and
+// `compose --dot` on the hierarchical one (FIFO and unbounded channels, so
+// every transition and place name form appears). The graph stores no names;
+// these goldens hold the on-demand names and the numbering byte for byte.
+TEST(CliTmgDot, OutputIsPinnedOnExampleModels) {
+  const std::string dir = ERMES_EXAMPLES_DIR;
+  const std::string golden = ERMES_GOLDEN_DIR;
+  for (const char* model : {"motivating", "mpeg2_encoder"}) {
+    const RunResult run =
+        run_cli("tmgdot " + dir + "/" + model + ".soc");
+    EXPECT_EQ(run.exit_code, 0) << model;
+    EXPECT_EQ(run.out,
+              slurp(golden + "/tmgdot_" + std::string(model) + ".dot"))
+        << model;
+  }
+  const RunResult composed =
+      run_cli("compose " + dir + "/hier_pipeline.soc --dot");
+  EXPECT_EQ(composed.exit_code, 0);
+  EXPECT_EQ(composed.out, slurp(golden + "/compose_hier_pipeline.dot"));
+}
+
 // A run that stops at the default 10^8-cycle limit before reaching the
 // requested item count still exits 0 with its normal stdout, and says so in
 // one `warning:` line on stderr in both output modes.

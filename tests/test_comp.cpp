@@ -721,7 +721,7 @@ TEST(HierDot, SccColorsAndClusterSubgraphs) {
   options.transition_cluster = [&](tmg::TransitionId t) -> std::string {
     // Transition names look like "L_front.head" / "ch_front.link": the
     // instance path sits between the role prefix and the first dot.
-    const std::string& name = stmg.graph.transition_name(t);
+    const std::string name = analysis::transition_name(flat, stmg, t);
     const std::size_t us = name.find('_');
     const std::string rest =
         us == std::string::npos ? name : name.substr(us + 1);
@@ -735,9 +735,8 @@ TEST(HierDot, SccColorsAndClusterSubgraphs) {
   EXPECT_NE(dot.find("fillcolor=\"#"), std::string::npos);
   EXPECT_NE(dot.find(graph::scc_palette(0)), std::string::npos);
 
-  // The legacy export is byte-identical to default options: no SCC colors
-  // (the lightgrey token fill predates v2 and stays), no clusters.
-  EXPECT_EQ(to_dot(stmg.graph), to_dot(stmg.graph, tmg::TmgDotOptions{}));
+  // Default options: no SCC colors (the lightgrey token fill predates v2
+  // and stays), no clusters.
   EXPECT_EQ(to_dot(stmg.graph).find("cluster_"), std::string::npos);
   EXPECT_EQ(to_dot(stmg.graph).find("fillcolor=\"#"), std::string::npos);
 }

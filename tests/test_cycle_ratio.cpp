@@ -267,7 +267,7 @@ TEST_P(SimulationAgreementTest, AsapPeriodEqualsHowardRatio) {
   MarkedGraph g;
   const auto n = static_cast<std::int32_t>(rng.uniform_int(2, 8));
   for (std::int32_t i = 0; i < n; ++i) {
-    g.add_transition("t" + std::to_string(i), rng.uniform_int(1, 12));
+    g.add_transition(rng.uniform_int(1, 12));
   }
   for (std::int32_t i = 0; i < n; ++i) {
     g.add_place(i, (i + 1) % n, i == 0 ? 1 : rng.uniform_int(0, 1));

@@ -26,6 +26,11 @@
 //      solver, and IncrementalAnalyzer under random patch streams — reports
 //      bit-identically to the legacy Howard oracle on seeded synthetic SoCs.
 //      Production never runs the oracle itself.
+//  D9. Deadlock witnesses: on seeded deadlocking SoCs (rendezvous, bounded
+//      FIFO and unbounded channels, shuffled I/O orders) analyze(),
+//      check_liveness() and the solver plan report exactly the token-free
+//      cycle of the named-graph DFS oracle (tests/liveness_oracle.h), and
+//      ensure_live takes the repair path the oracle dictates.
 //
 // Failures shrink the offending instance (dropping extra arcs, zeroing
 // delays, trimming tokens) while the disagreement persists, then print the
@@ -39,6 +44,7 @@
 #include <cstring>
 #include <functional>
 #include <iterator>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -58,6 +64,7 @@
 #include "tmg/howard.h"
 #include "tmg/karp.h"
 #include "tmg/liveness.h"
+#include "liveness_oracle.h"
 #include "tmg/marked_graph.h"
 #include "tmg/token_game.h"
 #include "util/rng.h"
@@ -85,7 +92,7 @@ struct TmgSpec {
   MarkedGraph build() const {
     MarkedGraph g;
     for (std::size_t t = 0; t < delays.size(); ++t) {
-      g.add_transition("t" + std::to_string(t), delays[t]);
+      g.add_transition(delays[t]);
     }
     for (std::size_t i = 0; i < backbone.size(); ++i) {
       g.add_place(backbone[i], backbone[(i + 1) % backbone.size()],
@@ -592,6 +599,224 @@ TEST(DifferentialProduction, IncrementalPatchStreamMatchesOracle) {
           << "patch " << k << " (roll " << roll << "), " << model_tag(model);
     }
   }
+}
+
+// --- D9 (deadlock witnesses vs the named-graph DFS oracle) ------------------
+
+// Synthetic SoCs whose shuffled I/O orders deadlock, by the oracle. Channel
+// c of model k is rendezvous, a FIFO of depth 1-2 or unbounded by
+// (k + c) % 3, so every kind sits on some witness. Odd models also lose
+// their primed feedback relays, so the feedback-safe ordering cannot always
+// save them and ensure_live falls through to witness-guided moves and
+// random restarts.
+struct DeadModel {
+  std::uint64_t seed = 0;
+  SystemModel sys;
+};
+
+const std::vector<DeadModel>& deadlocking_models() {
+  static const std::vector<DeadModel> models = [] {
+    std::vector<DeadModel> out;
+    for (std::uint64_t k = 0; out.size() < 240 && k < 4000; ++k) {
+      synth::GeneratorConfig config;
+      config.num_processes = 6 + static_cast<std::int32_t>(k % 27);
+      config.num_channels = config.num_processes * 3 / 2;
+      config.feedback_fraction = 0.3;
+      config.seed = 7700 + k;
+      SystemModel sys = synth::generate_soc(config);
+      util::Rng rng(kBaseSeed ^ (0xdead0000ULL + k));
+      for (sysmodel::ChannelId c = 0; c < sys.num_channels(); ++c) {
+        switch ((k + static_cast<std::uint64_t>(c)) % 3) {
+          case 0:
+            break;  // rendezvous
+          case 1:
+            sys.set_channel_capacity(c, rng.uniform_int(1, 2));
+            break;
+          default:
+            sys.set_channel_capacity(c, sysmodel::kUnboundedCapacity);
+        }
+      }
+      for (sysmodel::ProcessId p = 0; p < sys.num_processes(); ++p) {
+        std::vector<sysmodel::ChannelId> ins = sys.input_order(p);
+        std::vector<sysmodel::ChannelId> outs = sys.output_order(p);
+        rng.shuffle(ins);
+        rng.shuffle(outs);
+        sys.set_input_order(p, std::move(ins));
+        sys.set_output_order(p, std::move(outs));
+        if (k % 2 == 1) sys.set_primed(p, false);
+      }
+      if (oracle::check_liveness(analysis::build_tmg(sys).graph).live) continue;
+      out.push_back(DeadModel{config.seed, std::move(sys)});
+    }
+    return out;
+  }();
+  return models;
+}
+
+std::vector<sysmodel::ChannelId> orders_key(const SystemModel& sys) {
+  std::vector<sysmodel::ChannelId> key;
+  for (sysmodel::ProcessId p = 0; p < sys.num_processes(); ++p) {
+    key.insert(key.end(), sys.input_order(p).begin(),
+               sys.input_order(p).end());
+    key.push_back(sysmodel::kInvalidChannel);
+    key.insert(key.end(), sys.output_order(p).begin(),
+               sys.output_order(p).end());
+    key.push_back(sysmodel::kInvalidChannel);
+  }
+  return key;
+}
+
+bool oracle_live(const SystemModel& sys) {
+  return oracle::check_liveness(analysis::build_tmg(sys).graph).live;
+}
+
+// ordering::ensure_live's algorithm (src/ordering/repair.cpp, default budget
+// and seed) with every liveness verdict and witness taken from the oracle.
+ordering::RepairResult oracle_ensure_live(SystemModel& sys) {
+  constexpr int kMaxIterations = 256;
+  ordering::RepairResult result;
+  util::Rng rng(0x11f3);
+  if (oracle_live(sys)) {
+    result.live = true;
+    return result;
+  }
+  {
+    SystemModel candidate = sys;
+    ordering::apply_ordering(
+        candidate, ordering::channel_ordering_feedback_safe(candidate));
+    if (oracle_live(candidate)) {
+      sys = std::move(candidate);
+      result.live = true;
+      result.iterations = 1;
+      return result;
+    }
+  }
+  std::set<std::vector<sysmodel::ChannelId>> visited;
+  visited.insert(orders_key(sys));
+  for (int iter = 0; iter < kMaxIterations; ++iter) {
+    const analysis::SystemTmg stmg = analysis::build_tmg(sys);
+    const LivenessResult liveness = oracle::check_liveness(stmg.graph);
+    if (liveness.live) {
+      result.live = true;
+      result.iterations = iter;
+      return result;
+    }
+    bool moved = false;
+    const std::size_t n = liveness.dead_cycle.size();
+    for (std::size_t k = 0; k < n && !moved; ++k) {
+      const PlaceId pl =
+          liveness.dead_cycle[(k + static_cast<std::size_t>(iter)) % n];
+      const analysis::PlaceRole& role =
+          stmg.place_role[static_cast<std::size_t>(pl)];
+      if (role.kind != analysis::PlaceRole::Kind::kGet &&
+          role.kind != analysis::PlaceRole::Kind::kPut) {
+        continue;
+      }
+      const bool is_put = role.kind == analysis::PlaceRole::Kind::kPut;
+      std::vector<sysmodel::ChannelId> order =
+          is_put ? sys.output_order(role.process)
+                 : sys.input_order(role.process);
+      if (order.size() < 2 || order.front() == role.channel) continue;
+      const auto it = std::find(order.begin(), order.end(), role.channel);
+      if (it == order.end()) continue;
+      order.erase(it);
+      order.insert(order.begin(), role.channel);
+      if (is_put) {
+        sys.set_output_order(role.process, std::move(order));
+      } else {
+        sys.set_input_order(role.process, std::move(order));
+      }
+      moved = true;
+    }
+    if (!moved || !visited.insert(orders_key(sys)).second) {
+      ++result.random_restarts;
+      for (sysmodel::ProcessId p = 0; p < sys.num_processes(); ++p) {
+        std::vector<sysmodel::ChannelId> ins = sys.input_order(p);
+        std::vector<sysmodel::ChannelId> outs = sys.output_order(p);
+        rng.shuffle(ins);
+        rng.shuffle(outs);
+        sys.set_input_order(p, std::move(ins));
+        sys.set_output_order(p, std::move(outs));
+      }
+      visited.insert(orders_key(sys));
+    }
+  }
+  result.iterations = kMaxIterations;
+  result.live = oracle_live(sys);
+  return result;
+}
+
+std::string dead_tag(const DeadModel& model) {
+  return "seed " + std::to_string(model.seed) + " (" +
+         std::to_string(model.sys.num_processes()) + " processes)";
+}
+
+TEST(DifferentialWitness, CorpusDeadlocksThroughEveryChannelKind) {
+  const std::vector<DeadModel>& models = deadlocking_models();
+  ASSERT_GE(models.size(), 200u);
+  // Channel transitions on the witnesses, by channel kind: dead cycles run
+  // through rendezvous, bounded-FIFO and unbounded channels alike. (A space
+  // place always holds its capacity, so FIFOs enter through data places
+  // and their read transitions.)
+  int rendezvous = 0, bounded = 0, unbounded = 0;
+  for (const DeadModel& model : models) {
+    const analysis::SystemTmg stmg = analysis::build_tmg(model.sys);
+    for (const PlaceId p : oracle::check_liveness(stmg.graph).dead_cycle) {
+      const analysis::TransitionOrigin& origin =
+          stmg.transition_origin[static_cast<std::size_t>(
+              stmg.graph.consumer(p))];
+      if (origin.kind != analysis::TransitionOrigin::Kind::kChannel) continue;
+      const std::int64_t capacity = model.sys.channel_capacity(origin.channel);
+      ++(capacity == 0   ? rendezvous
+         : capacity > 0 ? bounded
+                        : unbounded);
+    }
+  }
+  EXPECT_GT(rendezvous, 0);
+  EXPECT_GT(bounded, 0);
+  EXPECT_GT(unbounded, 0);
+}
+
+TEST(DifferentialWitness, AnalyzeAndCheckLivenessReportTheOracleWitness) {
+  CycleMeanSolver reused;  // one solver across the corpus
+  for (const DeadModel& model : deadlocking_models()) {
+    const analysis::SystemTmg stmg = analysis::build_tmg(model.sys);
+    const LivenessResult want = oracle::check_liveness(stmg.graph);
+    ASSERT_FALSE(want.live) << dead_tag(model);
+    const LivenessResult got = check_liveness(stmg.graph);
+    EXPECT_FALSE(got.live) << dead_tag(model);
+    EXPECT_EQ(got.dead_cycle, want.dead_cycle)
+        << "check_liveness, " << dead_tag(model);
+    const PerformanceReport report = analysis::analyze(stmg);
+    EXPECT_FALSE(report.live) << dead_tag(model);
+    EXPECT_EQ(report.dead_cycle, want.dead_cycle)
+        << "analyze, " << dead_tag(model);
+    EXPECT_EQ(analysis::analyze(stmg, reused).dead_cycle, want.dead_cycle)
+        << "analyze with a reused solver, " << dead_tag(model);
+  }
+}
+
+TEST(DifferentialWitness, EnsureLiveFollowsTheOracleRepairPath) {
+  int guided = 0, restarted = 0;
+  for (const DeadModel& model : deadlocking_models()) {
+    SystemModel got = model.sys;
+    SystemModel want = model.sys;
+    const ordering::RepairResult repaired = ordering::ensure_live(got);
+    const ordering::RepairResult expected = oracle_ensure_live(want);
+    EXPECT_EQ(repaired.live, expected.live) << dead_tag(model);
+    EXPECT_EQ(repaired.iterations, expected.iterations) << dead_tag(model);
+    EXPECT_EQ(repaired.random_restarts, expected.random_restarts)
+        << dead_tag(model);
+    EXPECT_EQ(orders_key(got), orders_key(want)) << dead_tag(model);
+    guided += repaired.iterations > 1 ? 1 : 0;
+    restarted += repaired.random_restarts > 0 ? 1 : 0;
+  }
+  // The corpus exercises the witness-guided loop and its restarts, not only
+  // the feedback-safe fallback.
+  EXPECT_GT(guided, 0);
+  EXPECT_GT(restarted, 0);
+  std::printf("ensure_live: %d models entered the witness-guided loop, %d "
+              "restarted\n", guided, restarted);
 }
 
 // --- generator sanity --------------------------------------------------------

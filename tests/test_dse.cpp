@@ -11,6 +11,9 @@
 #include "dse/explorer.h"
 #include "dse/selection.h"
 #include "dse/timing_opt.h"
+#include "ordering/channel_ordering.h"
+#include "synth/generator.h"
+#include "synth/pareto_gen.h"
 #include "sysmodel/system.h"
 
 namespace ermes::dse {
@@ -242,6 +245,46 @@ TEST(SweepTest, SkipsTheTargetsAfterACancelledOne) {
   for (std::size_t i = 1; i < results.size(); ++i) {
     EXPECT_TRUE(results[i].cancelled);
     EXPECT_TRUE(results[i].history.empty());
+  }
+}
+
+// Targets running on different threads reach the same candidates at the
+// same time; the shared memo computes each one once (in-flight dedup), so a
+// 4-job sweep misses exactly as often as a serial one, once per entry.
+TEST(SweepTest, ConcurrentTargetsComputeEachCandidateOnce) {
+  synth::GeneratorConfig config;
+  config.num_processes = 256;
+  config.num_channels = 448;
+  config.feedback_fraction = 0.15;
+  config.seed = 3;
+  SystemModel generated = synth::generate_soc(config);
+  synth::attach_pareto_sets(generated, 4);
+  const SystemModel sys =
+      ordering::with_optimal_ordering(std::move(generated));
+  std::vector<std::int64_t> targets;
+  for (std::int64_t tct = 800; tct <= 2000; tct += 50) targets.push_back(tct);
+
+  analysis::EvalCache serial_cache;
+  ExplorerOptions serial;
+  serial.cache = &serial_cache;
+  const std::vector<ExplorationResult> want = sweep(sys, targets, serial);
+  ASSERT_EQ(serial_cache.misses(),
+            static_cast<std::int64_t>(serial_cache.size()));
+
+  for (int run = 0; run < 3; ++run) {
+    analysis::EvalCache cache;
+    ExplorerOptions options;
+    options.cache = &cache;
+    options.jobs = 4;
+    const std::vector<ExplorationResult> got = sweep(sys, targets, options);
+    EXPECT_EQ(cache.misses(), serial_cache.misses()) << "run " << run;
+    EXPECT_EQ(cache.size(), serial_cache.size()) << "run " << run;
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].history.size(), want[i].history.size());
+      EXPECT_EQ(got[i].history.back().cycle_time,
+                want[i].history.back().cycle_time);
+    }
   }
 }
 

@@ -122,7 +122,7 @@ TEST(CsrGraph, StructureChangesAreDetected) {
 TEST(CsrGraph, MarkedGraphCompileMirrorsToRatioGraph) {
   MarkedGraph g;
   for (int t = 0; t < 3; ++t) {
-    g.add_transition("t" + std::to_string(t), 2 + 3 * t);
+    g.add_transition(2 + 3 * t);
   }
   g.add_place(0, 1, 1);
   g.add_place(1, 2, 0);
@@ -266,8 +266,8 @@ TEST(CycleMeanSolver, StatsAreLifetimeTotals) {
   // recompile (a recompile invalidates the solve *plan*, not the traffic
   // history; callers wanting per-phase deltas snapshot and subtract).
   MarkedGraph g;
-  g.add_transition("a", 3);
-  g.add_transition("b", 2);
+  g.add_transition(3);
+  g.add_transition(2);
   g.add_place(0, 1, 1);
   g.add_place(1, 0, 1);
 
@@ -285,7 +285,7 @@ TEST(CycleMeanSolver, StatsAreLifetimeTotals) {
   EXPECT_EQ(solver.stats().iterations, iters_after_first);
   solver.solve();
 
-  g.add_transition("c", 4);  // structure change: recompile, nothing reset
+  g.add_transition(4);  // structure change: recompile, nothing reset
   g.add_place(1, 2, 1);
   g.add_place(2, 1, 1);
   EXPECT_FALSE(solver.prepare(g));

@@ -18,10 +18,10 @@ struct Ring2 {
   TransitionId t0, t1;
   PlaceId p01, p10;
   Ring2(std::int64_t d0 = 1, std::int64_t d1 = 1) {
-    t0 = g.add_transition("t0", d0);
-    t1 = g.add_transition("t1", d1);
-    p01 = g.add_place(t0, t1, 0, "p01");
-    p10 = g.add_place(t1, t0, 1, "p10");
+    t0 = g.add_transition(d0);
+    t1 = g.add_transition(d1);
+    p01 = g.add_place(t0, t1, 0);
+    p10 = g.add_place(t1, t0, 1);
   }
 };
 
@@ -69,15 +69,11 @@ TEST(MarkedGraphTest, TransitionGraphMirrorsPlaces) {
   EXPECT_EQ(tg.head(ring.p01), ring.t1);
 }
 
-TEST(MarkedGraphTest, NamesStored) {
-  Ring2 ring;
-  EXPECT_EQ(ring.g.transition_name(ring.t0), "t0");
-  EXPECT_EQ(ring.g.place_name(ring.p01), "p01");
-}
-
 TEST(MarkedGraphTest, DotExportBipartite) {
   Ring2 ring(3, 5);
-  const std::string dot = to_dot(ring.g, "ring");
+  TmgDotOptions options;
+  options.graph_name = "ring";
+  const std::string dot = to_dot(ring.g, options);
   EXPECT_NE(dot.find("digraph \"ring\""), std::string::npos);
   EXPECT_NE(dot.find("shape=box"), std::string::npos);     // transitions
   EXPECT_NE(dot.find("shape=circle"), std::string::npos);  // places
@@ -129,8 +125,8 @@ TEST(TokenGameTest, CycleTokenCountInvariant) {
 
 TEST(TokenGameTest, DeadlockedWhenNoTokens) {
   MarkedGraph g;
-  const TransitionId t0 = g.add_transition("t0", 1);
-  const TransitionId t1 = g.add_transition("t1", 1);
+  const TransitionId t0 = g.add_transition(1);
+  const TransitionId t1 = g.add_transition(1);
   g.add_place(t0, t1, 0);
   g.add_place(t1, t0, 0);
   TokenGame game(g);
@@ -148,8 +144,8 @@ TEST(TokenGameTest, ResetRestoresInitialState) {
 
 TEST(TokenGameTest, MultiTokenPlaceEnablesRepeatedFiring) {
   MarkedGraph g;
-  const TransitionId t0 = g.add_transition("t0", 1);
-  const TransitionId t1 = g.add_transition("t1", 1);
+  const TransitionId t0 = g.add_transition(1);
+  const TransitionId t1 = g.add_transition(1);
   g.add_place(t0, t1, 0);
   const PlaceId p10 = g.add_place(t1, t0, 3);
   TokenGame game(g);
@@ -169,8 +165,8 @@ TEST(LivenessTest, MarkedRingIsLive) {
 
 TEST(LivenessTest, TokenFreeCycleIsDead) {
   MarkedGraph g;
-  const TransitionId t0 = g.add_transition("t0", 1);
-  const TransitionId t1 = g.add_transition("t1", 1);
+  const TransitionId t0 = g.add_transition(1);
+  const TransitionId t1 = g.add_transition(1);
   const PlaceId p01 = g.add_place(t0, t1, 0);
   const PlaceId p10 = g.add_place(t1, t0, 0);
   const LivenessResult result = check_liveness(g);
@@ -188,9 +184,9 @@ TEST(LivenessTest, TokenFreeCycleIsDead) {
 TEST(LivenessTest, TokenOnEveryCycleIsLive) {
   // Two nested cycles; both get a token.
   MarkedGraph g;
-  const TransitionId a = g.add_transition("a", 1);
-  const TransitionId b = g.add_transition("b", 1);
-  const TransitionId c = g.add_transition("c", 1);
+  const TransitionId a = g.add_transition(1);
+  const TransitionId b = g.add_transition(1);
+  const TransitionId c = g.add_transition(1);
   g.add_place(a, b, 1);  // on both cycles: every cycle holds >= 1 token
   g.add_place(b, c, 0);
   g.add_place(c, a, 0);
@@ -200,9 +196,9 @@ TEST(LivenessTest, TokenOnEveryCycleIsLive) {
 
 TEST(LivenessTest, WitnessCycleIsTokenFree) {
   MarkedGraph g;
-  const TransitionId a = g.add_transition("a", 1);
-  const TransitionId b = g.add_transition("b", 1);
-  const TransitionId c = g.add_transition("c", 1);
+  const TransitionId a = g.add_transition(1);
+  const TransitionId b = g.add_transition(1);
+  const TransitionId c = g.add_transition(1);
   g.add_place(a, b, 1);
   g.add_place(b, c, 0);
   g.add_place(c, b, 0);  // dead 2-cycle b<->c
@@ -215,14 +211,14 @@ TEST(LivenessTest, WitnessCycleIsTokenFree) {
 
 TEST(LivenessTest, SelfLoopPlaceWithTokenLive) {
   MarkedGraph g;
-  const TransitionId t = g.add_transition("t", 1);
+  const TransitionId t = g.add_transition(1);
   g.add_place(t, t, 1);
   EXPECT_TRUE(is_live(g));
 }
 
 TEST(LivenessTest, SelfLoopPlaceWithoutTokenDead) {
   MarkedGraph g;
-  const TransitionId t = g.add_transition("t", 1);
+  const TransitionId t = g.add_transition(1);
   g.add_place(t, t, 0);
   const LivenessResult result = check_liveness(g);
   EXPECT_FALSE(result.live);
@@ -240,8 +236,8 @@ TEST(TimedSimTest, RingPeriodEqualsDelaySum) {
 
 TEST(TimedSimTest, TwoTokensHalveThePeriod) {
   MarkedGraph g;
-  const TransitionId t0 = g.add_transition("t0", 3);
-  const TransitionId t1 = g.add_transition("t1", 5);
+  const TransitionId t0 = g.add_transition(3);
+  const TransitionId t1 = g.add_transition(5);
   g.add_place(t0, t1, 0);
   g.add_place(t1, t0, 2);  // two tokens in flight
   const TimedSimResult result = simulate_asap(g, t0, 64);
@@ -250,8 +246,8 @@ TEST(TimedSimTest, TwoTokensHalveThePeriod) {
 
 TEST(TimedSimTest, DeadlockDetected) {
   MarkedGraph g;
-  const TransitionId t0 = g.add_transition("t0", 1);
-  const TransitionId t1 = g.add_transition("t1", 1);
+  const TransitionId t0 = g.add_transition(1);
+  const TransitionId t1 = g.add_transition(1);
   g.add_place(t0, t1, 0);
   g.add_place(t1, t0, 0);
   const TimedSimResult result = simulate_asap(g, t0, 10);
@@ -269,9 +265,9 @@ TEST(TimedSimTest, StartTimesMonotone) {
 TEST(TimedSimTest, BottleneckRingDominates) {
   // Two rings sharing transition s: ring A period 4, ring B period 10.
   MarkedGraph g;
-  const TransitionId s = g.add_transition("s", 1);
-  const TransitionId a = g.add_transition("a", 3);
-  const TransitionId b = g.add_transition("b", 9);
+  const TransitionId s = g.add_transition(1);
+  const TransitionId a = g.add_transition(3);
+  const TransitionId b = g.add_transition(9);
   g.add_place(s, a, 0);
   g.add_place(a, s, 1);
   g.add_place(s, b, 0);

@@ -312,6 +312,21 @@ int cmd_op(const svc::Request& request, const char* path,
   }
 }
 
+// DOT options labelling `stmg` (the TMG of `sys`) with its system names.
+tmg::TmgDotOptions system_dot_options(const sysmodel::SystemModel& sys,
+                                      const analysis::SystemTmg& stmg,
+                                      const std::string& graph_name) {
+  tmg::TmgDotOptions options;
+  options.graph_name = graph_name;
+  options.transition_label = [&sys, &stmg](tmg::TransitionId t) {
+    return analysis::transition_name(sys, stmg, t);
+  };
+  options.place_label = [&sys, &stmg](tmg::PlaceId p) {
+    return analysis::place_name(sys, stmg, p);
+  };
+  return options;
+}
+
 // `ermes compose`: parse a hierarchical model, flatten it deterministically,
 // and emit the flat .soc (default / -o), an SCC-colored + instance-clustered
 // TMG rendering (--dot), or the partitioned per-component analysis
@@ -372,8 +387,8 @@ int cmd_compose(int argc, char** argv) {
 
   if (dot) {
     const analysis::SystemTmg stmg = analysis::build_tmg(sys);
-    tmg::TmgDotOptions options;
-    options.graph_name = hier.system_name;
+    tmg::TmgDotOptions options =
+        system_dot_options(sys, stmg, hier.system_name);
     options.color_sccs = true;
     // Cluster path of a transition = the instance path of the process or
     // channel it elaborates ("dec.vld.parse" -> "dec.vld"; undotted names
@@ -613,7 +628,10 @@ int cmd_sensitivity(const io::ParseResult& parsed, svc::OpEnv& env) {
 
 int cmd_tmgdot(const io::ParseResult& parsed) {
   const analysis::SystemTmg stmg = analysis::build_tmg(parsed.system);
-  std::printf("%s", tmg::to_dot(stmg.graph, parsed.system_name).c_str());
+  std::printf("%s", tmg::to_dot(stmg.graph, system_dot_options(
+                                                parsed.system, stmg,
+                                                parsed.system_name))
+                        .c_str());
   return kExitOk;
 }
 
