@@ -11,8 +11,8 @@
 //      so client-side queueing cannot hide server latency (no coordinated
 //      omission);
 //  (c) high concurrency — 1k+ simultaneous connections pipelining batches
-//      of cached analyze requests, the daemon's fast path: whole-report
-//      memo replays plus request coalescing fan-outs.
+//      of cached analyze requests, the daemon's fast path: every request
+//      executes and replays its whole report from the memo.
 //
 // Every phase byte-compares responses against a canonical serial rendering,
 // and a final probe asserts backpressure (an undersized broker answers the
@@ -134,7 +134,6 @@ struct LoadResult {
   double cache_hit_rate = 0.0;
   std::int64_t cache_hits = 0;
   std::int64_t cache_misses = 0;
-  std::int64_t coalesced = 0;
   int total_requests = 0;
   int mismatches = 0;
   int transport_errors = 0;
@@ -218,7 +217,6 @@ LoadResult run_load(const Config& config, const sysmodel::SystemModel& sys,
   load.cache_hits = server.broker().cache().hits();
   load.cache_misses = server.broker().cache().misses();
   load.cache_hit_rate = server.broker().cache().hit_rate();
-  load.coalesced = server.broker().stats().coalesced;
   const obs::QuantileSnapshot server_latency =
       obs::Registry::global().quantile("svc.request_ns").snapshot();
   load.server_samples = server_latency.count;
@@ -244,8 +242,7 @@ LoadResult run_load(const Config& config, const sysmodel::SystemModel& sys,
 // ---------------------------------------------------------------------------
 // Cached-workload helpers shared by the open-loop and high-concurrency
 // phases: V renamed renderings of the same system give V distinct cache
-// keys, pre-warmed serially so the measured traffic is pure memo replay
-// (plus coalescing when identical requests overlap).
+// keys, pre-warmed serially so the measured traffic is pure memo replay.
 
 struct CachedWorkload {
   std::vector<std::string> soc_texts;      // variant model texts
@@ -320,7 +317,6 @@ struct OpenLoopResult {
   int received = 0;
   int mismatches = 0;
   int transport_errors = 0;
-  std::int64_t coalesced = 0;
 };
 
 OpenLoopResult run_open_loop(const Config& config,
@@ -447,7 +443,6 @@ OpenLoopResult run_open_loop(const Config& config,
   for (std::thread& t : writers) t.join();
   for (std::thread& t : readers) t.join();
   result.elapsed_s = static_cast<double>(wall.elapsed_ns()) / 1e9;
-  result.coalesced = server.broker().stats().coalesced;
 
   conns.clear();
   server.request_stop();
@@ -482,7 +477,6 @@ struct HighConcResult {
   double throughput_rps = 0.0;
   long long mismatches = 0;
   long long transport_errors = 0;
-  std::int64_t coalesced = 0;
 };
 
 HighConcResult run_high_concurrency(const Config& config,
@@ -608,8 +602,6 @@ HighConcResult run_high_concurrency(const Config& config,
           : 0.0;
   result.mismatches = mismatches.load();
   result.transport_errors = transport_errors.load();
-  const svc::Broker::Stats stats = server.broker().stats();
-  result.coalesced = stats.coalesced;
 
   conns.clear();
   server.request_stop();
@@ -639,13 +631,9 @@ OverloadResult run_overload(const std::string& soc) {
   std::atomic<int> overloaded{0};
   std::atomic<int> served{0};
   util::Stopwatch sw;
+  const std::string request = svc::encode_request(
+      svc::Op::kExplore, svc::JsonValue::null(), soc, /*tct=*/1);
   for (int i = 0; i < result.burst; ++i) {
-    // Distinct deadlines give each request its own coalesce key: identical
-    // in-flight requests would share one solve instead of piling onto the
-    // admission queue, and this probe is about the queue.
-    const std::string request =
-        svc::encode_request(svc::Op::kExplore, svc::JsonValue::null(), soc,
-                            /*tct=*/1, 0, 0, 0, /*deadline_ms=*/600'000 + i);
     broker.handle_line(request, [&](std::string response) {
       const svc::ResponseView view = svc::parse_response(response);
       if (!view.success && view.error_code == "overloaded") {
@@ -730,10 +718,8 @@ int main(int argc, char** argv) {
               name.c_str());
 
   const LoadResult load = run_load(config, sys, soc, targets);
-  std::printf("  closed loop: %.2f s, %.1f req/s, p50 %.2f ms, p99 %.2f ms, "
-              "%lld coalesced\n",
-              load.elapsed_s, load.throughput_rps, load.p50_ms, load.p99_ms,
-              static_cast<long long>(load.coalesced));
+  std::printf("  closed loop: %.2f s, %.1f req/s, p50 %.2f ms, p99 %.2f ms\n",
+              load.elapsed_s, load.throughput_rps, load.p50_ms, load.p99_ms);
   std::printf("  server histogram: %lld samples, p50 %.2f ms, p99 %.2f ms\n",
               static_cast<long long>(load.server_samples), load.server_p50_ms,
               load.server_p99_ms);
@@ -751,17 +737,16 @@ int main(int argc, char** argv) {
               ol.p99_ms, ol.received, ol.total_requests);
 
   // The high-concurrency phase always drives the small model: it measures
-  // connection scale and the cached fan-out path, and a large model text
+  // connection scale and the cached replay path, and a large model text
   // turns it into a request-parsing benchmark instead.
   sysmodel::SystemModel hc_sys = sysmodel::make_dac14_motivating_example();
   const HighConcResult hc =
       run_high_concurrency(config, hc_sys, "dac14_motivating", fd_limit);
   std::printf("  high concurrency: %zu conns live (gauge %lld), %lld req in "
-              "%.2f s = %.0f rps, %lld coalesced\n",
+              "%.2f s = %.0f rps\n",
               hc.server_connections,
               static_cast<long long>(hc.connections_gauge),
-              hc.total_requests, hc.elapsed_s, hc.throughput_rps,
-              static_cast<long long>(hc.coalesced));
+              hc.total_requests, hc.elapsed_s, hc.throughput_rps);
 
   const OverloadResult overload = run_overload(soc);
   std::printf("  overload: %d/%d rejected `overloaded`, burst submitted in "
@@ -772,24 +757,16 @@ int main(int argc, char** argv) {
       load.mismatches == 0 && load.transport_errors == 0 &&
       ol.mismatches == 0 && ol.transport_errors == 0 && hc.mismatches == 0 &&
       hc.transport_errors == 0;
-  // Warm path = memo hits plus coalesced fan-outs: both answer without a
-  // new solve. Raw hit rate alone dips when coalescing absorbs requests
-  // that would otherwise have been hits.
-  const double warm_denom = static_cast<double>(
-      load.cache_hits + load.cache_misses + load.coalesced);
-  const double warm_rate =
-      warm_denom > 0.0
-          ? static_cast<double>(load.cache_hits + load.coalesced) / warm_denom
-          : 0.0;
+  // Warm path = memo hits, joined in-flight misses included: both answer
+  // without a new solve.
+  const double warm_rate = load.cache_hit_rate;
   const bool warm = warm_rate > 0.90;
   const bool backpressure = overload.overloaded > 0;
   // The daemon's own svc.request_ns instrument must have seen every request
-  // it executed — completed requests minus coalesced followers, which ride
-  // on the leader's solve and never enter execute().
+  // it answered: each one enters execute().
   const bool telemetry =
-      load.server_samples + load.coalesced ==
-          static_cast<std::int64_t>(load.total_requests) -
-              load.transport_errors &&
+      load.server_samples == static_cast<std::int64_t>(load.total_requests) -
+                                 load.transport_errors &&
       load.server_p99_ms > 0.0;
   const bool concurrent =
       hc.server_connections >= static_cast<std::size_t>(hc.connections) &&
@@ -819,7 +796,6 @@ int main(int argc, char** argv) {
   closed.set("cache_hits", svc::JsonValue::integer(load.cache_hits));
   closed.set("cache_misses", svc::JsonValue::integer(load.cache_misses));
   closed.set("cache_hit_rate", svc::JsonValue::number(load.cache_hit_rate));
-  closed.set("coalesced", svc::JsonValue::integer(load.coalesced));
   closed.set("warm_rate", svc::JsonValue::number(warm_rate));
   report.set("closed_loop", std::move(closed));
 
@@ -832,7 +808,6 @@ int main(int argc, char** argv) {
   open.set("p99_ms", svc::JsonValue::number(ol.p99_ms));
   open.set("requests", svc::JsonValue::integer(ol.total_requests));
   open.set("received", svc::JsonValue::integer(ol.received));
-  open.set("coalesced", svc::JsonValue::integer(ol.coalesced));
   report.set("open_loop", std::move(open));
 
   svc::JsonValue high = svc::JsonValue::object();
@@ -847,7 +822,6 @@ int main(int argc, char** argv) {
   high.set("requests", svc::JsonValue::integer(hc.total_requests));
   high.set("elapsed_s", svc::JsonValue::number(hc.elapsed_s));
   high.set("throughput_rps", svc::JsonValue::number(hc.throughput_rps));
-  high.set("coalesced", svc::JsonValue::integer(hc.coalesced));
   report.set("high_concurrency", std::move(high));
 
   // Top-level convenience mirrors (the headline numbers).

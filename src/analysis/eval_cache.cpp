@@ -110,10 +110,6 @@ std::uint64_t system_fingerprint(const sysmodel::SystemModel& sys) {
   return hasher.h;
 }
 
-std::uint64_t fingerprint_mix(std::uint64_t h, std::uint64_t word) {
-  return (h ^ util::splitmix64(word)) * 0x100000001b3ULL;
-}
-
 EvalCache::EvalCache(std::size_t num_shards, std::int64_t byte_budget)
     : reports_(num_shards, byte_budget, report_cost) {}
 

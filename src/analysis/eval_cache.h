@@ -65,11 +65,6 @@ namespace ermes::analysis {
 /// not affect the TMG). FNV-style combination of splitmix64-diffused words.
 std::uint64_t system_fingerprint(const sysmodel::SystemModel& sys);
 
-/// Folds one more word into a key with the same FNV/splitmix combination
-/// the fingerprints use (the daemon's request-coalescing keys are built
-/// with it).
-std::uint64_t fingerprint_mix(std::uint64_t h, std::uint64_t word);
-
 class EvalCache {
  public:
   /// `byte_budget` bounds the tracked bytes of the stored reports; 0 (the

@@ -36,16 +36,6 @@ std::size_t effective_workers(std::size_t workers) {
 // practice wrap to a deadline in the past, failing the request instantly.
 constexpr std::int64_t kMaxDeadlineMs = 86'400'000;
 
-// FNV-1a over a byte string, for folding model text into a coalesce key.
-std::uint64_t fnv1a(std::string_view bytes) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 }  // namespace
 
 // One open incremental session: an analyzer plus the mutex serializing the
@@ -83,10 +73,6 @@ Broker::Broker(BrokerOptions options)
       }
     }
   }
-  // Register the serving counter CI and dashboards scrape even before the
-  // first coalesce happens — a missing series is indistinguishable from a
-  // scrape bug, a zero is not.
-  obs::Registry::global().counter("coalesced");
   saved_misses_ = env_.cache.misses();
   if (options_.cache_save_secs > 0 && !options_.cache_file.empty()) {
     saver_ = std::thread([this] { saver_loop(); });
@@ -169,76 +155,12 @@ Broker::Stats Broker::stats() const {
   s.internal_errors = internal_errors_.load(std::memory_order_relaxed);
   s.waiting = waiting_.load(std::memory_order_relaxed);
   s.in_flight = in_flight_.load(std::memory_order_relaxed);
-  s.coalesced = coalesced_.load(std::memory_order_relaxed);
   s.cache_saves = cache_saves_.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
     s.sessions = static_cast<std::int64_t>(sessions_.size());
   }
   return s;
-}
-
-std::uint64_t Broker::coalesce_key(const Request& request) {
-  switch (request.op) {
-    case Op::kAnalyze:
-    case Op::kOrder:
-    case Op::kExplore:
-    case Op::kSweep:
-      break;  // pure: the outcome is a function of (op, model, params)
-    default:
-      return 0;  // stats/metrics/sessions/shutdown must execute individually
-  }
-  std::uint64_t h = analysis::fingerprint_mix(
-      0x9e3779b97f4a7c15ull, static_cast<std::uint64_t>(request.op));
-  h = analysis::fingerprint_mix(h, request.hier ? 1 : 0);
-  h = analysis::fingerprint_mix(h, static_cast<std::uint64_t>(request.tct));
-  h = analysis::fingerprint_mix(h, static_cast<std::uint64_t>(request.lo));
-  h = analysis::fingerprint_mix(h, static_cast<std::uint64_t>(request.hi));
-  h = analysis::fingerprint_mix(h, static_cast<std::uint64_t>(request.step));
-  // deadline_ms is part of the key, so a follower only attaches to a leader
-  // that asked for the same *relative* budget. That is an approximation,
-  // accepted and documented: followers share the leader's *absolute*
-  // deadline, so one attaching late can still receive deadline_exceeded
-  // while its own budget had time left. The attach window is bounded by the
-  // leader's solve time — small against any realistic deadline — and
-  // re-executing such followers would re-pay exactly the solve coalescing
-  // exists to avoid; the client's normal retry covers the residue.
-  h = analysis::fingerprint_mix(
-      h, static_cast<std::uint64_t>(request.deadline_ms));
-  h = analysis::fingerprint_mix(h, fnv1a(request.soc));
-  return h == 0 ? 1 : h;  // 0 is the "not coalescable" sentinel
-}
-
-bool Broker::coalesce_match(const CoalesceEntry& entry,
-                            const Request& request) {
-  return entry.op == request.op && entry.hier == request.hier &&
-         entry.tct == request.tct && entry.lo == request.lo &&
-         entry.hi == request.hi && entry.step == request.step &&
-         entry.deadline_ms == request.deadline_ms &&
-         entry.soc == request.soc;
-}
-
-std::vector<Broker::Waiter> Broker::detach_followers(
-    std::uint64_t key, const std::shared_ptr<CoalesceEntry>& entry) {
-  std::vector<Waiter> followers;
-  if (entry == nullptr) return followers;
-  std::lock_guard<std::mutex> lock(coalesce_mu_);
-  followers = std::move(entry->followers);
-  coalesce_.erase(key);
-  return followers;
-}
-
-void Broker::fan_out(std::vector<Waiter> followers, const Outcome& outcome) {
-  for (Waiter& waiter : followers) {
-    // Re-encode the shared outcome under the follower's own wire identity;
-    // errors (bad model, deadline, internal) propagate exactly like results.
-    std::string response =
-        outcome.ok ? encode_ok(waiter.id, outcome.result, waiter.version)
-                   : encode_error(waiter.id, outcome.code, outcome.message,
-                                  waiter.version);
-    waiter.done(std::move(response));
-    finish_one();
-  }
 }
 
 void Broker::handle_line(const std::string& line, DoneFn done) {
@@ -268,30 +190,6 @@ void Broker::handle_line(const std::string& line, DoneFn done) {
     return;
   }
 
-  // Coalesce-attach: an identical request already in flight answers this
-  // one too. The follower keeps only its in_flight_ slot (released by the
-  // fan-out) — no queue slot, no pool task, no second solve. Attachment
-  // requires a full field match, not just the hash key: on a key collision
-  // with a *different* in-flight request the newcomer executes alone,
-  // unpublished (key cleared to 0), since two distinct questions cannot
-  // share the one map slot.
-  std::uint64_t key = coalesce_key(parsed.request);
-  if (key != 0) {
-    std::lock_guard<std::mutex> lock(coalesce_mu_);
-    const auto it = coalesce_.find(key);
-    if (it != coalesce_.end()) {
-      if (coalesce_match(*it->second, parsed.request)) {
-        it->second->followers.push_back(Waiter{id, version, std::move(done)});
-        coalesced_.fetch_add(1, std::memory_order_relaxed);
-        accepted_.fetch_add(1, std::memory_order_relaxed);
-        obs::count("svc.requests.accepted");
-        obs::count("coalesced");
-        return;
-      }
-      key = 0;  // collision: execute fresh, never attach or publish
-    }
-  }
-
   // Bounded admission with backpressure: beyond queue_depth waiting
   // requests, reject immediately instead of queueing (the caller never
   // blocks on a full queue).
@@ -313,40 +211,6 @@ void Broker::handle_line(const std::string& line, DoneFn done) {
   accepted_.fetch_add(1, std::memory_order_relaxed);
   obs::count("svc.requests.accepted");
 
-  // Publish the coalesce entry only now that admission succeeded — an entry
-  // installed before the queue-depth check could collect followers onto a
-  // leader that then gets rejected. If another leader won the install race
-  // in the window since the find() above, become its follower after all.
-  std::shared_ptr<CoalesceEntry> entry;
-  if (key != 0) {
-    std::lock_guard<std::mutex> lock(coalesce_mu_);
-    const auto [it, inserted] =
-        coalesce_.try_emplace(key, std::make_shared<CoalesceEntry>());
-    if (inserted) {
-      entry = it->second;
-      // Record the exact question so attaches can verify it (the hash key
-      // alone admits collisions).
-      entry->op = parsed.request.op;
-      entry->hier = parsed.request.hier;
-      entry->tct = parsed.request.tct;
-      entry->lo = parsed.request.lo;
-      entry->hi = parsed.request.hi;
-      entry->step = parsed.request.step;
-      entry->deadline_ms = parsed.request.deadline_ms;
-      entry->soc = parsed.request.soc;
-    } else if (coalesce_match(*it->second, parsed.request)) {
-      it->second->followers.push_back(Waiter{id, version, std::move(done)});
-      coalesced_.fetch_add(1, std::memory_order_relaxed);
-      obs::count("coalesced");
-      const std::int64_t rolled_back =
-          waiting_.fetch_sub(1, std::memory_order_acq_rel) - 1;
-      obs::gauge_set("svc.queue.waiting", rolled_back);
-      return;
-    }
-    // else: key collision with the racing leader — entry stays null and
-    // this request executes alone without publishing.
-  }
-
   std::int64_t deadline_ms = parsed.request.deadline_ms > 0
                                  ? parsed.request.deadline_ms
                                  : options_.default_deadline_ms;
@@ -357,7 +221,7 @@ void Broker::handle_line(const std::string& line, DoneFn done) {
   const Clock::time_point admitted = Clock::now();
 
   pool_.submit([this, request = std::move(parsed.request), has_deadline,
-                deadline, admitted, done = std::move(done), key, entry] {
+                deadline, admitted, done = std::move(done)] {
     const std::int64_t now_waiting =
         waiting_.fetch_sub(1, std::memory_order_acq_rel) - 1;
     obs::gauge_set("svc.queue.waiting", now_waiting);
@@ -365,21 +229,7 @@ void Broker::handle_line(const std::string& line, DoneFn done) {
         std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                              admitted)
             .count();
-    Outcome outcome;
-    if (entry == nullptr) {
-      execute(request, has_deadline, deadline, queue_wait_ns, done, nullptr);
-    } else {
-      // Detach followers before the leader's response leaves the broker —
-      // a client that has seen the reply may immediately resubmit, and that
-      // request must become a fresh leader, not attach to a finished solve.
-      execute(request, has_deadline, deadline, queue_wait_ns,
-              [&](std::string response) {
-                std::vector<Waiter> followers = detach_followers(key, entry);
-                done(std::move(response));
-                fan_out(std::move(followers), outcome);
-              },
-              &outcome);
-    }
+    execute(request, has_deadline, deadline, queue_wait_ns, done);
     finish_one();
   });
 }
@@ -404,14 +254,8 @@ std::string Broker::handle_line_sync(const std::string& line) {
 
 void Broker::execute(const Request& request, bool has_deadline,
                      Clock::time_point deadline, std::int64_t queue_wait_ns,
-                     const DoneFn& done, Outcome* outcome) {
+                     const DoneFn& done) {
   util::Stopwatch sw;
-  if (options_.test_exec_delay_ms > 0) {
-    // Test hook: hold the leader in flight so identical requests pile onto
-    // its coalesce entry deterministically.
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(options_.test_exec_delay_ms));
-  }
 
   // Request-scoped telemetry: everything below (parse, cache probes, solves,
   // rendering) attributes its time to this context through thread-local
@@ -443,14 +287,7 @@ void Broker::execute(const Request& request, bool has_deadline,
     return has_deadline && Clock::now() >= deadline;
   };
 
-  // Captures the op-level outcome for coalesce fan-out alongside encoding
-  // the leader's own response line.
-  const auto fail = [&](ErrorCode code, std::string message) {
-    if (outcome != nullptr) {
-      outcome->ok = false;
-      outcome->code = code;
-      outcome->message = message;
-    }
+  const auto fail = [&](ErrorCode code, const std::string& message) {
     return encode_error(request.id, code, message, request.version);
   };
 
@@ -516,10 +353,6 @@ void Broker::execute(const Request& request, bool has_deadline,
                         "deadline exceeded during exploration");
       } else {
         obs::StageTimer render_timer(obs::Stage::kRender);
-        if (outcome != nullptr) {
-          outcome->ok = true;
-          outcome->result = result;  // copy: fan-out re-encodes per follower
-        }
         response = encode_ok(request.id, std::move(result), request.version);
       }
     }
@@ -860,7 +693,6 @@ JsonValue Broker::run_stats(int version) {
   // v2-only members: the v1 broker body stays byte-identical for clients
   // that snapshot or diff it.
   if (version >= 2) {
-    broker.set("coalesced", JsonValue::integer(s.coalesced));
     broker.set("cache_saves", JsonValue::integer(s.cache_saves));
   }
 

@@ -21,13 +21,9 @@
 //     requests: repeat targets (the DSE exploration-pressure workload) hit
 //     the memo across connections, which is the entire point of running
 //     ERMES as a daemon rather than a cold CLI process per evaluation.
-//   * Request coalescing: an admitted pure request (analyze/order/explore/
-//     sweep) publishes its coalesce key — a 64-bit mix of op, model text,
-//     and parameters — while in flight; identical requests arriving
-//     meanwhile attach as followers instead of consuming a queue slot and a
-//     worker, and the leader fans its outcome (success or error alike) out
-//     to each under the follower's own wire id. A thundering herd asking
-//     one question costs one solve.
+//     Every admitted request executes on its own against its own deadline;
+//     identical concurrent questions share one solve inside the cache,
+//     whose in-flight misses are joined rather than recomputed.
 //   * Drain: begin_drain() atomically flips admission off (subsequent
 //     requests get `shutting_down`); drain() blocks until the in-flight set
 //     is empty. The `shutdown` op responds, then begins the drain.
@@ -63,8 +59,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
-#include <vector>
 
 #include "exec/thread_pool.h"
 #include "obs/quantile.h"
@@ -113,10 +107,6 @@ struct BrokerOptions {
   /// in which nothing new was inserted. 0 (the default) = save only on
   /// clean shutdown and explicit `cache_save` requests.
   std::int64_t cache_save_secs = 0;
-  /// Test hook: sleep this long at the start of every request execution so
-  /// concurrent identical requests deterministically pile onto an in-flight
-  /// leader (coalescing tests).
-  std::int64_t test_exec_delay_ms = 0;
 };
 
 class Broker {
@@ -171,7 +161,6 @@ class Broker {
     std::int64_t waiting = 0;    // admitted, not yet executing
     std::int64_t in_flight = 0;  // admitted, not yet responded
     std::int64_t sessions = 0;   // open incremental sessions
-    std::int64_t coalesced = 0;  // requests answered from another's solve
     std::int64_t cache_saves = 0;  // background snapshot writes
   };
   Stats stats() const;
@@ -181,66 +170,12 @@ class Broker {
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// Op-level outcome of one executed request, captured before id/version
-  /// encoding so a coalesced leader can fan the same result (or the same
-  /// error) out to every attached follower under the follower's own id.
-  struct Outcome {
-    bool ok = false;
-    JsonValue result;                          // when ok
-    ErrorCode code = ErrorCode::kInternal;     // when !ok
-    std::string message;                       // when !ok
-  };
-
-  /// One follower attached to an in-flight identical request.
-  struct Waiter {
-    JsonValue id;
-    int version = kProtocolVersion;
-    DoneFn done;
-  };
-  struct CoalesceEntry {
-    // The leader's exact question, verified on every attach: the 64-bit
-    // coalesce key is a non-cryptographic mix, so two different requests
-    // can collide — and a collider must run its own solve, never silently
-    // receive the leader's answer to a different question.
-    Op op = Op::kStats;
-    bool hier = false;
-    std::int64_t tct = 0;
-    std::int64_t lo = 0;
-    std::int64_t hi = 0;
-    std::int64_t step = 0;
-    std::int64_t deadline_ms = 0;
-    std::string soc;
-    std::vector<Waiter> followers;
-  };
-
   /// Executes an admitted request (worker thread) and emits the response.
   /// `queue_wait_ns` is the admission -> execution-start delay, attributed
-  /// to the request's queue_wait stage. When `outcome` is non-null it is
-  /// filled on every path (success, error, exception) for coalesce fan-out.
+  /// to the request's queue_wait stage.
   void execute(const Request& request, bool has_deadline,
                Clock::time_point deadline, std::int64_t queue_wait_ns,
-               const DoneFn& done, Outcome* outcome = nullptr);
-
-  /// Coalesce key of a request: 64-bit mix of op + model text + parameters
-  /// for the pure ops (analyze/order/explore/sweep); 0 for everything else
-  /// (stats, sessions, shutdown, ... must execute individually).
-  static std::uint64_t coalesce_key(const Request& request);
-
-  /// True when `request` asks exactly the question `entry`'s leader is
-  /// answering (field-by-field; the hash key alone is not collision-free).
-  static bool coalesce_match(const CoalesceEntry& entry,
-                             const Request& request);
-
-  /// Atomically removes the coalesce entry and returns its followers. Must
-  /// run before the leader's response is delivered: once a client sees the
-  /// reply, a new identical request has to start a fresh solve instead of
-  /// attaching to this finished one.
-  std::vector<Waiter> detach_followers(
-      std::uint64_t key, const std::shared_ptr<CoalesceEntry>& entry);
-
-  /// Answers every detached follower from the leader's outcome, each
-  /// re-encoded with its own id and protocol version.
-  void fan_out(std::vector<Waiter> followers, const Outcome& outcome);
+               const DoneFn& done);
 
   /// Background saver thread body (cache_save_secs > 0).
   void saver_loop();
@@ -277,12 +212,6 @@ class Broker {
   mutable std::mutex sessions_mu_;
   std::map<std::string, std::shared_ptr<Session>> sessions_;
 
-  // In-flight coalescing: key -> entry for every coalescable request that
-  // is admitted but not yet answered. Followers attach here instead of
-  // consuming a queue slot and a worker.
-  std::mutex coalesce_mu_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<CoalesceEntry>> coalesce_;
-
   // Snapshot writes share one fixed tmp path (path + ".tmp"), so the
   // background saver, the shutdown save, and `cache_save` requests must
   // serialize. saved_misses_ (guarded by save_mu_) is the insertion proxy:
@@ -305,7 +234,6 @@ class Broker {
   std::atomic<std::int64_t> rejected_shutting_down_{0};
   std::atomic<std::int64_t> deadline_exceeded_{0};
   std::atomic<std::int64_t> internal_errors_{0};
-  std::atomic<std::int64_t> coalesced_{0};
   std::atomic<std::int64_t> cache_saves_{0};
   std::atomic<std::int64_t> trace_tick_{0};  // span-sampling cursor
   obs::WindowRate window_requests_;  // completed requests, last ~10 s

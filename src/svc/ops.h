@@ -1,9 +1,9 @@
 #pragma once
 // The four model ops of ERMES — analyze, order, explore, sweep — with no
-// transport attached. `ermes serve` (svc::Broker) runs them after admission,
-// coalescing and deadline setup; the CLI runs them on a Request built from
-// argv. A daemon response and a local run therefore carry the same result
-// from one implementation.
+// transport attached. `ermes serve` (svc::Broker) runs them after admission
+// and deadline setup; the CLI runs them on a Request built from argv. A
+// daemon response and a local run therefore carry the same result from one
+// implementation.
 
 #include <cstdint>
 #include <functional>

@@ -565,8 +565,9 @@ TEST(EvalCacheBounded, ShardStatsAndWindowRateUnderConcurrentMutation) {
             cache.analyze(variant(t * 200 + (i % 97)), solver);
         // Direct probes and inserts under keys analyze() never uses.
         analysis::PerformanceReport probe;
-        const std::uint64_t key =
-            analysis::fingerprint_mix(static_cast<std::uint64_t>(i), t);
+        const std::uint64_t key = util::splitmix64(
+            (static_cast<std::uint64_t>(t) << 32) |
+            static_cast<std::uint64_t>(i));
         if (!cache.lookup(key, &probe)) cache.insert(key, report);
       }
     });

@@ -1,8 +1,9 @@
-// src/net reactor + event server, and the broker behaviors that only exist
-// because of it: request coalescing, cross-request analyze batching, and
-// the background cache saver. This suite runs under TSan in CI alongside
-// test_svc — the event server's cross-thread send path and the coalesce
-// fan-out are exactly the kind of code TSan is for.
+// src/net reactor + event server, and the broker behaviors that only show
+// under concurrency: identical concurrent requests sharing one solve through
+// the eval cache's in-flight dedup, teardown with a backlog, and the
+// background cache saver. This suite runs under TSan in CI alongside
+// test_svc — the event server's cross-thread send path and the cache's
+// in-flight waiters are exactly the kind of code TSan is for.
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
@@ -314,9 +315,9 @@ TEST(EventServer, StopFdRequestsStop) {
 }
 
 // ---------------------------------------------------------------------------
-// Broker coalescing + cross-request batching. test_exec_delay_ms holds the
-// leader inside execute() so concurrently submitted identical requests
-// deterministically find its in-flight entry.
+// Broker under concurrent load. Every admitted request executes on its own;
+// identical concurrent questions share one solve inside analysis::EvalCache,
+// whose in-flight misses are joined by the later requests.
 
 // Collects N async responses and blocks until all arrived.
 struct Collector {
@@ -344,21 +345,11 @@ struct Collector {
   int arrived_ = 0;
 };
 
-TEST(Coalesce, IdenticalConcurrentRequestsProduceOneSolve) {
+TEST(Broker, IdenticalConcurrentRequestsProduceOneSolve) {
   const std::string line = svc::encode_request(
       svc::Op::kAnalyze, svc::JsonValue::null(), demo_soc());
 
-  // A single cold analyze costs one miss: the report memo is the only memo
-  // an analyze probes.
-  std::int64_t one_solve_misses = 0;
-  {
-    svc::Broker baseline({.workers = 1});
-    baseline.handle_line_sync(line);
-    one_solve_misses = baseline.cache().misses();
-  }
-  ASSERT_EQ(one_solve_misses, 1);
-
-  svc::Broker broker({.workers = 4, .test_exec_delay_ms = 60});
+  svc::Broker broker({.workers = 4});
   constexpr int kRequests = 8;
   Collector collector(kRequests);
   for (int i = 0; i < kRequests; ++i) {
@@ -366,71 +357,25 @@ TEST(Coalesce, IdenticalConcurrentRequestsProduceOneSolve) {
   }
   collector.wait();
 
-  // One leader solved; everyone else attached to its in-flight entry and
-  // never touched the cache (no extra misses, no hits).
-  EXPECT_EQ(broker.stats().coalesced, kRequests - 1);
-  EXPECT_EQ(broker.cache().misses(), one_solve_misses);
-  EXPECT_EQ(broker.cache().hits(), 0);
+  // The first probe misses and solves; every other request either joined
+  // that in-flight miss or found the stored report. Both count as hits.
+  EXPECT_EQ(broker.cache().misses(), 1);
+  EXPECT_EQ(broker.cache().hits(), kRequests - 1);
   for (const std::string& response : collector.responses) {
     const svc::ResponseView view = svc::parse_response(response);
     ASSERT_TRUE(view.ok) << view.parse_error;
     EXPECT_TRUE(view.success) << response;
   }
-  // Identical ids (null) -> the fan-out re-encodings are byte-identical.
+  // Identical ids (null) and one report -> byte-identical responses.
   for (int i = 1; i < kRequests; ++i) {
     EXPECT_EQ(collector.responses[static_cast<std::size_t>(i)],
               collector.responses[0]);
   }
 }
 
-TEST(Coalesce, DivergentParamsDoNotCoalesce) {
-  svc::Broker broker({.workers = 4, .test_exec_delay_ms = 30});
-  const std::string soc = demo_soc();
-  Collector collector(2);
-  // Same op + model, different sweep ranges: distinct coalesce keys.
-  broker.handle_line(
-      svc::encode_request(svc::Op::kSweep, svc::JsonValue::integer(1), soc, 0,
-                          /*lo=*/40, /*hi=*/48, /*step=*/4),
-      collector.slot(0));
-  broker.handle_line(
-      svc::encode_request(svc::Op::kSweep, svc::JsonValue::integer(2), soc, 0,
-                          /*lo=*/40, /*hi=*/56, /*step=*/4),
-      collector.slot(1));
-  collector.wait();
-  EXPECT_EQ(broker.stats().coalesced, 0);
-  for (const std::string& response : collector.responses) {
-    const svc::ResponseView view = svc::parse_response(response);
-    ASSERT_TRUE(view.ok) << view.parse_error;
-    EXPECT_TRUE(view.success) << response;
-  }
-}
-
-TEST(Coalesce, FailingLeaderPropagatesSameErrorToFollowers) {
-  svc::Broker broker({.workers = 2, .test_exec_delay_ms = 60});
-  // Parses as a request envelope but the model text is garbage: the leader
-  // fails inside execute(), after followers have attached.
-  const std::string line = svc::encode_request(
-      svc::Op::kAnalyze, svc::JsonValue::null(), "process only_half\n");
-  constexpr int kRequests = 4;
-  Collector collector(kRequests);
-  for (int i = 0; i < kRequests; ++i) {
-    broker.handle_line(line, collector.slot(i));
-  }
-  collector.wait();
-
-  EXPECT_EQ(broker.stats().coalesced, kRequests - 1);
-  for (const std::string& response : collector.responses) {
-    const svc::ResponseView view = svc::parse_response(response);
-    ASSERT_TRUE(view.ok) << view.parse_error;
-    EXPECT_FALSE(view.success);
-    EXPECT_EQ(view.error_code, "bad_request");
-    EXPECT_EQ(response, collector.responses[0]);  // identical error lines
-  }
-}
-
-TEST(Coalesce, ConcurrentAndCoalescedResponsesByteIdenticalToSerial) {
+TEST(Broker, ConcurrentResponsesByteIdenticalToSerial) {
   // Request mix: four analyze variants (distinct cache keys), three sweeps
-  // with distinct ranges, and one duplicated sweep (a coalesce pair).
+  // with distinct ranges, and one duplicated sweep.
   const sysmodel::SystemModel sys = sysmodel::make_dac14_motivating_example();
   std::vector<std::string> lines;
   for (int v = 0; v < 4; ++v) {
@@ -444,7 +389,7 @@ TEST(Coalesce, ConcurrentAndCoalescedResponsesByteIdenticalToSerial) {
         svc::Op::kSweep, svc::JsonValue::integer(100 + s), soc, 0,
         /*lo=*/40, /*hi=*/48 + 8 * s, /*step=*/4));
   }
-  lines.push_back(lines.back());  // the coalesce pair
+  lines.push_back(lines.back());  // the duplicated sweep
 
   // Serial baseline: one worker, one request at a time.
   std::vector<std::string> serial;
@@ -455,40 +400,37 @@ TEST(Coalesce, ConcurrentAndCoalescedResponsesByteIdenticalToSerial) {
     }
   }
 
-  // Concurrent run: one worker + an execute delay, so the whole mix piles
-  // up behind the first request and the duplicate sweep coalesces onto its
-  // twin.
-  svc::Broker broker({.workers = 1, .test_exec_delay_ms = 20});
+  // Concurrent run: the whole mix submitted at once onto four workers, so
+  // the sweeps race each other on shared cache keys.
+  svc::Broker broker({.workers = 4});
   Collector collector(static_cast<int>(lines.size()));
   for (std::size_t i = 0; i < lines.size(); ++i) {
     broker.handle_line(lines[i], collector.slot(static_cast<int>(i)));
   }
   collector.wait();
 
-  EXPECT_GE(broker.stats().coalesced, 1);  // the duplicated sweep
   for (std::size_t i = 0; i < lines.size(); ++i) {
     EXPECT_EQ(collector.responses[i], serial[i])
         << "response " << i << " diverged from the serial run";
   }
 }
 
-TEST(Coalesce, TeardownWithQueuedRequestsIsClean) {
+TEST(Broker, TeardownWithQueuedRequestsIsClean) {
   // Shutdown with a backlog: the broker is destroyed while most requests
-  // are still queued behind one slow worker. ~Broker must drain every
+  // are still queued behind one worker slowed by test_iter_delay_ms (a sleep
+  // in every sweep-target and DSE-iteration poll). ~Broker must drain every
   // admitted request (each gets its response) before the pool and the
   // members its tasks touch are torn down. Exercised under TSan in CI.
-  const sysmodel::SystemModel sys = sysmodel::make_dac14_motivating_example();
+  const std::string soc = demo_soc();
   for (int round = 0; round < 8; ++round) {
     constexpr int kRequests = 12;
     Collector collector(kRequests);
     {
-      svc::Broker broker({.workers = 1, .test_exec_delay_ms = 2});
+      svc::Broker broker({.workers = 1, .test_iter_delay_ms = 2});
       for (int v = 0; v < kRequests; ++v) {
-        // Distinct model names -> distinct coalesce keys: all twelve queue
-        // instead of attaching to one leader.
         broker.handle_line(
-            svc::encode_request(svc::Op::kAnalyze, svc::JsonValue::integer(v),
-                                io::write_soc(sys, "td_" + std::to_string(v))),
+            svc::encode_request(svc::Op::kSweep, svc::JsonValue::integer(v),
+                                soc, 0, /*lo=*/40, /*hi=*/48, /*step=*/4),
             collector.slot(v));
       }
     }

@@ -419,13 +419,9 @@ TEST(Broker, OverloadRejectsInsteadOfBlocking) {
   std::atomic<int> overloaded{0};
   std::atomic<int> responded{0};
   constexpr int kRequests = 12;
+  const std::string slow =
+      encode_request(Op::kExplore, JsonValue::null(), demo_soc(), /*tct=*/1);
   for (int i = 0; i < kRequests; ++i) {
-    // Distinct deadlines give each request its own coalesce key; identical
-    // in-flight requests would share one solve instead of piling onto the
-    // admission queue, and this test is about the queue.
-    const std::string slow =
-        encode_request(Op::kExplore, JsonValue::null(), demo_soc(), /*tct=*/1,
-                       0, 0, 0, /*deadline_ms=*/600'000 + i);
     broker.handle_line(slow, [&](std::string response) {
       const ResponseView view = parse_response(response);
       if (!view.success && view.error_code == "overloaded") {
