@@ -308,6 +308,36 @@ TEST(CliTmgDot, OutputIsPinnedOnExampleModels) {
   EXPECT_EQ(composed.out, slurp(golden + "/compose_hier_pipeline.dot"));
 }
 
+// `compose --report` on the hierarchical pipeline: the per-component
+// breakdown (which SCC is critical, each one's ratio and slack) and the
+// cycle-time line, byte for byte.
+TEST(CliCompose, ReportIsPinnedOnHierPipeline) {
+  const std::string dir = ERMES_EXAMPLES_DIR;
+  const std::string golden = ERMES_GOLDEN_DIR;
+  const RunResult run =
+      run_cli("compose " + dir + "/hier_pipeline.soc --report");
+  EXPECT_EQ(run.exit_code, 0) << run.err;
+  EXPECT_EQ(run.out, slurp(golden + "/compose_hier_pipeline.report"));
+}
+
+// A deadlocking model makes `compose --report` an analysis failure: the
+// breakdown names the token-free cycle and the exit code is 4.
+TEST(CliCompose, ReportOnDeadlockIsAnalysisFailure) {
+  const std::string dead = temp_path("dead_compose.soc");
+  std::ofstream(dead) << "system dead\n"
+                         "process a latency 1\n"
+                         "process b latency 1\n"
+                         "channel ab a -> b latency 0\n"
+                         "channel ba b -> a latency 0\n";
+  const RunResult result = run_cli("compose " + dead + " --report");
+  EXPECT_EQ(result.exit_code, 4);
+  EXPECT_EQ(result.out,
+            "0 components; DEADLOCK: token-free cycle of 4 places\n");
+  EXPECT_NE(result.err.find("error: system deadlocks\n"), std::string::npos)
+      << result.err;
+  std::remove(dead.c_str());
+}
+
 // A run that stops at the default 10^8-cycle limit before reaching the
 // requested item count still exits 0 with its normal stdout, and says so in
 // one `warning:` line on stderr in both output modes.
