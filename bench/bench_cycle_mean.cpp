@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/performance.h"
@@ -25,6 +26,7 @@
 #include "tmg/csr.h"
 #include "tmg/howard.h"
 #include "tmg/karp.h"
+#include "tmg/marked_graph.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 
@@ -32,22 +34,34 @@ using namespace ermes;
 
 namespace {
 
-tmg::RatioGraph random_ratio_graph(std::int32_t n, std::uint64_t seed) {
+// A random strongly connected TMG of n transitions: a ring (the place out
+// of transition 0 marked, the rest marked at random) plus 2n marked chords,
+// so every cycle carries a token.
+tmg::MarkedGraph random_tmg(std::int32_t n, std::uint64_t seed) {
   util::Rng rng(seed);
-  tmg::RatioGraph rg;
-  rg.g.add_nodes(n);
+  std::vector<std::int64_t> delay(static_cast<std::size_t>(n));
+  for (std::int64_t& d : delay) d = rng.uniform_int(1, 100);
+  std::vector<tmg::TransitionId> producer, consumer;
+  std::vector<std::int64_t> tokens;
   for (std::int32_t i = 0; i < n; ++i) {
-    rg.g.add_arc(i, (i + 1) % n);
-    rg.weight.push_back(rng.uniform_int(1, 100));
-    rg.tokens.push_back(i == 0 ? 1 : rng.uniform_int(0, 1));
+    producer.push_back(i);
+    consumer.push_back((i + 1) % n);
+    tokens.push_back(i == 0 ? 1 : rng.uniform_int(0, 1));
   }
   for (std::int32_t e = 0; e < 2 * n; ++e) {
-    rg.g.add_arc(static_cast<graph::NodeId>(rng.index(static_cast<std::size_t>(n))),
-                 static_cast<graph::NodeId>(rng.index(static_cast<std::size_t>(n))));
-    rg.weight.push_back(rng.uniform_int(1, 100));
-    rg.tokens.push_back(1);
+    producer.push_back(static_cast<tmg::TransitionId>(
+        rng.index(static_cast<std::size_t>(n))));
+    consumer.push_back(static_cast<tmg::TransitionId>(
+        rng.index(static_cast<std::size_t>(n))));
+    tokens.push_back(1);
   }
-  return rg;
+  return tmg::MarkedGraph(std::move(delay), std::move(producer),
+                          std::move(consumer), std::move(tokens));
+}
+
+// The oracles' input: the ratio graph of random_tmg(n, seed).
+tmg::RatioGraph random_ratio_graph(std::int32_t n, std::uint64_t seed) {
+  return tmg::to_ratio_graph(random_tmg(n, seed));
 }
 
 sysmodel::SystemModel soc_of(std::int32_t processes) {
@@ -69,18 +83,20 @@ void BM_Howard(benchmark::State& state) {
 BENCHMARK(BM_Howard)->Arg(32)->Arg(256)->Arg(2048)->Arg(16384);
 
 // The CSR solver core on the same workload, warm: the structure is compiled
-// once and each iteration is a weight refresh + canonical-start solve —
-// bit-identical results without ratio-graph construction, Tarjan, or
-// scratch allocation (see tmg/csr.h).
+// once and each iteration is a delay change, a weight refresh and a
+// canonical-start solve — bit-identical results without ratio-graph
+// construction, Tarjan, or scratch allocation (see tmg/csr.h).
 void BM_HowardWarmCsr(benchmark::State& state) {
-  tmg::RatioGraph rg =
-      random_ratio_graph(static_cast<std::int32_t>(state.range(0)), 11);
+  tmg::MarkedGraph g =
+      random_tmg(static_cast<std::int32_t>(state.range(0)), 11);
   tmg::CycleMeanSolver solver;
-  solver.prepare(rg);
+  solver.prepare(g);
   util::Rng rng(23);
   for (auto _ : state) {
-    rg.weight[rng.index(rg.weight.size())] = rng.uniform_int(1, 100);
-    solver.prepare(rg);
+    g.set_delay(static_cast<tmg::TransitionId>(rng.index(
+                    static_cast<std::size_t>(g.num_transitions()))),
+                rng.uniform_int(1, 100));
+    solver.prepare(g);
     benchmark::DoNotOptimize(solver.solve());
   }
 }
@@ -149,41 +165,49 @@ void BM_ChannelOrdering(benchmark::State& state) {
 BENCHMARK(BM_ChannelOrdering)->Arg(100)->Arg(1000)->Arg(10000);
 
 // Compact cold-vs-warm summary for the CI artifact: one random strongly
-// connected ratio graph, a deterministic weight-mutation loop, per-step
-// bit-identity. cold = monolithic max_cycle_ratio_howard per step; warm =
-// CycleMeanSolver weight refresh + solve (compile outside the loop).
+// connected TMG, a deterministic delay-mutation loop, per-step
+// bit-identity. cold = monolithic max_cycle_ratio_howard per step on the
+// ratio graph (its out-arc weights patched in place); warm =
+// CycleMeanSolver weight refresh + solve on the TMG (compile outside the
+// loop).
 bool write_summary_json(const std::string& out_path) {
   const std::int32_t n = 2048;
   const int steps = 48;
-  tmg::RatioGraph rg = random_ratio_graph(n, 11);
-  const auto arcs = static_cast<std::int64_t>(rg.weight.size());
+  const tmg::MarkedGraph base = random_tmg(n, 11);
+  tmg::RatioGraph rg = tmg::to_ratio_graph(base);
+  const auto arcs = static_cast<std::int64_t>(base.num_places());
 
   util::Rng rng(29);
-  std::vector<std::size_t> arc_of(static_cast<std::size_t>(steps));
-  std::vector<std::int64_t> weight_of(static_cast<std::size_t>(steps));
+  std::vector<tmg::TransitionId> transition_of(
+      static_cast<std::size_t>(steps));
+  std::vector<std::int64_t> delay_of(static_cast<std::size_t>(steps));
   for (int s = 0; s < steps; ++s) {
-    arc_of[static_cast<std::size_t>(s)] = rng.index(rg.weight.size());
-    weight_of[static_cast<std::size_t>(s)] = rng.uniform_int(1, 100);
+    transition_of[static_cast<std::size_t>(s)] =
+        static_cast<tmg::TransitionId>(rng.index(static_cast<std::size_t>(n)));
+    delay_of[static_cast<std::size_t>(s)] = rng.uniform_int(1, 100);
   }
 
   std::vector<tmg::CycleRatioResult> cold(static_cast<std::size_t>(steps));
   util::Stopwatch sw;
   for (int s = 0; s < steps; ++s) {
-    rg.weight[arc_of[static_cast<std::size_t>(s)]] =
-        weight_of[static_cast<std::size_t>(s)];
+    for (const tmg::PlaceId p :
+         base.out_places(transition_of[static_cast<std::size_t>(s)])) {
+      rg.weight[static_cast<std::size_t>(p)] =
+          delay_of[static_cast<std::size_t>(s)];
+    }
     cold[static_cast<std::size_t>(s)] = tmg::max_cycle_ratio_howard(rg);
   }
   const double cold_ms = sw.elapsed_ms();
 
-  tmg::RatioGraph warm_rg = random_ratio_graph(n, 11);
+  tmg::MarkedGraph warm_g = base;
   tmg::CycleMeanSolver solver;
-  solver.prepare(warm_rg);
+  solver.prepare(warm_g);
   bool identical = true;
   sw.reset();
   for (int s = 0; s < steps; ++s) {
-    warm_rg.weight[arc_of[static_cast<std::size_t>(s)]] =
-        weight_of[static_cast<std::size_t>(s)];
-    solver.prepare(warm_rg);
+    warm_g.set_delay(transition_of[static_cast<std::size_t>(s)],
+                     delay_of[static_cast<std::size_t>(s)]);
+    solver.prepare(warm_g);
     const tmg::CycleRatioResult r = solver.solve();
     const tmg::CycleRatioResult& c = cold[static_cast<std::size_t>(s)];
     identical = identical && r.has_cycle == c.has_cycle &&

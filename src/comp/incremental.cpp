@@ -162,8 +162,7 @@ const PartitionedReport& IncrementalAnalyzer::analyze() {
   {
     obs::StageTimer solve_timer(obs::Stage::kSolve);
     for (const std::size_t c : todo) {
-      res_[c] = solver_.solve_component(static_cast<std::int32_t>(c),
-                                        solver_.workspace());
+      res_[c] = solver_.solve_component(static_cast<std::int32_t>(c));
     }
   }
   dirty_.assign(dirty_.size(), 0);

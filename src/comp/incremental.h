@@ -1,5 +1,8 @@
 #pragma once
-// Incremental re-analysis across component patches.
+// Incremental re-analysis across component patches — and the one
+// partitioned analysis path: `ermes compose --report` runs a fresh
+// analyzer's first analyze(), the daemon's sessions keep one across patches.
+// It is the only caller of CycleMeanSolver::solve_component.
 //
 // An IncrementalAnalyzer owns a system plus the derived state a full
 // analysis would rebuild from scratch — the elaborated TMG, its compiled

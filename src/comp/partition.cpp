@@ -1,28 +1,15 @@
 #include "comp/partition.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <sstream>
 
-#include "obs/metrics.h"
-#include "obs/request_context.h"
-#include "obs/span.h"
 #include "util/table.h"
 
 namespace ermes::comp {
 
-using analysis::PerformanceReport;
 using analysis::SystemTmg;
 using graph::NodeId;
-
-#ifndef NDEBUG
-namespace {
-// Debug-only guard: a sampled subset of partitioned reports is recomputed
-// through the monolithic path and compared bit for bit.
-std::atomic<std::uint64_t> g_verify_tick{0};
-}  // namespace
-#endif
 
 PartitionedReport assemble_partitioned(
     const SystemTmg& stmg, const graph::SccResult& sccs,
@@ -82,49 +69,6 @@ PartitionedReport assemble_partitioned(
     }
   }
   return part;
-}
-
-PartitionedReport analyze_partitioned(const SystemTmg& stmg,
-                                      tmg::CycleMeanSolver& solver) {
-  obs::ObsSpan span("comp.analyze_partitioned", "comp");
-  obs::count("comp.analyses");
-  PartitionedReport part;
-
-  // Compile once per structure (a caller-owned solver re-reads only the
-  // weights on warm calls) and solve the components one by one. The
-  // compile's zero-token screen is the liveness verdict.
-  solver.prepare(stmg.graph);
-  if (!solver.live()) {
-    part.report.live = false;
-    part.report.dead_cycle = solver.dead_cycle();
-    return part;
-  }
-  const auto n = static_cast<std::size_t>(solver.sccs().num_components);
-  std::vector<tmg::CycleRatioResult> per(n);
-  {
-    obs::StageTimer solve_timer(obs::Stage::kSolve);
-    for (std::size_t i = 0; i < n; ++i) {
-      per[i] = solver.solve_component(static_cast<std::int32_t>(i),
-                                      solver.workspace());
-    }
-  }
-
-  part = assemble_partitioned(stmg, solver.sccs(), per);
-  part.solved = static_cast<int>(n);
-  if (obs::enabled()) obs::count("comp.sccs_solved", part.solved);
-#ifndef NDEBUG
-  if (g_verify_tick.fetch_add(1, std::memory_order_relaxed) % 16 == 0) {
-    assert(
-        analysis::reports_bit_identical(part.report, analysis::analyze(stmg)) &&
-        "partitioned analysis diverged from the monolithic path");
-  }
-#endif
-  return part;
-}
-
-PartitionedReport analyze_partitioned(const sysmodel::SystemModel& sys,
-                                      tmg::CycleMeanSolver& solver) {
-  return analyze_partitioned(analysis::build_tmg(sys), solver);
 }
 
 std::string summarize_partitioned(const PartitionedReport& part,

@@ -1,15 +1,16 @@
 #pragma once
-// SCC-partitioned performance analysis.
+// SCC-partitioned performance analysis: per-component provenance.
 //
 // Cycles never cross strongly connected components, so the cycle time of a
 // system is the fold of independent per-SCC maximum cycle ratios
-// (tmg::fold_cycle_ratio). This module compiles the elaborated TMG into the
-// CSR engine (tmg::CycleMeanSolver, whose plan holds the Tarjan partition),
-// solves each component with Howard independently, and assembles a
-// PerformanceReport that is bit-identical to the monolithic
-// analysis::analyze, plus per-component provenance: which processes and
-// channels each SCC spans, each component's own cycle ratio, and its slack
-// against the critical component.
+// (tmg::fold_cycle_ratio). comp::IncrementalAnalyzer (comp/incremental.h)
+// is the one engine that computes them: it compiles the elaborated TMG into
+// tmg::CycleMeanSolver (whose plan holds the Tarjan partition), solves each
+// component with Howard, and hands the per-component results to
+// assemble_partitioned below. That yields a PerformanceReport bit-identical
+// to the monolithic analysis::analyze, plus per-component provenance: which
+// processes and channels each SCC spans, each component's own cycle ratio,
+// and its slack against the critical component.
 //
 // Nothing here is memoized: `ermes compose --report` and the daemon's
 // sessions want the provenance, and the memoized whole-report path is
@@ -29,14 +30,14 @@
 #include "analysis/tmg_builder.h"
 #include "graph/scc.h"
 #include "sysmodel/system.h"
-#include "tmg/csr.h"
 #include "tmg/cycle_ratio.h"
 
 namespace ermes::comp {
 
-/// Provenance of one strongly connected component of the ratio graph.
+/// Provenance of one strongly connected component of the TMG's transition
+/// graph.
 struct SccInfo {
-  /// Member transitions (ratio-graph nodes) in Tarjan member order.
+  /// Member transitions in Tarjan member order.
   std::vector<tmg::TransitionId> transitions;
   /// System-level footprint: processes with a compute transition in the
   /// component and channels with a transition in it (sorted, deduplicated).
@@ -70,18 +71,6 @@ struct PartitionedReport {
   /// skips the clean ones).
   int solved = 0;
 };
-
-/// Analyzes a pre-built TMG through the partitioned path. `solver` is
-/// caller-owned (see tmg/csr.h): it keeps the compiled structure, SCC
-/// partition, and workspace across calls, so repeated analyses of the same
-/// topology skip compilation and Tarjan entirely. It must not be shared
-/// with a concurrent analysis.
-PartitionedReport analyze_partitioned(const analysis::SystemTmg& stmg,
-                                      tmg::CycleMeanSolver& solver);
-
-/// Builds the TMG of `sys` and analyzes it partitioned.
-PartitionedReport analyze_partitioned(const sysmodel::SystemModel& sys,
-                                      tmg::CycleMeanSolver& solver);
 
 /// Folds per-component results (ascending component id) into the full
 /// report + provenance. `per_scc[c]` must be component c's own result.

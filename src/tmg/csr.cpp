@@ -16,7 +16,6 @@ namespace {
 
 constexpr double kEps = 1e-9;
 
-using graph::ArcId;
 using graph::NodeId;
 
 // Registry mirror of CycleMeanSolver::Stats. Per-solver Stats live and die
@@ -42,14 +41,15 @@ struct SolverCounters {
   }
 };
 
-// Howard policy iteration on one strongly connected component of the CSR
-// view. It mirrors the reference oracle's SccSolver (howard.cpp) line for
-// line: same member iteration order, same slot (== out_arcs) order, same
+// Howard policy iteration on one strongly connected component of a live
+// CSR view. It mirrors the reference oracle's SccSolver (howard.cpp) line
+// for line: same member iteration order, same slot (== out_arcs) order, same
 // floating-point expressions and 1e-9 epsilon — so given the same initial
 // policy it follows the identical trajectory and reports bit-identical
-// results. The only differences are representation (slots instead of
-// ArcIds, workspace-owned scratch instead of per-solve assigns) and the
-// externally supplied seed policy.
+// results. The differences are representation (slots instead of ArcIds,
+// workspace-owned scratch instead of per-solve assigns), the externally
+// supplied seed policy, and the oracle's token-free-cycle branches, which
+// cannot fire here: on a live graph every policy cycle carries a token.
 class CsrSccSolver {
  public:
   CsrSccSolver(const CsrGraph& csr, const std::vector<std::int32_t>& comp_of,
@@ -67,9 +67,9 @@ class CsrSccSolver {
   bool capped() const { return !converged_; }
 
   // Runs policy iteration from `seed_policy` (slot per node; every member
-  // must hold a valid internal slot — the canonical init_slot_ plan or a
-  // remembered optimal policy both satisfy this for multi-node SCCs).
-  bool solve(const std::vector<std::int32_t>& seed_policy,
+  // must hold a valid internal slot — the canonical init_slot_ plan does for
+  // multi-node SCCs).
+  void solve(const std::vector<std::int32_t>& seed_policy,
              CycleRatioResult& out) {
     for (NodeId u : members_) {
       const auto ui = static_cast<std::size_t>(u);
@@ -80,18 +80,7 @@ class CsrSccSolver {
     converged_ = false;
     for (int iter = 0; iter < max_iters; ++iter) {
       iterations_ = iter + 1;
-      if (!evaluate()) {
-        // Zero-token cycle: infinite ratio (deadlocked TMG). Unreachable
-        // after the compile-time zero-token screen, kept to mirror the
-        // oracle exactly.
-        out.has_cycle = true;
-        out.ratio = std::numeric_limits<double>::infinity();
-        out.ratio_num = best_w_;
-        out.ratio_den = 0;
-        copy_best_cycle(out);
-        converged_ = true;
-        return true;
-      }
+      evaluate();
       if (!improve()) {
         converged_ = true;
         break;
@@ -100,7 +89,6 @@ class CsrSccSolver {
     if (!converged_) {
       detail::note_iteration_cap_exhausted(iterations_, members_.size());
     }
-    if (out.ratio_den == 0 && out.has_cycle) return true;  // already infinite
     if (!out.has_cycle ||
         compare_ratios(best_w_, best_t_, out.ratio_num, out.ratio_den) > 0) {
       out.has_cycle = true;
@@ -109,7 +97,6 @@ class CsrSccSolver {
       out.ratio = static_cast<double>(best_w_) / static_cast<double>(best_t_);
       copy_best_cycle(out);
     }
-    return true;
   }
 
  private:
@@ -130,9 +117,8 @@ class CsrSccSolver {
   }
 
   // Policy evaluation: finds the cycle each node reaches in the functional
-  // policy graph, assigns lambda (cycle ratio) and node values. Returns false
-  // on a zero-token cycle (records it as the best cycle).
-  bool evaluate() {
+  // policy graph, assigns lambda (cycle ratio) and node values.
+  void evaluate() {
     stamp_ = ws_.next_stamp();
     best_of_eval_set_ = false;
     for (NodeId start : members_) {
@@ -147,7 +133,7 @@ class CsrSccSolver {
       }
       if (ws_.done[static_cast<std::size_t>(u)] != stamp_) {
         // u is on the current walk: the suffix starting at u is a new cycle.
-        if (!settle_cycle(u)) return false;
+        settle_cycle(u);
       }
       // Unwind the walk back-to-front, resolving tree nodes.
       for (auto it = ws_.walk.rbegin(); it != ws_.walk.rend(); ++it) {
@@ -166,11 +152,10 @@ class CsrSccSolver {
         ws_.done[xi] = stamp_;
       }
     }
-    return true;
   }
 
   // Handles the cycle formed by the suffix of ws_.walk starting at `root`.
-  bool settle_cycle(NodeId root) {
+  void settle_cycle(NodeId root) {
     std::size_t pos = ws_.walk.size();
     while (pos > 0 && ws_.walk[pos - 1] != root) --pos;
     assert(pos > 0);
@@ -184,12 +169,7 @@ class CsrSccSolver {
       t_sum += csr_.slot_tokens[s];
       ws_.cycle.push_back(static_cast<std::int32_t>(s));
     }
-    if (t_sum == 0) {
-      best_w_ = w_sum;
-      best_t_ = 0;
-      ws_.best_cycle.swap(ws_.cycle);
-      return false;
-    }
+    assert(t_sum > 0 && "token-free policy cycle on a live graph");
     const double lam = static_cast<double>(w_sum) / static_cast<double>(t_sum);
     // Assign lambda and values around the cycle: v[root] = 0, then forward
     // v[next] = v[cur] - (w - lam*tau).
@@ -216,7 +196,6 @@ class CsrSccSolver {
       best_t_ = t_sum;
       ws_.best_cycle.swap(ws_.cycle);
     }
-    return true;
   }
 
   // Policy improvement. Returns true if any node switched its arc.
@@ -269,61 +248,66 @@ class CsrSccSolver {
   std::int64_t best_t_ = 1;
 };
 
-// The one zero-token-cycle search (Commoner's liveness criterion): a DFS
-// over the token-free arcs, roots in node order 0..n-1 and each node's
-// out-arcs in slot order, reporting the first back arc it meets as the
-// cycle of arcs from its head around the DFS stack. `Slots` reads slot s of
-// the adjacency bracketed by `row_ptr`: arc(s), head(s) and tokens(s). The
-// solver plan runs it on a CsrGraph, tmg::check_liveness directly on a
-// MarkedGraph's out-place arrays; both lay slots out in the same order, so
-// both report the same witness.
-template <typename Slots>
-bool zero_token_dfs(std::int32_t num_nodes,
-                    const std::vector<std::int32_t>& row_ptr,
-                    const Slots& slots, std::vector<ArcId>* cycle) {
+std::atomic<int> g_iteration_cap_override{0};
+
+}  // namespace
+
+void set_howard_iteration_cap_for_testing(int cap) {
+  g_iteration_cap_override.store(cap, std::memory_order_relaxed);
+}
+
+// Commoner's liveness criterion: a DFS over the token-free places, roots in
+// TransitionId order and each transition's out-places in slot order,
+// reporting the first back arc it meets as the cycle of places from its head
+// around the DFS stack.
+bool find_zero_token_cycle(const MarkedGraph& g, std::vector<PlaceId>* cycle) {
   enum class Color : unsigned char { kWhite, kGray, kBlack };
-  const auto n = static_cast<std::size_t>(num_nodes);
-  std::vector<Color> color(n, Color::kWhite);
+  const std::vector<std::int32_t>& row_ptr = g.out_offsets();
+  const std::vector<PlaceId>& out_place = g.out_place_array();
+  const std::vector<TransitionId>& consumer = g.consumers();
+  const std::vector<std::int64_t>& marking = g.initial_marking();
+  std::vector<Color> color(static_cast<std::size_t>(g.num_transitions()),
+                           Color::kWhite);
   struct Frame {
-    NodeId node;
+    TransitionId node;
     std::size_t next;  // absolute slot cursor
-    ArcId via;
+    PlaceId via;
   };
   std::vector<Frame> stack;
-  for (NodeId root = 0; root < num_nodes; ++root) {
+  for (TransitionId root = 0; root < g.num_transitions(); ++root) {
     if (color[static_cast<std::size_t>(root)] != Color::kWhite) continue;
     color[static_cast<std::size_t>(root)] = Color::kGray;
     stack.clear();
     stack.push_back(
         {root,
          static_cast<std::size_t>(row_ptr[static_cast<std::size_t>(root)]),
-         graph::kInvalidArc});
+         kInvalidPlace});
     while (!stack.empty()) {
       Frame& frame = stack.back();
       const auto row_end = static_cast<std::size_t>(
           row_ptr[static_cast<std::size_t>(frame.node) + 1]);
       bool descended = false;
       while (frame.next < row_end) {
-        const std::size_t s = frame.next++;
-        if (slots.tokens(s) != 0) continue;
-        const NodeId w = slots.head(s);
+        const PlaceId p = out_place[frame.next++];
+        const auto pi = static_cast<std::size_t>(p);
+        if (marking[pi] != 0) continue;
+        const TransitionId w = consumer[pi];
         const auto wi = static_cast<std::size_t>(w);
         if (color[wi] == Color::kWhite) {
           color[wi] = Color::kGray;
-          stack.push_back({w, static_cast<std::size_t>(row_ptr[wi]),
-                           slots.arc(s)});
+          stack.push_back({w, static_cast<std::size_t>(row_ptr[wi]), p});
           descended = true;
           break;
         }
         if (color[wi] == Color::kGray) {
           if (cycle != nullptr) {
-            std::vector<ArcId> found;
+            std::vector<PlaceId> found;
             for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
               if (it->node == w) break;
               found.push_back(it->via);
             }
             std::reverse(found.begin(), found.end());
-            found.push_back(slots.arc(s));
+            found.push_back(p);
             *cycle = std::move(found);
           }
           return true;
@@ -336,104 +320,6 @@ bool zero_token_dfs(std::int32_t num_nodes,
     }
   }
   return false;
-}
-
-struct CsrSlots {
-  const CsrGraph& csr;
-  ArcId arc(std::size_t s) const { return csr.slot_arc[s]; }
-  NodeId head(std::size_t s) const { return csr.slot_head[s]; }
-  std::int64_t tokens(std::size_t s) const { return csr.slot_tokens[s]; }
-};
-
-struct MarkedGraphSlots {
-  const std::vector<PlaceId>& place;
-  const std::vector<TransitionId>& consumer;
-  const std::vector<std::int64_t>& marking;
-  ArcId arc(std::size_t s) const { return place[s]; }
-  NodeId head(std::size_t s) const {
-    return consumer[static_cast<std::size_t>(place[s])];
-  }
-  std::int64_t tokens(std::size_t s) const {
-    return marking[static_cast<std::size_t>(place[s])];
-  }
-};
-
-// Port of howard.cpp's find_zero_token_cycle_in_scc onto the CSR view (same
-// member order, same slot order => same witness). `color`/`via` are shared
-// across the per-component calls of one compile: each component's DFS only
-// touches its own members, so no reset is needed between calls.
-bool csr_zero_token_cycle_in_scc(const CsrGraph& csr,
-                                 const std::vector<std::int32_t>& comp_of,
-                                 std::int32_t comp_id,
-                                 const std::vector<NodeId>& members,
-                                 std::vector<char>& color,
-                                 std::vector<ArcId>& via,
-                                 std::vector<ArcId>* cycle) {
-  struct Frame {
-    NodeId node;
-    std::size_t next;  // absolute slot cursor
-  };
-  std::vector<Frame> stack;
-  for (const NodeId start : members) {
-    if (color[static_cast<std::size_t>(start)] != 0) continue;
-    stack.push_back(
-        {start, static_cast<std::size_t>(
-                    csr.row_ptr[static_cast<std::size_t>(start)])});
-    color[static_cast<std::size_t>(start)] = 1;
-    while (!stack.empty()) {
-      Frame& frame = stack.back();
-      const auto row_end = static_cast<std::size_t>(
-          csr.row_ptr[static_cast<std::size_t>(frame.node) + 1]);
-      if (frame.next >= row_end) {
-        color[static_cast<std::size_t>(frame.node)] = 2;
-        stack.pop_back();
-        continue;
-      }
-      const std::size_t s = frame.next++;
-      if (csr.slot_tokens[s] != 0) continue;
-      const NodeId next = csr.slot_head[s];
-      if (comp_of[static_cast<std::size_t>(next)] != comp_id) continue;
-      const auto ni = static_cast<std::size_t>(next);
-      if (color[ni] == 1) {
-        // Back arc: the gray-stack suffix starting at `next`, plus this arc,
-        // closes a token-free cycle.
-        if (cycle != nullptr) {
-          cycle->clear();
-          std::size_t pos = stack.size();
-          while (pos > 0 && stack[pos - 1].node != next) --pos;
-          for (std::size_t i = pos; i < stack.size(); ++i) {
-            cycle->push_back(via[static_cast<std::size_t>(stack[i].node)]);
-          }
-          cycle->push_back(csr.slot_arc[s]);
-        }
-        return true;
-      }
-      if (color[ni] == 0) {
-        color[ni] = 1;
-        via[ni] = csr.slot_arc[s];
-        stack.push_back({next, static_cast<std::size_t>(csr.row_ptr[ni])});
-      }
-    }
-  }
-  return false;
-}
-
-std::atomic<int> g_iteration_cap_override{0};
-
-}  // namespace
-
-void set_howard_iteration_cap_for_testing(int cap) {
-  g_iteration_cap_override.store(cap, std::memory_order_relaxed);
-}
-
-bool find_zero_token_cycle(const CsrGraph& csr, std::vector<ArcId>* cycle) {
-  return zero_token_dfs(csr.num_nodes, csr.row_ptr, CsrSlots{csr}, cycle);
-}
-
-bool find_zero_token_cycle(const MarkedGraph& g, std::vector<PlaceId>* cycle) {
-  const MarkedGraphSlots slots{g.out_place_array(), g.consumers(),
-                               g.initial_marking()};
-  return zero_token_dfs(g.num_transitions(), g.out_offsets(), slots, cycle);
 }
 
 namespace detail {
@@ -466,54 +352,13 @@ void note_iteration_cap_exhausted(int iterations, std::size_t members) {
 
 }  // namespace detail
 
-void CsrGraph::compile(const RatioGraph& rg) {
-  num_nodes = rg.g.num_nodes();
-  num_arcs = rg.g.num_arcs();
-  const auto n = static_cast<std::size_t>(num_nodes);
-  const auto m = static_cast<std::size_t>(num_arcs);
-  arc_tail.resize(m);
-  arc_head.resize(m);
-  arc_tokens.resize(m);
-  arc_slot.resize(m);
-  row_ptr.assign(n + 1, 0);
-  slot_arc.resize(m);
-  slot_head.resize(m);
-  slot_weight.resize(m);
-  slot_tokens.resize(m);
-  for (ArcId a = 0; a < num_arcs; ++a) {
-    const auto ai = static_cast<std::size_t>(a);
-    arc_tail[ai] = rg.g.tail(a);
-    arc_head[ai] = rg.g.head(a);
-    arc_tokens[ai] = rg.arc_tokens(a);
-  }
-  std::int32_t s = 0;
-  for (NodeId u = 0; u < num_nodes; ++u) {
-    row_ptr[static_cast<std::size_t>(u)] = s;
-    for (const ArcId a : rg.g.out_arcs(u)) {
-      const auto si = static_cast<std::size_t>(s);
-      slot_arc[si] = a;
-      slot_head[si] = rg.g.head(a);
-      slot_weight[si] = rg.arc_weight(a);
-      slot_tokens[si] = rg.arc_tokens(a);
-      arc_slot[static_cast<std::size_t>(a)] = s;
-      ++s;
-    }
-  }
-  row_ptr[n] = s;
-  assert(s == num_arcs);
-}
-
 void CsrGraph::compile(const MarkedGraph& g) {
-  // Equals compile(to_ratio_graph(g)) without materializing the Digraph:
-  // the MarkedGraph's out-place arrays already are the slot layout (places
-  // per producer in PlaceId order, which is Digraph::out_arcs order), and
-  // arc ids are PlaceIds.
+  // The MarkedGraph's out-place arrays already are the slot layout (places
+  // per producer in PlaceId order, which is Digraph::out_arcs order of
+  // to_ratio_graph), and arc ids are PlaceIds.
   num_nodes = g.num_transitions();
   num_arcs = g.num_places();
   const auto m = static_cast<std::size_t>(num_arcs);
-  arc_tail = g.producers();
-  arc_head = g.consumers();
-  arc_tokens = g.initial_marking();
   row_ptr = g.out_offsets();
   slot_arc = g.out_place_array();
   arc_slot.resize(m);
@@ -522,36 +367,29 @@ void CsrGraph::compile(const MarkedGraph& g) {
   slot_tokens.resize(m);
   for (std::size_t s = 0; s < m; ++s) {
     const auto pi = static_cast<std::size_t>(slot_arc[s]);
-    slot_head[s] = arc_head[pi];
-    slot_tokens[s] = arc_tokens[pi];
+    slot_head[s] = g.consumers()[pi];
+    slot_tokens[s] = g.initial_marking()[pi];
     arc_slot[pi] = static_cast<std::int32_t>(s);
   }
   refresh_weights(g);
 }
 
-bool CsrGraph::matches(const RatioGraph& rg) const {
-  if (rg.g.num_nodes() != num_nodes || rg.g.num_arcs() != num_arcs) {
+bool CsrGraph::matches(const MarkedGraph& g) const {
+  // Equal out-place layouts mean every place keeps its producer (and the
+  // transition and place counts agree); consumers and tokens are compared
+  // per slot.
+  if (row_ptr != g.out_offsets() || slot_arc != g.out_place_array()) {
     return false;
   }
-  for (ArcId a = 0; a < num_arcs; ++a) {
-    const auto ai = static_cast<std::size_t>(a);
-    if (arc_tail[ai] != rg.g.tail(a) || arc_head[ai] != rg.g.head(a) ||
-        arc_tokens[ai] != rg.arc_tokens(a)) {
+  const std::vector<TransitionId>& consumer = g.consumers();
+  const std::vector<std::int64_t>& marking = g.initial_marking();
+  for (std::size_t s = 0; s < slot_arc.size(); ++s) {
+    const auto pi = static_cast<std::size_t>(slot_arc[s]);
+    if (slot_head[s] != consumer[pi] || slot_tokens[s] != marking[pi]) {
       return false;
     }
   }
   return true;
-}
-
-bool CsrGraph::matches(const MarkedGraph& g) const {
-  return g.num_transitions() == num_nodes && arc_tail == g.producers() &&
-         arc_head == g.consumers() && arc_tokens == g.initial_marking();
-}
-
-void CsrGraph::refresh_weights(const RatioGraph& rg) {
-  for (ArcId a = 0; a < num_arcs; ++a) {
-    set_arc_weight(a, rg.arc_weight(a));
-  }
 }
 
 void CsrGraph::refresh_weights(const MarkedGraph& g) {
@@ -582,55 +420,22 @@ void CycleMeanSolver::compile_plan() {
       }
     }
   }
-  zero_witness_.clear();
-  has_zero_witness_ = find_zero_token_cycle(csr_, &zero_witness_);
-
   plans_.assign(static_cast<std::size_t>(sccs_.num_components), SccPlan{});
   plan_slots_.clear();
-  plan_arcs_.clear();
-  std::vector<char> color(n, 0);
-  std::vector<ArcId> via(n, graph::kInvalidArc);
-  std::vector<ArcId> zero_cycle;
   for (std::int32_t c = 0; c < sccs_.num_components; ++c) {
-    SccPlan& plan = plans_[static_cast<std::size_t>(c)];
     const auto& members = sccs_.members[static_cast<std::size_t>(c)];
-    zero_cycle.clear();
-    if (csr_zero_token_cycle_in_scc(csr_, sccs_.component, c, members, color,
-                                    via, &zero_cycle)) {
-      plan.kind = SccKind::kZeroToken;
-      plan.begin = static_cast<std::int32_t>(plan_arcs_.size());
-      plan_arcs_.insert(plan_arcs_.end(), zero_cycle.begin(), zero_cycle.end());
-      plan.end = static_cast<std::int32_t>(plan_arcs_.size());
-    } else if (members.size() == 1) {
-      plan.kind = SccKind::kTrivial;
-      plan.begin = static_cast<std::int32_t>(plan_slots_.size());
-      const NodeId u = members.front();
-      const auto ui = static_cast<std::size_t>(u);
-      for (std::int32_t s = csr_.row_ptr[ui]; s < csr_.row_ptr[ui + 1]; ++s) {
-        if (csr_.slot_head[static_cast<std::size_t>(s)] == u) {
-          plan_slots_.push_back(s);
-        }
+    if (members.size() != 1) continue;
+    SccPlan& plan = plans_[static_cast<std::size_t>(c)];
+    plan.begin = static_cast<std::int32_t>(plan_slots_.size());
+    const NodeId u = members.front();
+    const auto ui = static_cast<std::size_t>(u);
+    for (std::int32_t s = csr_.row_ptr[ui]; s < csr_.row_ptr[ui + 1]; ++s) {
+      if (csr_.slot_head[static_cast<std::size_t>(s)] == u) {
+        plan_slots_.push_back(s);
       }
-      plan.end = static_cast<std::int32_t>(plan_slots_.size());
-    } else {
-      plan.kind = SccKind::kHoward;
     }
+    plan.end = static_cast<std::int32_t>(plan_slots_.size());
   }
-}
-
-bool CycleMeanSolver::prepare(const RatioGraph& rg) {
-  if (prepared_ && csr_.matches(rg)) {
-    csr_.refresh_weights(rg);
-    ++stats_.weight_refreshes;
-    if (obs::enabled()) SolverCounters::get().weight_refreshes.add();
-    return true;
-  }
-  csr_.compile(rg);
-  compile_plan();
-  prepared_ = true;
-  ++stats_.compiles;
-  if (obs::enabled()) SolverCounters::get().compiles.add();
-  return false;
 }
 
 bool CycleMeanSolver::prepare(const MarkedGraph& g) {
@@ -642,6 +447,8 @@ bool CycleMeanSolver::prepare(const MarkedGraph& g) {
   }
   csr_.compile(g);
   compile_plan();
+  dead_cycle_.clear();
+  find_zero_token_cycle(g, &dead_cycle_);
   prepared_ = true;
   ++stats_.compiles;
   if (obs::enabled()) SolverCounters::get().compiles.add();
@@ -649,55 +456,37 @@ bool CycleMeanSolver::prepare(const MarkedGraph& g) {
 }
 
 CycleRatioResult CycleMeanSolver::solve_component(std::int32_t comp_id,
-                                                  HowardWorkspace& ws,
                                                   int* iterations,
-                                                  bool* capped) const {
-  assert(prepared_);
+                                                  bool* capped) {
+  assert(prepared_ && live());
   if (iterations != nullptr) *iterations = 0;
   if (capped != nullptr) *capped = false;
   CycleRatioResult result;
-  const SccPlan& plan = plans_[static_cast<std::size_t>(comp_id)];
   const auto& members = sccs_.members[static_cast<std::size_t>(comp_id)];
-  switch (plan.kind) {
-    case SccKind::kZeroToken: {
-      result.has_cycle = true;
-      result.ratio = std::numeric_limits<double>::infinity();
-      result.ratio_den = 0;
-      result.critical_cycle.assign(
-          plan_arcs_.begin() + plan.begin, plan_arcs_.begin() + plan.end);
-      for (const ArcId a : result.critical_cycle) {
-        result.ratio_num += csr_.arc_weight(a);
+  if (members.size() == 1) {
+    // Single node: the only possible cycles are self-loops, all with tokens
+    // on a live graph. Exact max, first-wins on ties, in slot order.
+    const SccPlan& plan = plans_[static_cast<std::size_t>(comp_id)];
+    for (std::int32_t i = plan.begin; i < plan.end; ++i) {
+      const auto s = static_cast<std::size_t>(
+          plan_slots_[static_cast<std::size_t>(i)]);
+      const std::int64_t w = csr_.slot_weight[s];
+      const std::int64_t t = csr_.slot_tokens[s];
+      if (!result.has_cycle ||
+          compare_ratios(w, t, result.ratio_num, result.ratio_den) > 0) {
+        result.has_cycle = true;
+        result.ratio_num = w;
+        result.ratio_den = t;
+        result.ratio = static_cast<double>(w) / static_cast<double>(t);
+        result.critical_cycle.assign(1, csr_.slot_arc[s]);
       }
-      return result;
     }
-    case SccKind::kTrivial: {
-      // Single node: the only possible cycles are self-loops (all with
-      // tokens — token-free ones were caught by the zero-token screen).
-      // Exact max, first-wins on ties, in slot order.
-      for (std::int32_t i = plan.begin; i < plan.end; ++i) {
-        const auto s = static_cast<std::size_t>(
-            plan_slots_[static_cast<std::size_t>(i)]);
-        const std::int64_t w = csr_.slot_weight[s];
-        const std::int64_t t = csr_.slot_tokens[s];
-        if (!result.has_cycle ||
-            compare_ratios(w, t, result.ratio_num, result.ratio_den) > 0) {
-          result.has_cycle = true;
-          result.ratio_num = w;
-          result.ratio_den = t;
-          result.ratio = static_cast<double>(w) / static_cast<double>(t);
-          result.critical_cycle.assign(1, csr_.slot_arc[s]);
-        }
-      }
-      return result;
-    }
-    case SccKind::kHoward:
-      break;
+    return result;
   }
-  CsrSccSolver solver(csr_, sccs_.component, comp_id, members, ws);
-  if (solver.solve(init_slot_, result)) {
-    if (iterations != nullptr) *iterations = solver.iterations();
-    if (capped != nullptr) *capped = solver.capped();
-  }
+  CsrSccSolver solver(csr_, sccs_.component, comp_id, members, ws_);
+  solver.solve(init_slot_, result);
+  if (iterations != nullptr) *iterations = solver.iterations();
+  if (capped != nullptr) *capped = solver.capped();
   return result;
 }
 
@@ -707,14 +496,14 @@ CycleRatioResult CycleMeanSolver::solve() {
   ++stats_.solves;
   if (obs::enabled()) SolverCounters::get().solves.add();
   CycleRatioResult result;
-  if (has_zero_witness_) {
+  if (!live()) {
     result.has_cycle = true;
     result.ratio = std::numeric_limits<double>::infinity();
     result.ratio_den = 0;
-    for (const ArcId a : zero_witness_) {
-      result.ratio_num += csr_.arc_weight(a);
+    for (const PlaceId p : dead_cycle_) {
+      result.ratio_num += csr_.arc_weight(p);
     }
-    result.critical_cycle = zero_witness_;
+    result.critical_cycle = dead_cycle_;
     ERMES_LOG(kDebug) << "howard(csr): zero-token cycle of "
                       << result.critical_cycle.size()
                       << " arcs, ratio infinite";
@@ -725,15 +514,13 @@ CycleRatioResult CycleMeanSolver::solve() {
   for (std::int32_t c = 0; c < sccs_.num_components; ++c) {
     int iters = 0;
     bool capped = false;
-    const CycleRatioResult scc =
-        solve_component(c, ws_, &iters, &capped);
+    const CycleRatioResult scc = solve_component(c, &iters, &capped);
     total_iterations += iters;
     if (capped) {
       ++stats_.cap_hits;
       if (obs::enabled()) SolverCounters::get().cap_hits.add();
     }
     fold_cycle_ratio(scc, &result);
-    if (result.is_infinite()) break;  // deadlock dominates
   }
   stats_.iterations += total_iterations;
   if (obs::enabled()) {
@@ -744,11 +531,6 @@ CycleRatioResult CycleMeanSolver::solve() {
                     << " policy iterations over " << sccs_.num_components
                     << " SCCs";
   return result;
-}
-
-CycleRatioResult CycleMeanSolver::solve(const RatioGraph& rg) {
-  prepare(rg);
-  return solve();
 }
 
 CycleRatioResult CycleMeanSolver::solve(const MarkedGraph& g) {

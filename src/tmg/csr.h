@@ -4,32 +4,36 @@
 // Every throughput query in the methodology loop bottoms out in a maximum
 // cycle ratio solve (Howard's policy iteration, paper Section 3), and the
 // DSE/sweep/serve/incremental layers issue thousands of them on graphs that
-// differ only in arc weights. Each policy iteration is O(V+E) and few are
-// needed in practice, which is what makes the methodology scale to the
-// 10,000-process synthetic benchmarks of Section 6. This header splits the
-// remaining cost by change frequency:
+// differ only in transition delays. Each policy iteration is O(V+E) and few
+// are needed in practice, which is what makes the methodology scale to the
+// 10,000-process synthetic benchmarks of Section 6. The engine's one input is
+// the TMG itself (tmg::MarkedGraph: node = transition, arc = place, arc
+// weight = the producer's delay, arc tokens = the initial marking), and this
+// header splits the remaining cost by change frequency:
 //
-//  * CsrGraph — a flat, string-free snapshot of a ratio graph: SoA arrays for
-//    arc tails/heads/tokens plus offset-indexed adjacency (row_ptr + slot
-//    arrays). Compiled once per *structure*; the weight array is separately
+//  * CsrGraph — the slot-indexed adjacency Howard walks (row_ptr + slot
+//    arrays, laid out exactly as the MarkedGraph's out-place arrays).
+//    Compiled once per *structure*; the weight array is separately
 //    swappable, so weight-only re-solves skip graph construction entirely.
 //  * CycleMeanSolver — a reusable solver owning the CSR snapshot, a
-//    structure-derived solve plan (SCC partition, zero-token witnesses,
-//    trivial-SCC self-loops, canonical initial policy), one HowardWorkspace,
-//    and the last optimal policy for warm-started re-solves.
+//    structure-derived solve plan (SCC partition, the liveness verdict and
+//    its token-free witness, trivial-SCC self-loops, canonical initial
+//    policy), and one HowardWorkspace.
 //
-// Determinism contract: `solve()` and `solve_component()` are bit-identical
-// to the reference oracle tmg::max_cycle_ratio_howard /
-// max_cycle_ratio_howard_scc (tmg/howard.h, used only by tests and
-// benchmarks) — same ratio_num/ratio_den, same critical cycle under the
-// existing tie-break, and the same double `ratio` value. This holds because
-// (a) CSR slots preserve Digraph::out_arcs order exactly, (b) the canonical
-// initial policy (first internal out-arc per node) is structure-only, so
-// warm solves start from the same policy a cold solve would, and (c) every
-// floating-point expression is evaluated in the same order with the same
-// 1e-9 epsilon. Every solve starts from that canonical policy, so a result
-// never depends on what the solver solved before. The differential harness
-// enforces the contract (tests/test_differential.cpp).
+// Determinism contract: `solve()` is bit-identical to the reference oracle
+// tmg::max_cycle_ratio_howard (tmg/howard.h, used only by tests and
+// benchmarks) on every graph, and `solve_component()` is bit-identical to
+// max_cycle_ratio_howard_scc on live graphs — same ratio_num/ratio_den, same
+// critical cycle under the existing tie-break, and the same double `ratio`.
+// This holds because (a) CSR slots list each transition's out-places in
+// ascending PlaceId order, which is Digraph::out_arcs order of the oracle's
+// ratio graph (tmg::to_ratio_graph), (b) the canonical initial policy (first
+// internal out-arc per node) is structure-only, so warm solves start from
+// the same policy a cold solve would, and (c) every floating-point
+// expression is evaluated in the same order with the same 1e-9 epsilon.
+// Every solve starts from that canonical policy, so a result never depends
+// on what the solver solved before. The differential harness enforces the
+// contract (tests/test_differential.cpp).
 
 #include <cstdint>
 #include <vector>
@@ -42,20 +46,15 @@
 
 namespace ermes::tmg {
 
-/// Flat CSR snapshot of a ratio graph. Arc ids equal the source graph's arc
-/// ids (== PlaceIds when compiled from a MarkedGraph); "slots" are positions
-/// in the packed adjacency, with node u's out-arcs occupying
-/// [row_ptr[u], row_ptr[u+1]) in exactly Digraph::out_arcs order.
+/// Flat CSR snapshot of a MarkedGraph. Arc ids are PlaceIds; "slots" are
+/// positions in the packed adjacency, with transition u's out-places
+/// occupying [row_ptr[u], row_ptr[u+1]) in ascending PlaceId order — the
+/// graph's own out_offsets()/out_place_array() layout.
 struct CsrGraph {
   std::int32_t num_nodes = 0;
   std::int32_t num_arcs = 0;
 
-  // Arc-indexed structure mirror (used by matches() and arc-addressed
-  // weight updates; the solver itself walks slots only).
-  std::vector<graph::NodeId> arc_tail;
-  std::vector<graph::NodeId> arc_head;
-  std::vector<std::int64_t> arc_tokens;
-  std::vector<std::int32_t> arc_slot;  // arc id -> adjacency slot
+  std::vector<std::int32_t> arc_slot;  // place id -> adjacency slot
 
   // Slot-indexed adjacency (the hot arrays).
   std::vector<std::int32_t> row_ptr;  // num_nodes + 1 offsets
@@ -64,16 +63,13 @@ struct CsrGraph {
   std::vector<std::int64_t> slot_weight;  // the swappable weight vector
   std::vector<std::int64_t> slot_tokens;
 
-  void compile(const RatioGraph& rg);
   void compile(const MarkedGraph& g);
 
-  /// True iff this snapshot's structure (nodes, arcs, tails, heads, tokens)
-  /// matches the source — i.e. a weight-only refresh is sound.
-  bool matches(const RatioGraph& rg) const;
+  /// True iff this snapshot's structure (out-place layout, each place's
+  /// consumer and tokens) matches `g` — i.e. a weight-only refresh is sound.
   bool matches(const MarkedGraph& g) const;
 
-  /// Re-reads only the weights from the source (structure must match).
-  void refresh_weights(const RatioGraph& rg);
+  /// Re-reads only the delays from `g` (structure must match).
   void refresh_weights(const MarkedGraph& g);
 
   void set_arc_weight(graph::ArcId a, std::int64_t weight) {
@@ -119,10 +115,10 @@ class CycleMeanSolver {
   CycleMeanSolver(const CycleMeanSolver&) = delete;
   CycleMeanSolver& operator=(const CycleMeanSolver&) = delete;
 
-  /// Snapshots `rg` (or re-reads its weights when the structure is
+  /// Snapshots `g` (or re-reads its delays when the structure is
   /// unchanged). Returns true on a warm (weight-only) prepare, false when
-  /// the structure was (re)compiled.
-  bool prepare(const RatioGraph& rg);
+  /// the structure was (re)compiled; a compile runs the zero-token search
+  /// that decides live().
   bool prepare(const MarkedGraph& g);
 
   /// Whole-graph solve from the canonical initial policy; bit-identical to
@@ -131,16 +127,16 @@ class CycleMeanSolver {
   CycleRatioResult solve();
 
   /// prepare + solve in one call.
-  CycleRatioResult solve(const RatioGraph& rg);
   CycleRatioResult solve(const MarkedGraph& g);
 
-  /// One component's solve on caller-provided scratch; bit-identical to the
-  /// max_cycle_ratio_howard_scc oracle. `capped`, when non-null, reports
-  /// whether the defensive iteration cap was exhausted (result then reflects
-  /// the last evaluated policy and may be suboptimal).
-  CycleRatioResult solve_component(std::int32_t comp_id, HowardWorkspace& ws,
+  /// One component's solve on the solver's own workspace; bit-identical to
+  /// the max_cycle_ratio_howard_scc oracle. Requires live(): a deadlocked
+  /// graph has no per-component answer, only dead_cycle(). `capped`, when
+  /// non-null, reports whether the defensive iteration cap was exhausted
+  /// (result then reflects the last evaluated policy and may be suboptimal).
+  CycleRatioResult solve_component(std::int32_t comp_id,
                                    int* iterations = nullptr,
-                                   bool* capped = nullptr) const;
+                                   bool* capped = nullptr);
 
   /// Patches one arc's weight in place (structure untouched, stays warm).
   void set_arc_weight(graph::ArcId a, std::int64_t weight) {
@@ -148,32 +144,24 @@ class CycleMeanSolver {
   }
 
   bool prepared() const { return prepared_; }
-  const CsrGraph& csr() const { return csr_; }
   /// SCC partition of the prepared graph; identical to
   /// graph::strongly_connected_components on the source Digraph.
   const graph::SccResult& sccs() const { return sccs_; }
 
-  /// Liveness of the prepared graph, from the structure-only zero-token
-  /// screen compile_plan() runs: false iff some cycle carries no token.
-  bool live() const { return !has_zero_witness_; }
+  /// Liveness of the prepared graph, from the one zero-token search a
+  /// compile runs: false iff some cycle carries no token.
+  bool live() const { return dead_cycle_.empty(); }
   /// When !live(): the deadlock witness, the token-free cycle
-  /// find_zero_token_cycle reports (arc ids == PlaceIds for a MarkedGraph).
-  const std::vector<graph::ArcId>& dead_cycle() const { return zero_witness_; }
-
-  /// The solver's own scratch, for solve_component() callers.
-  HowardWorkspace& workspace() { return ws_; }
+  /// find_zero_token_cycle reports, as PlaceIds.
+  const std::vector<PlaceId>& dead_cycle() const { return dead_cycle_; }
 
   const Stats& stats() const { return stats_; }
 
  private:
-  enum class SccKind : unsigned char {
-    kTrivial,    // single node: self-loop scan (possibly none -> no cycle)
-    kZeroToken,  // token-free internal cycle: infinite ratio, cached witness
-    kHoward,     // multi-node: policy iteration
-  };
+  // Self-loop slots of a trivial (single-node) SCC, as a range of
+  // plan_slots_; multi-node SCCs run policy iteration instead.
   struct SccPlan {
-    SccKind kind = SccKind::kTrivial;
-    std::int32_t begin = 0;  // into plan_slots_ (trivial) / plan_arcs_ (zero)
+    std::int32_t begin = 0;
     std::int32_t end = 0;
   };
 
@@ -185,24 +173,20 @@ class CycleMeanSolver {
 
   // Structure-derived solve plan, compiled once per structure.
   std::vector<std::int32_t> init_slot_;  // canonical first internal out-slot
-  std::vector<graph::ArcId> zero_witness_;  // global zero-token cycle
-  bool has_zero_witness_ = false;
+  std::vector<PlaceId> dead_cycle_;      // token-free cycle; empty iff live
   std::vector<SccPlan> plans_;
   std::vector<std::int32_t> plan_slots_;  // self-loop slots of trivial SCCs
-  std::vector<graph::ArcId> plan_arcs_;   // per-SCC zero-token witnesses
 
   HowardWorkspace ws_;
   Stats stats_;
 };
 
 /// The one zero-token-cycle search (a deadlock witness for a TMG): a DFS
-/// over token-free arcs, roots in node order and out-arcs in slot order.
+/// over the graph's out-place arrays following only token-free places, roots
+/// in TransitionId order and each transition's out-places in slot order.
 /// Returns true and fills `cycle` (if non-null) with the first token-free
-/// cycle it closes, as arcs in traversal order. The MarkedGraph overload
-/// walks the graph's own out-place arrays, which are the CSR slot layout,
-/// so it reports exactly the witness the solver plan caches.
-bool find_zero_token_cycle(const CsrGraph& csr,
-                           std::vector<graph::ArcId>* cycle);
+/// cycle it closes, as places in traversal order. CycleMeanSolver::prepare
+/// runs it on every compile; its witness is dead_cycle().
 bool find_zero_token_cycle(const MarkedGraph& g, std::vector<PlaceId>* cycle);
 
 /// Test-only override of the defensive policy-iteration cap. `cap` > 0

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <limits>
+#include <utility>
 
 #include "tmg/csr.h"
 #include "tmg/marked_graph.h"
@@ -23,13 +24,21 @@ RatioGraph to_ratio_graph(const MarkedGraph& tmg) {
   return rg;
 }
 
+MarkedGraph marked_graph_of(const RatioGraph& rg) {
+  const auto m = static_cast<std::size_t>(rg.g.num_arcs());
+  std::vector<TransitionId> tail(m), head(m);
+  for (graph::ArcId a = 0; a < rg.g.num_arcs(); ++a) {
+    tail[static_cast<std::size_t>(a)] = rg.g.tail(a);
+    head[static_cast<std::size_t>(a)] = rg.g.head(a);
+  }
+  return MarkedGraph(
+      std::vector<std::int64_t>(static_cast<std::size_t>(rg.g.num_nodes())),
+      std::move(tail), std::move(head), rg.tokens);
+}
+
 bool find_zero_token_cycle(const RatioGraph& rg,
                            std::vector<graph::ArcId>* cycle) {
-  // CSR slots keep Digraph::out_arcs order, so the shared DFS visits arcs
-  // in the order the oracles expect.
-  CsrGraph csr;
-  csr.compile(rg);
-  return find_zero_token_cycle(csr, cycle);
+  return find_zero_token_cycle(marked_graph_of(rg), cycle);
 }
 
 void fold_cycle_ratio(const CycleRatioResult& scc, CycleRatioResult* out) {

@@ -39,6 +39,14 @@ struct RatioGraph {
 /// Builds the ratio graph of a TMG. Arc ids equal PlaceIds.
 RatioGraph to_ratio_graph(const MarkedGraph& tmg);
 
+/// The TMG with `rg`'s structure: one transition per node (delay 0), one
+/// place per arc with the arc's tokens; PlaceIds equal ArcIds. Its
+/// out-places per transition are in ascending PlaceId order, which is
+/// Digraph::out_arcs order, so the CSR engine and the zero-token search
+/// visit its places in the order the oracles visit `rg`'s arcs. Arc weights
+/// are not carried over.
+MarkedGraph marked_graph_of(const RatioGraph& rg);
+
 struct CycleRatioResult {
   /// True iff the graph contains at least one cycle with positive token count
   /// and no zero-token cycle was reachable in the arg-max (callers should
@@ -76,8 +84,8 @@ void fold_cycle_ratio(const CycleRatioResult& scc, CycleRatioResult* out);
 
 /// Finds a cycle whose arcs all carry zero tokens (a deadlock witness for
 /// TMGs; makes the max ratio infinite). Returns true and fills `cycle` (if
-/// non-null) when one exists. Runs the CSR search of tmg/csr.h on a
-/// snapshot of `rg`.
+/// non-null) when one exists. Runs the one search of tmg/csr.h on
+/// marked_graph_of(rg).
 bool find_zero_token_cycle(const RatioGraph& rg,
                            std::vector<graph::ArcId>* cycle);
 

@@ -258,8 +258,9 @@ class SccSolver {
 // Finds a zero-token cycle that lies entirely inside one SCC (iterative DFS
 // over the members, traversing only token-free internal arcs). The global
 // entry point screens the whole graph with find_zero_token_cycle first, so
-// there this never fires; it makes the per-SCC entry self-contained for the
-// partitioned engine, which may analyze one component in isolation.
+// there this never fires; it keeps the per-SCC entry a complete oracle for a
+// component solved in isolation, deadlocked components included (the
+// engine's solve_component requires a live graph and has no such branch).
 bool find_zero_token_cycle_in_scc(const RatioGraph& rg,
                                   const std::vector<std::int32_t>& comp_of,
                                   std::int32_t comp_id,
@@ -326,7 +327,7 @@ CycleRatioResult max_cycle_ratio_howard_scc(
   // Zero-token cycles are invisible to policy improvement (their lambda never
   // materializes unless a policy lands on them), so screen structurally
   // first. The global entry screens the whole graph instead; this local pass
-  // keeps one component's solve self-contained for the partitioned engine.
+  // keeps one component's solve self-contained.
   std::vector<ArcId> zero_cycle;
   if (find_zero_token_cycle_in_scc(rg, component, comp_id, members,
                                    &zero_cycle)) {

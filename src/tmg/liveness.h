@@ -7,9 +7,9 @@
 // therefore reduces to finding a cycle among the zero-token places.
 //
 // check_liveness runs the one zero-token DFS (tmg::find_zero_token_cycle,
-// tmg/csr.h) directly on the graph's flat out-place arrays; the CSR solver
-// plan runs the same search, so CycleMeanSolver::dead_cycle() after
-// prepare() is the same witness.
+// tmg/csr.h) on the graph's flat out-place arrays. CycleMeanSolver::prepare
+// runs the same function on every compile, so its dead_cycle() is the same
+// witness.
 
 #include <optional>
 #include <vector>

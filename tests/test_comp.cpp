@@ -5,8 +5,9 @@
 //    dotted names, deterministic elaboration order, bit-identity of a
 //    flattened hierarchy against the same system hand-written flat
 //    (fixed case + randomized property over generated hierarchies);
-//  * analyze_partitioned: bit-identical reports vs the monolithic path with
-//    fresh and warm solvers and vs the report memo, per-component
+//  * partitioned analysis (IncrementalAnalyzer::analyze, the one
+//    partitioned path): bit-identical reports vs the monolithic path cold,
+//    clean and after a warm rebuild, and vs the report memo, per-component
 //    provenance and slack;
 //  * IncrementalAnalyzer: patch-by-patch bit-identity against a cold
 //    analysis of a mirror model for randomized patch sequences, patch
@@ -451,24 +452,28 @@ TEST(Partitioned, BitIdenticalToMonolithicAtEverySetting) {
     util::Rng rng = util::Rng::for_shard(0x9a97, static_cast<std::uint64_t>(iter));
     systems.push_back(random_hierarchy(rng).flat);
   }
-  tmg::CycleMeanSolver shared;  // one solver across every system, in turn
   for (std::size_t i = 0; i < systems.size(); ++i) {
     const SystemModel& sys = systems[i];
     const PerformanceReport mono = analysis::analyze_system(sys);
     const std::string what = "system " + std::to_string(i);
-    tmg::CycleMeanSolver fresh;
-    const PartitionedReport cold = analyze_partitioned(sys, fresh);
-    expect_report_eq(cold.report, mono, what + " fresh solver");
+    IncrementalAnalyzer inc(sys);
+    const PartitionedReport cold = inc.analyze();
+    expect_report_eq(cold.report, mono, what + " cold");
     EXPECT_EQ(cold.solved, static_cast<int>(cold.sccs.size())) << what;
-    expect_report_eq(analyze_partitioned(sys, shared).report, mono,
-                     what + " shared solver");
+    // Nothing patched: every component is clean and the report is
+    // reassembled from the stored per-component results.
+    const PartitionedReport& clean = inc.analyze();
+    expect_report_eq(clean.report, mono, what + " clean");
+    EXPECT_EQ(clean.solved, 0) << what;
   }
 }
 
 TEST(Partitioned, CsrSolverBitIdenticalWarmAndAcrossCache) {
-  // A caller-owned solver in analyze_partitioned: warm re-prepares on
-  // repeated solves, and agreement with the report memo, whose entries do
-  // not depend on the solver that computed them.
+  // A structure patch that leaves the structure as it was (a channel
+  // retargeted to its own consumer) rebuilds the elaboration; the solver
+  // must take the warm path (weight refresh, no recompile) and still
+  // reproduce the report bit for bit. The report memo, whose entries do not
+  // depend on the solver that computed them, agrees too.
   std::vector<SystemModel> systems;
   systems.push_back(sysmodel::make_dac14_motivating_example());
   systems.push_back(pipeline_flat());
@@ -476,25 +481,24 @@ TEST(Partitioned, CsrSolverBitIdenticalWarmAndAcrossCache) {
     util::Rng rng = util::Rng::for_shard(0xc5a, static_cast<std::uint64_t>(iter));
     systems.push_back(random_hierarchy(rng).flat);
   }
-  tmg::CycleMeanSolver solver;
   for (std::size_t i = 0; i < systems.size(); ++i) {
     const SystemModel& sys = systems[i];
+    ASSERT_GT(sys.num_channels(), 0);
     const PerformanceReport mono = analysis::analyze_system(sys);
     const std::string what = "system " + std::to_string(i);
-    expect_report_eq(analyze_partitioned(sys, solver).report, mono,
-                     what + " +solver");
-    // Same structure again: the solver must stay warm (weight refresh, no
-    // recompile) and still reproduce the report bit for bit.
-    const std::int64_t compiles = solver.stats().compiles;
-    expect_report_eq(analyze_partitioned(sys, solver).report, mono,
-                     what + " +solver warm");
-    EXPECT_EQ(solver.stats().compiles, compiles) << what;
+    IncrementalAnalyzer inc(sys);
+    expect_report_eq(inc.analyze().report, mono, what + " cold");
+    ASSERT_TRUE(inc.retarget_channel(0, sys.channel_target(0)));
+    expect_report_eq(inc.analyze().report, mono, what + " rebuilt warm");
+    EXPECT_EQ(inc.stats().structure_rebuilds, 2) << what;
+    EXPECT_EQ(inc.solver_stats().compiles, 1) << what;
+    EXPECT_EQ(inc.solver_stats().weight_refreshes, 1) << what;
   }
-  EXPECT_GT(solver.stats().weight_refreshes, 0);
 
   // A report memoized through one solver is served to a caller holding
   // another, and equals the partitioned report.
   analysis::EvalCache cache;
+  tmg::CycleMeanSolver solver;
   tmg::CycleMeanSolver other;
   const SystemModel& sys = systems[0];
   const PerformanceReport mono = analysis::analyze_system(sys);
@@ -502,14 +506,14 @@ TEST(Partitioned, CsrSolverBitIdenticalWarmAndAcrossCache) {
   expect_report_eq(cache.analyze(sys, solver), mono, "memo replay");
   EXPECT_EQ(cache.misses(), 1);
   EXPECT_EQ(cache.hits(), 1);
-  expect_report_eq(analyze_partitioned(sys, solver).report,
+  expect_report_eq(IncrementalAnalyzer(sys).analyze().report,
                    cache.analyze(sys, other), "partitioned vs memo");
 }
 
 TEST(Partitioned, ProvenanceOnTheDecoupledPipeline) {
   const SystemModel flat = pipeline_flat();
-  tmg::CycleMeanSolver solver;
-  const PartitionedReport part = analyze_partitioned(flat, solver);
+  IncrementalAnalyzer inc(flat);
+  const PartitionedReport& part = inc.analyze();
   ASSERT_TRUE(part.report.live);
   // Each stage is its own SCC (bounded internal channel); the unbounded
   // joins keep src, snk, and the three stages in five separate components.

@@ -14,16 +14,17 @@
 //  D4. The structural liveness check (token-free cycle search) agrees with
 //      actually playing the token game: a strongly connected TMG with a dead
 //      cycle deadlocks after finitely many firings, a live one never does.
-//  D5. The CSR solver core (tmg/csr.h) is bit-identical to the legacy
-//      Howard path — same rationals, same critical cycle, same double bits —
-//      whether prepared from the RatioGraph or the MarkedGraph, cold or
-//      after any sequence of warm weight-only re-prepares.
+//  D5. The CSR solver core (tmg/csr.h), prepared from the MarkedGraph, is
+//      bit-identical to the legacy Howard path on to_ratio_graph — same
+//      rationals, same critical cycle, same double bits — cold, re-solved,
+//      component by component on live graphs, and after any sequence of warm
+//      weight-only re-prepares.
 //  D6. One CycleMeanSolver reused across differently-shaped graphs (its
 //      workspaces only ever grow) never contaminates a later solve.
 //  D8. Every production entry point that reaches the CSR engine — analyze,
-//      the partitioned engine (fresh and reused solver),
-//      EvalCache::analyze over latency variants with a warm and a fresh
-//      solver, and IncrementalAnalyzer under random patch streams — reports
+//      the partitioned engine (IncrementalAnalyzer: cold, clean and after a
+//      warm rebuild, and under random patch streams), and EvalCache::analyze
+//      over latency variants with a warm and a fresh solver — reports
 //      bit-identically to the legacy Howard oracle on seeded synthetic SoCs.
 //      Production never runs the oracle itself.
 //  D9. Deadlock witnesses: on seeded deadlocking SoCs (rendezvous, bounded
@@ -54,6 +55,7 @@
 #include "analysis/tmg_builder.h"
 #include "comp/incremental.h"
 #include "comp/partition.h"
+#include "graph/scc.h"
 #include "ordering/channel_ordering.h"
 #include "ordering/repair.h"
 #include "synth/generator.h"
@@ -352,15 +354,26 @@ bool csr_cold_diverges(const TmgSpec& spec) {
   const MarkedGraph g = spec.build();
   const RatioGraph rg = to_ratio_graph(g);
   const CycleRatioResult legacy = max_cycle_ratio_howard(rg);
-  CycleMeanSolver from_rg;
-  from_rg.prepare(rg);
-  if (!results_bit_identical(from_rg.solve(), legacy)) return true;
-  // The MarkedGraph compile must mirror to_ratio_graph exactly.
-  CycleMeanSolver from_tmg;
-  from_tmg.prepare(g);
-  if (!results_bit_identical(from_tmg.solve(), legacy)) return true;
+  CycleMeanSolver solver;
+  solver.prepare(g);
+  if (!results_bit_identical(solver.solve(), legacy)) return true;
   // Re-solving on the already-used workspaces must not drift.
-  return !results_bit_identical(from_tmg.solve(), legacy);
+  if (!results_bit_identical(solver.solve(), legacy)) return true;
+  // On live graphs each component's solve equals the oracle's, over the
+  // oracle's own Tarjan partition.
+  if (!solver.live()) return false;
+  const graph::SccResult sccs = graph::strongly_connected_components(rg.g);
+  if (sccs.component != solver.sccs().component) return true;
+  for (std::int32_t c = 0; c < sccs.num_components; ++c) {
+    if (!results_bit_identical(
+            solver.solve_component(c),
+            max_cycle_ratio_howard_scc(
+                rg, sccs.component, c,
+                sccs.members[static_cast<std::size_t>(c)]))) {
+      return true;
+    }
+  }
+  return false;
 }
 
 TEST(DifferentialCsrSolver, ColdSolveBitIdenticalToHoward) {
@@ -518,19 +531,19 @@ TEST(DifferentialProduction, AnalyzeMatchesOracle) {
 }
 
 TEST(DifferentialProduction, PartitionedMatchesOracle) {
-  CycleMeanSolver reused;  // one solver across every model, twice each
   for (const OracleModel& model : oracle_models()) {
-    const analysis::SystemTmg stmg = analysis::build_tmg(model.sys);
-    const PerformanceReport want = oracle_report(stmg);
-    CycleMeanSolver fresh;
-    EXPECT_TRUE(reports_bit_identical(
-        comp::analyze_partitioned(stmg, fresh).report, want))
-        << "fresh solver, " << model_tag(model);
-    for (const char* pass : {"reused solver", "reused solver, warm"}) {
-      EXPECT_TRUE(reports_bit_identical(
-          comp::analyze_partitioned(stmg, reused).report, want))
-          << pass << ", " << model_tag(model);
-    }
+    const PerformanceReport want = oracle_report(model.sys);
+    comp::IncrementalAnalyzer inc(model.sys);
+    EXPECT_TRUE(reports_bit_identical(inc.analyze().report, want))
+        << "cold, " << model_tag(model);
+    EXPECT_TRUE(reports_bit_identical(inc.analyze().report, want))
+        << "clean, " << model_tag(model);
+    // Retargeting a channel to its own consumer rebuilds the elaboration
+    // with an unchanged structure: the solver re-prepares warm.
+    ASSERT_TRUE(inc.retarget_channel(0, model.sys.channel_target(0)));
+    EXPECT_TRUE(reports_bit_identical(inc.analyze().report, want))
+        << "rebuilt warm, " << model_tag(model);
+    EXPECT_EQ(inc.solver_stats().compiles, 1) << model_tag(model);
   }
 }
 

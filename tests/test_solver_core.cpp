@@ -1,8 +1,9 @@
 // Unit tests of the flat CSR solver core (tmg/csr.h, tmg/workspace.h):
 // compile/refresh/matches mechanics, workspace reuse across differently
 // sized graphs, the canonical-start determinism contract on edge shapes
-// (empty graphs, self-loops, zero-token cycles), per-component solves on
-// caller scratch, and the Howard iteration-cap exhaustion path.
+// (empty graphs, self-loops, zero-token cycles), per-component solves, and
+// the Howard iteration-cap exhaustion path. Hand-built graphs with per-arc
+// weights reach the engine through tests/ratio_graph_solver.h.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 
 #include "graph/scc.h"
 #include "obs/metrics.h"
+#include "ratio_graph_solver.h"
 #include "tmg/csr.h"
 #include "tmg/cycle_ratio.h"
 #include "tmg/howard.h"
@@ -84,62 +86,77 @@ TEST(HowardWorkspace, StampsAreFreshAcrossEnsureGrowth) {
 // --- CsrGraph mechanics ------------------------------------------------------
 
 TEST(CsrGraph, CompileMatchesAndRefreshesWeights) {
-  RatioGraph rg = sample_graph();
+  MarkedGraph g = marked_graph_of(sample_graph());
+  for (TransitionId t = 0; t < g.num_transitions(); ++t) {
+    g.set_delay(t, 2 + 3 * t);
+  }
   CsrGraph csr;
-  csr.compile(rg);
+  csr.compile(g);
   EXPECT_EQ(csr.num_nodes, 4);
   EXPECT_EQ(csr.num_arcs, 6);
-  EXPECT_TRUE(csr.matches(rg));
-  // Slots preserve out_arcs order, and arc ids round-trip through arc_slot.
+  EXPECT_TRUE(csr.matches(g));
+  // Slots are the out-place layout, every place weighs its producer's
+  // delay, and arc ids round-trip through arc_slot.
+  EXPECT_EQ(csr.row_ptr, g.out_offsets());
+  EXPECT_EQ(csr.slot_arc, g.out_place_array());
   for (graph::ArcId a = 0; a < csr.num_arcs; ++a) {
-    EXPECT_EQ(csr.arc_weight(a), rg.arc_weight(a));
+    EXPECT_EQ(csr.arc_weight(a), g.delay(g.producer(a)));
     EXPECT_EQ(csr.slot_arc[static_cast<std::size_t>(
                   csr.arc_slot[static_cast<std::size_t>(a)])],
               a);
   }
-  rg.weight[2] = 42;
-  EXPECT_TRUE(csr.matches(rg));  // weights are not structure
-  csr.refresh_weights(rg);
-  EXPECT_EQ(csr.arc_weight(2), 42);
+  g.set_delay(2, 42);
+  EXPECT_TRUE(csr.matches(g));  // delays are not structure
+  csr.refresh_weights(g);
+  for (const PlaceId p : g.out_places(2)) {
+    EXPECT_EQ(csr.arc_weight(p), 42);
+  }
 }
 
 TEST(CsrGraph, StructureChangesAreDetected) {
-  const RatioGraph rg = sample_graph();
+  // The sample as flat arrays: place p runs producer[p] -> consumer[p].
+  const std::vector<std::int64_t> delay{1, 1, 1, 1};
+  const std::vector<TransitionId> producer{0, 1, 2, 3, 2, 1};
+  const std::vector<TransitionId> consumer{1, 2, 3, 0, 2, 0};
+  const std::vector<std::int64_t> tokens{1, 0, 1, 0, 1, 1};
+  const MarkedGraph g(delay, producer, consumer, tokens);
   CsrGraph csr;
-  csr.compile(rg);
+  csr.compile(g);
+  ASSERT_TRUE(csr.matches(g));
 
-  RatioGraph more = rg;
-  more.g.add_arc(3, 1);
-  more.weight.push_back(1);
-  more.tokens.push_back(1);
+  // Each variant keeps the counts of g; a solver prepared on g must
+  // recompile rather than refresh weights.
+  const auto expect_recompile = [&g, &csr](const MarkedGraph& changed,
+                                           const char* what) {
+    EXPECT_FALSE(csr.matches(changed)) << what;
+    CycleMeanSolver solver;
+    solver.prepare(g);
+    EXPECT_FALSE(solver.prepare(changed)) << what;
+    EXPECT_EQ(solver.stats().compiles, 2) << what;
+  };
+
+  MarkedGraph more = g;
+  more.add_place(3, 1, 1);
   EXPECT_FALSE(csr.matches(more));
 
-  RatioGraph retok = rg;
-  retok.tokens[1] = 2;  // tokens are structure (they gate the solve plan)
-  EXPECT_FALSE(csr.matches(retok));
-}
+  MarkedGraph retok = g;
+  retok.set_tokens(1, 2);  // tokens are structure (they gate liveness)
+  expect_recompile(retok, "tokens");
 
-TEST(CsrGraph, MarkedGraphCompileMirrorsToRatioGraph) {
-  MarkedGraph g;
-  for (int t = 0; t < 3; ++t) {
-    g.add_transition(2 + 3 * t);
-  }
-  g.add_place(0, 1, 1);
-  g.add_place(1, 2, 0);
-  g.add_place(2, 0, 1);
-  g.add_place(1, 1, 1);  // self-loop place
+  std::vector<TransitionId> moved = producer;
+  moved[5] = 3;  // place 5 now leaves transition 3, not 1
+  expect_recompile(MarkedGraph(delay, moved, consumer, tokens), "producer");
 
-  const RatioGraph rg = to_ratio_graph(g);
-  CsrGraph from_rg, from_tmg;
-  from_rg.compile(rg);
-  from_tmg.compile(g);
-  EXPECT_EQ(from_tmg.row_ptr, from_rg.row_ptr);
-  EXPECT_EQ(from_tmg.slot_arc, from_rg.slot_arc);
-  EXPECT_EQ(from_tmg.slot_head, from_rg.slot_head);
-  EXPECT_EQ(from_tmg.slot_weight, from_rg.slot_weight);
-  EXPECT_EQ(from_tmg.slot_tokens, from_rg.slot_tokens);
-  EXPECT_TRUE(from_tmg.matches(rg));
-  EXPECT_TRUE(from_rg.matches(g));
+  std::vector<TransitionId> swapped = producer;
+  swapped[3] = 1;  // places 3 and 5 trade producers: same out-degrees
+  swapped[5] = 3;
+  expect_recompile(MarkedGraph(delay, swapped, consumer, tokens),
+                   "producer swap");
+
+  std::vector<TransitionId> retargeted = consumer;
+  retargeted[0] = 2;  // place 0 now feeds transition 2 (a channel retarget)
+  expect_recompile(MarkedGraph(delay, producer, retargeted, tokens),
+                   "consumer");
 }
 
 // --- CycleMeanSolver: prepare/warm/solve -------------------------------------
@@ -147,14 +164,14 @@ TEST(CsrGraph, MarkedGraphCompileMirrorsToRatioGraph) {
 TEST(CycleMeanSolver, PrepareReportsWarmOnlyForUnchangedStructure) {
   RatioGraph rg = sample_graph();
   CycleMeanSolver solver;
-  EXPECT_FALSE(solver.prepare(rg));  // cold: first compile
-  EXPECT_TRUE(solver.prepare(rg));   // warm: nothing changed
+  EXPECT_FALSE(prepare_ratio_graph(solver, rg));  // cold: first compile
+  EXPECT_TRUE(prepare_ratio_graph(solver, rg));   // warm: nothing changed
   rg.weight[0] = 77;
-  EXPECT_TRUE(solver.prepare(rg));   // warm: weight-only
+  EXPECT_TRUE(prepare_ratio_graph(solver, rg));   // warm: weight-only
   rg.g.add_arc(0, 2);
   rg.weight.push_back(1);
   rg.tokens.push_back(1);
-  EXPECT_FALSE(solver.prepare(rg));  // cold: structure changed
+  EXPECT_FALSE(prepare_ratio_graph(solver, rg));  // cold: structure changed
   EXPECT_EQ(solver.stats().compiles, 2);
   EXPECT_EQ(solver.stats().weight_refreshes, 2);
 }
@@ -162,13 +179,14 @@ TEST(CycleMeanSolver, PrepareReportsWarmOnlyForUnchangedStructure) {
 TEST(CycleMeanSolver, SolveMatchesLegacyOnSample) {
   const RatioGraph rg = sample_graph();
   CycleMeanSolver solver;
-  expect_bit_identical(solver.solve(rg), max_cycle_ratio_howard(rg));
+  expect_bit_identical(solve_ratio_graph(solver, rg),
+                       max_cycle_ratio_howard(rg));
 }
 
 TEST(CycleMeanSolver, SetArcWeightPatchesStayBitIdentical) {
   RatioGraph rg = sample_graph();
   CycleMeanSolver solver;
-  solver.prepare(rg);
+  prepare_ratio_graph(solver, rg);
   for (int step = 0; step < 8; ++step) {
     const auto a = static_cast<graph::ArcId>(step % 6);
     const std::int64_t w = 1 + (step * 5) % 11;
@@ -181,7 +199,7 @@ TEST(CycleMeanSolver, SetArcWeightPatchesStayBitIdentical) {
 TEST(CycleMeanSolver, EmptyAndAcyclicGraphs) {
   RatioGraph empty;
   CycleMeanSolver solver;
-  const CycleRatioResult r = solver.solve(empty);
+  const CycleRatioResult r = solve_ratio_graph(solver, empty);
   EXPECT_FALSE(r.has_cycle);
 
   RatioGraph dag;
@@ -190,8 +208,9 @@ TEST(CycleMeanSolver, EmptyAndAcyclicGraphs) {
   dag.g.add_arc(1, 2);
   dag.weight = {5, 7};
   dag.tokens = {1, 1};
-  expect_bit_identical(solver.solve(dag), max_cycle_ratio_howard(dag));
-  EXPECT_FALSE(solver.solve(dag).has_cycle);
+  expect_bit_identical(solve_ratio_graph(solver, dag),
+                       max_cycle_ratio_howard(dag));
+  EXPECT_FALSE(solve_ratio_graph(solver, dag).has_cycle);
 }
 
 TEST(CycleMeanSolver, SelfLoopTieBreakMatchesLegacy) {
@@ -205,7 +224,8 @@ TEST(CycleMeanSolver, SelfLoopTieBreakMatchesLegacy) {
   rg.weight = {4, 2};
   rg.tokens = {2, 1};
   CycleMeanSolver solver;
-  expect_bit_identical(solver.solve(rg), max_cycle_ratio_howard(rg));
+  expect_bit_identical(solve_ratio_graph(solver, rg),
+                       max_cycle_ratio_howard(rg));
 }
 
 TEST(CycleMeanSolver, ZeroTokenCycleIsInfiniteWithSameWitness) {
@@ -218,12 +238,14 @@ TEST(CycleMeanSolver, ZeroTokenCycleIsInfiniteWithSameWitness) {
   rg.weight = {1, 1, 1, 1};
   rg.tokens = {0, 0, 1, 1};
   CycleMeanSolver solver;
-  const CycleRatioResult r = solver.solve(rg);
+  const CycleRatioResult r = solve_ratio_graph(solver, rg);
   EXPECT_TRUE(r.is_infinite());
+  EXPECT_FALSE(solver.live());
+  EXPECT_EQ(solver.dead_cycle(), r.critical_cycle);
   expect_bit_identical(r, max_cycle_ratio_howard(rg));
 }
 
-// --- per-component solves on caller scratch ----------------------------------
+// --- per-component solves ---------------------------------------------------
 
 TEST(CycleMeanSolver, SolveComponentMatchesLegacyPerScc) {
   // Two decoupled rings (no cross arcs back), so two nontrivial SCCs.
@@ -243,7 +265,8 @@ TEST(CycleMeanSolver, SolveComponentMatchesLegacyPerScc) {
   arc(4, 2, 5, 1);
 
   CycleMeanSolver solver;
-  solver.prepare(rg);
+  prepare_ratio_graph(solver, rg);
+  ASSERT_TRUE(solver.live());
   const graph::SccResult& sccs = solver.sccs();
   const graph::SccResult legacy_sccs =
       graph::strongly_connected_components(rg.g);
@@ -251,10 +274,9 @@ TEST(CycleMeanSolver, SolveComponentMatchesLegacyPerScc) {
   EXPECT_EQ(sccs.component, legacy_sccs.component);
   EXPECT_EQ(sccs.members, legacy_sccs.members);
 
-  HowardWorkspace ws;
   for (std::int32_t c = 0; c < sccs.num_components; ++c) {
     expect_bit_identical(
-        solver.solve_component(c, ws),
+        solver.solve_component(c),
         max_cycle_ratio_howard_scc(rg, sccs.component, c,
                                    sccs.members[static_cast<std::size_t>(c)]));
   }
@@ -320,7 +342,7 @@ TEST(CycleMeanSolver, EachPolicyIterationIsCountedOnce) {
 
   const RatioGraph rg = sample_graph();
   CycleMeanSolver solver;
-  solver.prepare(rg);
+  prepare_ratio_graph(solver, rg);
   solver.solve();
   // The self-loop stops dominating: a warm re-solve to a different optimum.
   solver.set_arc_weight(4, 1);
@@ -365,12 +387,11 @@ TEST(HowardCap, ExhaustionIsReportedAndPathsAgree) {
 
   // The CSR path shares the cap plumbing and must cap identically.
   CycleMeanSolver solver;
-  solver.prepare(rg);
-  HowardWorkspace ws;
+  prepare_ratio_graph(solver, rg);
   int csr_iterations = 0;
   bool csr_capped = false;
   expect_bit_identical(
-      solver.solve_component(0, ws, &csr_iterations, &csr_capped), legacy);
+      solver.solve_component(0, &csr_iterations, &csr_capped), legacy);
   EXPECT_TRUE(csr_capped);
   EXPECT_EQ(csr_iterations, iterations);
 

@@ -53,7 +53,7 @@
 #include "analysis/tmg_builder.h"
 #include "analysis/performance.h"
 #include "comp/flatten.h"
-#include "comp/partition.h"
+#include "comp/incremental.h"
 #include "dse/explorer.h"
 #include "exec/thread_pool.h"
 #include "graph/dot.h"
@@ -409,8 +409,8 @@ int cmd_compose(int argc, char** argv) {
   }
 
   if (report) {
-    tmg::CycleMeanSolver solver;
-    const comp::PartitionedReport part = comp::analyze_partitioned(sys, solver);
+    comp::IncrementalAnalyzer analyzer(sys);
+    const comp::PartitionedReport& part = analyzer.analyze();
     std::printf("%s\n", comp::summarize_partitioned(part, sys).c_str());
     if (!part.report.live) {
       std::fprintf(stderr, "error: system deadlocks\n");
