@@ -16,6 +16,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "io/soc_format.h"
 #include "sysmodel/builder.h"
@@ -318,6 +319,28 @@ TEST(CliCompose, ReportIsPinnedOnHierPipeline) {
       run_cli("compose " + dir + "/hier_pipeline.soc --report");
   EXPECT_EQ(run.exit_code, 0) << run.err;
   EXPECT_EQ(run.out, slurp(golden + "/compose_hier_pipeline.report"));
+}
+
+// `ermes dse` on the shipped models, at one target that drives timing
+// optimization and one that drives area recovery: the history table, the
+// verdict line and the exit code (appended as "exit N"), byte for byte.
+TEST(CliDse, OutputIsPinnedOnExampleModels) {
+  const std::string dir = ERMES_EXAMPLES_DIR;
+  const std::string golden = ERMES_GOLDEN_DIR;
+  const std::pair<const char*, const char*> cases[] = {
+      {"motivating", "10"},
+      {"motivating", "20"},
+      {"mpeg2_encoder", "2000000"},
+      {"mpeg2_encoder", "4000000"},
+  };
+  for (const auto& [model, target] : cases) {
+    const RunResult run = run_cli("dse " + dir + "/" + model + ".soc " +
+                                  std::string(target));
+    EXPECT_EQ(run.out + "exit " + std::to_string(run.exit_code) + "\n",
+              slurp(golden + "/dse_" + std::string(model) + "_" +
+                    std::string(target) + ".txt"))
+        << model << " " << target;
+  }
 }
 
 // A deadlocking model makes `compose --report` an analysis failure: the
