@@ -17,14 +17,14 @@
 #include <vector>
 
 #include "analysis/performance.h"
+#include "lp_oracle/brute_force.h"
+#include "lp_oracle/howard.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "ordering/channel_ordering.h"
 #include "svc/json.h"
 #include "synth/generator.h"
-#include "tmg/brute_force.h"
 #include "tmg/csr.h"
-#include "tmg/howard.h"
 #include "tmg/karp.h"
 #include "tmg/marked_graph.h"
 #include "util/rng.h"

@@ -33,10 +33,10 @@
 #include <string>
 #include <vector>
 
+#include "lp_oracle/howard.h"
 #include "svc/json.h"
 #include "tmg/csr.h"
 #include "tmg/cycle_ratio.h"
-#include "tmg/howard.h"
 #include "tmg/marked_graph.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"

@@ -60,11 +60,10 @@ struct EvalContext {
   }
 };
 
-// Reorders `sys` in place (when asked) and analyzes it through the memo;
-// cache misses solve through the run's warm CSR solver.
-PerformanceReport reorder_and_analyze(SystemModel& sys, bool reorder,
-                                      EvalContext& ctx) {
-  if (reorder) {
+// Reorders `sys` in place (Alg. 1) and analyzes it through the memo; cache
+// misses solve through the run's warm CSR solver.
+PerformanceReport reorder_and_analyze(SystemModel& sys, EvalContext& ctx) {
+  {
     obs::ObsSpan reorder_span("dse.reorder", "dse");
     ordering::apply_ordering(sys, ordering::channel_ordering(sys));
   }
@@ -80,11 +79,11 @@ struct Evaluated {
 // Applies a selection (plus reordering) to a copy and analyzes it through
 // the memo.
 Evaluated evaluate_candidate(const SystemModel& sys,
-                             const SelectionVector& selection, bool reorder,
+                             const SelectionVector& selection,
                              EvalContext& ctx) {
   Evaluated out{sys, {}};
   apply_selection(out.system, selection);
-  out.report = reorder_and_analyze(out.system, reorder, ctx);
+  out.report = reorder_and_analyze(out.system, ctx);
   obs::count("dse.candidates_evaluated");
 #ifndef NDEBUG
   // Memo guard: the report served through the memo and the warm solver must
@@ -100,21 +99,20 @@ Evaluated evaluate_candidate(const SystemModel& sys,
   return out;
 }
 
-// Timing optimization, shared by both loops: cascade from the paper's
-// liberal formulation to progressively stricter ones. A liberal move can
-// slow a process that sits on a *different* near-critical cycle (the
-// per-cycle ILP cannot see the coupling), so each policy in turn solves its
-// ILP, its selection is trial-evaluated (unless it equals the current
-// selection or an earlier policy's, already rejected), and the first
-// non-degrading one wins; under an area budget it must also fit the budget.
+// Timing optimization: cascade from the paper's liberal formulation to
+// progressively stricter ones. A liberal move can slow a process that sits
+// on a *different* near-critical cycle (the per-cycle ILP cannot see the
+// coupling), so each policy in turn solves its ILP, its selection is
+// trial-evaluated (unless it equals the current selection or an earlier
+// policy's, already rejected), and the first non-degrading one wins.
 // Plateaus (<=) are accepted: with several co-critical cycles, fixing one
 // keeps CT flat until the next iteration attacks the twin cycle; the
-// callers' visited sets guarantee termination. Returns false when no
+// caller's visited set guarantees termination. Returns false when no
 // candidate is accepted.
 bool timing_opt_move(const SystemModel& sys, const PerformanceReport& report,
-                     std::int64_t needed, std::optional<double> area_budget,
-                     std::int64_t ring_cap, bool reorder, EvalContext& ctx,
-                     SelectionVector* next, Evaluated* move) {
+                     std::int64_t needed, std::int64_t ring_cap,
+                     EvalContext& ctx, SelectionVector* next,
+                     Evaluated* move) {
   const TimingOptPolicy kPolicies[] = {
       {/*allow_critical_slowdown=*/true, /*pin_non_critical=*/false},
       {/*allow_critical_slowdown=*/false, /*pin_non_critical=*/false},
@@ -127,17 +125,15 @@ bool timing_opt_move(const SystemModel& sys, const PerformanceReport& report,
       obs::ObsSpan select_span("dse.select", "dse");
       obs::count("dse.timing_opts");
       to = timing_optimization(sys, report.critical_processes, needed,
-                               area_budget, ring_cap, policy);
+                               ring_cap, policy);
     }
     if (!to.feasible ||
         std::find(tried.begin(), tried.end(), to.selection) != tried.end()) {
       continue;
     }
-    Evaluated candidate = evaluate_candidate(sys, to.selection, reorder, ctx);
+    Evaluated candidate = evaluate_candidate(sys, to.selection, ctx);
     if (candidate.report.live &&
-        candidate.report.cycle_time <= report.cycle_time &&
-        (!area_budget ||
-         candidate.system.total_area() <= *area_budget + 1e-9)) {
+        candidate.report.cycle_time <= report.cycle_time) {
       *next = std::move(to.selection);
       *move = std::move(candidate);
       return true;
@@ -192,7 +188,7 @@ ExplorationResult explore(SystemModel sys, const ExplorerOptions& options) {
   PerformanceReport report;
   {
     obs::ObsSpan init_span("dse.iteration", "dse");
-    report = reorder_and_analyze(sys, options.reorder_channels, ctx);
+    report = reorder_and_analyze(sys, ctx);
   }
   record(0, Action::kInit, report);
   visited.insert(current_selection(sys));
@@ -236,13 +232,12 @@ ExplorationResult explore(SystemModel sys, const ExplorerOptions& options) {
       if (ar.feasible && ar.selection != current_selection(sys)) {
         next = ar.selection;
         action = Action::kAreaRecovery;
-        move = evaluate_candidate(sys, next, options.reorder_channels, ctx);
+        move = evaluate_candidate(sys, next, ctx);
         accepted = move.report.live;
       }
     } else {
-      accepted = timing_opt_move(sys, report, -slack, std::nullopt,
-                                 options.target_cycle_time,
-                                 options.reorder_channels, ctx, &next, &move);
+      accepted = timing_opt_move(sys, report, -slack,
+                                 options.target_cycle_time, ctx, &next, &move);
       if (accepted) action = Action::kTimingOpt;
     }
 
@@ -285,61 +280,6 @@ ExplorationResult explore(SystemModel sys, const ExplorerOptions& options) {
     ERMES_LOG(kDebug) << "dse: rolled back to best state (CT="
                       << rec.cycle_time << ", area=" << rec.area << ")";
   }
-  result.met_target = !result.history.empty() &&
-                      result.history.back().meets_target;
-  result.final_system = std::move(sys);
-  return result;
-}
-
-ExplorationResult explore_area_constrained(SystemModel sys,
-                                           double area_budget,
-                                           const ExplorerOptions& options) {
-  obs::ObsSpan explore_span("dse.explore_area_constrained", "dse");
-  ExplorationResult result;
-  std::set<SelectionVector> visited;
-  EvalContext ctx(options);
-
-  auto record = [&](int iteration, Action action,
-                    const PerformanceReport& report) {
-    IterationRecord rec;
-    rec.iteration = iteration;
-    rec.action = action;
-    rec.live = report.live;
-    rec.cycle_time = report.cycle_time;
-    rec.area = sys.total_area();
-    rec.slack = 0;
-    rec.meets_target = report.live && rec.area <= area_budget + 1e-9;
-    rec.critical_processes = report.critical_processes;
-    result.history.push_back(rec);
-  };
-
-  PerformanceReport report =
-      reorder_and_analyze(sys, options.reorder_channels, ctx);
-  record(0, Action::kInit, report);
-  visited.insert(current_selection(sys));
-
-  for (int iter = 1; iter <= options.max_iterations && report.live; ++iter) {
-    if (options.should_stop && options.should_stop()) {
-      result.cancelled = true;
-      obs::count("dse.cancelled");
-      break;
-    }
-    obs::ObsSpan iter_span("dse.iteration", "dse");
-    obs::count("dse.iterations");
-    SelectionVector next;
-    Evaluated move;
-    if (!timing_opt_move(sys, report, /*needed=*/0, area_budget,
-                         /*ring_cap=*/0, options.reorder_channels, ctx, &next,
-                         &move) ||
-        !visited.insert(next).second) {
-      result.converged = true;
-      break;
-    }
-    sys = std::move(move.system);
-    report = move.report;
-    record(iter, Action::kTimingOpt, report);
-  }
-
   result.met_target = !result.history.empty() &&
                       result.history.back().meets_target;
   result.final_system = std::move(sys);

@@ -2,8 +2,8 @@
 // The ERMES exploration loop (paper Fig. 5).
 //
 // Iterate:
-//   1. (optionally) run the channel-ordering algorithm on the current
-//      process latencies;
+//   1. run the channel-ordering algorithm (Alg. 1) on the current process
+//      latencies;
 //   2. analyze the system (cycle time CT, critical cycle);
 //   3. slack sp = TCT - CT: sp > 0 -> area recovery; sp <= 0 -> timing
 //      optimization;
@@ -41,13 +41,12 @@ struct IterationRecord {
 struct ExplorerOptions {
   std::int64_t target_cycle_time = 0;  // TCT (explore only)
   int max_iterations = 32;
-  bool reorder_channels = true;  // run Algorithm 1 after each selection
 
   // --- execution (see analysis/eval_cache.h) ------------------------------
   //
   /// Threads sweep() spreads its targets over: 1 = serial (default), <= 0 =
-  /// all cores. One exploration always runs serially; explore() and
-  /// explore_area_constrained() ignore this field.
+  /// all cores. One exploration always runs serially; explore() ignores
+  /// this field.
   int jobs = 1;
   /// Memo for candidate evaluations. nullptr = a fresh per-run cache (still
   /// reuses results across iterations); pass a shared cache to also reuse
@@ -79,16 +78,6 @@ struct ExplorationResult {
 /// Runs the methodology on a copy of `sys`.
 ExplorationResult explore(sysmodel::SystemModel sys,
                           const ExplorerOptions& options);
-
-/// The paper's dual formulation ("the formulation with area constraints"):
-/// minimize the cycle time subject to a hard `area_budget`. Iterates the
-/// area-budgeted timing optimization until no selection improves the cycle
-/// time without blowing the budget. IterationRecord::meets_target reports
-/// the area constraint instead of a timing one. Every option but
-/// target_cycle_time applies as in explore().
-ExplorationResult explore_area_constrained(sysmodel::SystemModel sys,
-                                           double area_budget,
-                                           const ExplorerOptions& options);
 
 /// One exploration of `sys` per target, result i for targets[i]; every
 /// other option applies as in explore(). The targets spread over

@@ -12,7 +12,6 @@ using sysmodel::SystemModel;
 TimingOptResult timing_optimization(const SystemModel& sys,
                                     const std::vector<ProcessId>& critical,
                                     std::int64_t needed,
-                                    std::optional<double> area_budget,
                                     std::int64_t ring_cap,
                                     TimingOptPolicy policy) {
   TimingOptResult result;
@@ -45,8 +44,7 @@ TimingOptResult timing_optimization(const SystemModel& sys,
         }
       });
 
-  // Stage A: maximize the critical-cycle latency gain, optionally under the
-  // area budget.
+  // Stage A: maximize the critical-cycle latency gain.
   ilp::MckpProblem stage_a;
   for (ProcessId p = 0; p < sys.num_processes(); ++p) {
     const auto pi = static_cast<std::size_t>(p);
@@ -55,13 +53,10 @@ TimingOptResult timing_optimization(const SystemModel& sys,
       ilp::MckpItem item;
       item.value = on_critical[pi] ? static_cast<double>(cand.latency_gain)
                                    : 0.0;
-      item.weight = area_budget ? -cand.area_gain : 0.0;
       group.push_back(item);
     }
     stage_a.groups.push_back(std::move(group));
   }
-  stage_a.capacity =
-      area_budget ? (*area_budget - sys.total_area()) : 0.0;
   const ilp::MckpSolution best_gain = ilp::solve_mckp(stage_a);
   if (!best_gain.feasible()) return result;
   const auto l_star = static_cast<std::int64_t>(best_gain.value + 0.5);
@@ -87,24 +82,8 @@ TimingOptResult timing_optimization(const SystemModel& sys,
     stage_b.groups.push_back(std::move(group));
   }
   stage_b.capacity = static_cast<double>(-required);
-  // NOTE: the area budget, when present, must persist into stage B; encode
-  // by rejecting stage-B solutions that blow the budget and falling back to
-  // stage A's selection.
   const ilp::MckpSolution refined = ilp::solve_mckp(stage_b);
-
-  const ilp::MckpSolution* chosen = &best_gain;
-  if (refined.feasible()) {
-    if (!area_budget) {
-      chosen = &refined;
-    } else {
-      double area_gain = 0.0;
-      for (ProcessId p = 0; p < sys.num_processes(); ++p) {
-        const auto pi = static_cast<std::size_t>(p);
-        area_gain += cands[pi][refined.choice[pi]].area_gain;
-      }
-      if (sys.total_area() - area_gain <= *area_budget) chosen = &refined;
-    }
-  }
+  const ilp::MckpSolution* chosen = refined.feasible() ? &refined : &best_gain;
 
   result.feasible = true;
   result.selection.resize(static_cast<std::size_t>(sys.num_processes()));

@@ -3,19 +3,16 @@
 //
 // Given a system violating the target (slack sp <= 0), select
 // implementations maximizing the cumulative latency gain over critical-cycle
-// processes (the primal ILP). Two refinements mirror the ERMES behaviour
-// reported in Section 6:
-//  * an optional area budget yields the paper's "dual" formulation;
-//  * after fixing the maximum achievable latency gain L*, a second stage
-//    recovers area subject to keeping the critical-cycle latency gain at
-//    least min(L*, needed) — this reproduces "selecting much faster
-//    implementations for some of the processes on the critical cycle [while]
-//    the corresponding area overhead is recovered by selecting smaller
-//    implementations for other processes ... provided that the cumulative
-//    balance of their latency gains remains positive".
+// processes (the primal ILP). After fixing the maximum achievable latency
+// gain L*, a second stage recovers area subject to keeping the
+// critical-cycle latency gain at least min(L*, needed) — this mirrors the
+// ERMES behaviour reported in Section 6: "selecting much faster
+// implementations for some of the processes on the critical cycle [while]
+// the corresponding area overhead is recovered by selecting smaller
+// implementations for other processes ... provided that the cumulative
+// balance of their latency gains remains positive".
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "dse/selection.h"
@@ -30,9 +27,6 @@ struct TimingOptResult {
   double area_gain = 0.0;         // total area gain (usually negative)
 };
 
-/// `critical` = processes on the critical cycle; `needed` = CT - TCT (> 0
-/// when the target is violated); `area_budget` caps the total area of the
-/// resulting system when set.
 /// Aggressiveness of the area-recovery side of timing optimization. The
 /// paper's formulation is the liberal default; the explorer falls back to
 /// stricter variants when a liberal move would create a worse critical
@@ -48,11 +42,12 @@ struct TimingOptPolicy {
   bool pin_non_critical = false;
 };
 
-/// `ring_cap` as in area_recovery (0 = disabled; typically the TCT).
+/// `critical` = processes on the critical cycle; `needed` = CT - TCT (> 0
+/// when the target is violated); `ring_cap` as in area_recovery (0 =
+/// disabled; typically the TCT).
 TimingOptResult timing_optimization(
     const sysmodel::SystemModel& sys,
     const std::vector<sysmodel::ProcessId>& critical, std::int64_t needed,
-    std::optional<double> area_budget = std::nullopt,
     std::int64_t ring_cap = 0, TimingOptPolicy policy = {});
 
 }  // namespace ermes::dse

@@ -1,7 +1,6 @@
 #pragma once
 // Strongly connected components (Tarjan). Used to restrict cycle-time
-// analysis to the strongly connected portion of a TMG and by the elementary
-// cycle enumerator.
+// analysis to the strongly connected portion of a TMG.
 
 #include <vector>
 

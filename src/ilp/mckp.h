@@ -5,24 +5,19 @@
 // Both ILP problems of Section 5 have this structure (groups = processes,
 // items = Pareto implementations): area recovery maximizes cumulative area
 // gain subject to the latency-slack budget on the critical cycle; timing
-// optimization maximizes latency gain (optionally under an area budget —
-// the "dual formulation" the paper mentions). The paper hands them to GLPK;
-// here two exact solvers are provided:
-//  * solve_mckp      — depth-first branch-and-bound specialised to MCKP.
-//                      Groups whose items all share one weight are fixed up
-//                      front to their first max-value item; every other
-//                      node is bounded by the LP relaxation, i.e. greedy
-//                      over the per-group upper convex hulls with segments
-//                      sorted once by incremental efficiency (Sinha &
-//                      Zoltners 1979; Pisinger 1995). The root LP rounded
-//                      down is a feasible selection whose value seeds the
-//                      pruning threshold. Groups are searched in order and
-//                      items in index order, and a node is pruned when its
-//                      bound is <= incumbent + 1e-9, so of several optima
-//                      the lexicographically smallest choice vector is
-//                      returned. Weights may be negative or fractional.
-//  * solve_mckp_dp   — exact dynamic program over integer weights, the
-//                      test oracle for solve_mckp.
+// optimization maximizes latency gain. The paper hands them to GLPK; here
+// solve_mckp solves them exactly by a depth-first branch-and-bound
+// specialised to MCKP. Groups whose items all share one weight are fixed up
+// front to their first max-value item; every other node is bounded by the
+// LP relaxation, i.e. greedy over the per-group upper convex hulls with
+// segments sorted once by incremental efficiency (Sinha & Zoltners 1979;
+// Pisinger 1995). The root LP rounded down is a feasible selection whose
+// value seeds the pruning threshold. Groups are searched in order and items
+// in index order, and a node is pruned when its bound is <= incumbent +
+// 1e-9, so of several optima the lexicographically smallest choice vector is
+// returned. Weights may be negative or fractional. Its test oracles (an
+// integer DP and a generic simplex + branch-and-bound) live in
+// tests/lp_oracle.
 //
 // A solution is feasible when its total weight is at most capacity + 1e-9.
 
@@ -50,8 +45,8 @@ enum class MckpStatus {
 
 struct MckpSolution {
   MckpStatus status = MckpStatus::kInfeasible;
-  /// Upper bound on the optimum from the root LP relaxation (solve_mckp; the
-  /// DP reports its exact value). -infinity when infeasible.
+  /// Upper bound on the optimum from the root LP relaxation. -infinity when
+  /// infeasible.
   double bound = -std::numeric_limits<double>::infinity();
   double value = 0.0;
   double weight = 0.0;
@@ -67,12 +62,5 @@ inline constexpr std::int64_t kMckpMaxNodes = 1'000'000;
 /// would be searched, returns the best incumbent with status kLimit.
 MckpSolution solve_mckp(const MckpProblem& problem,
                         std::int64_t max_nodes = kMckpMaxNodes);
-
-/// Exact DP; requires integer weights (asserted). Negative weights are
-/// handled by per-group shifting. O(sum(items) * weight-range).
-MckpSolution solve_mckp_dp(const MckpProblem& problem);
-
-/// DP core for non-negative integer weights; exposed for tests.
-MckpSolution solve_mckp_dp_nonneg(const MckpProblem& problem);
 
 }  // namespace ermes::ilp

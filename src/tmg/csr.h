@@ -21,10 +21,11 @@
 //    policy), and one HowardWorkspace.
 //
 // Determinism contract: `solve()` is bit-identical to the reference oracle
-// tmg::max_cycle_ratio_howard (tmg/howard.h, used only by tests and
-// benchmarks) on every graph, and `solve_component()` is bit-identical to
-// max_cycle_ratio_howard_scc on live graphs — same ratio_num/ratio_den, same
-// critical cycle under the existing tie-break, and the same double `ratio`.
+// tmg::max_cycle_ratio_howard (tests/lp_oracle/howard.h, linked only by
+// tests and benchmarks) on every graph, and `solve_component()` is
+// bit-identical to max_cycle_ratio_howard_scc on live graphs — same
+// ratio_num/ratio_den, same critical cycle under the existing tie-break, and
+// the same double `ratio`.
 // This holds because (a) CSR slots list each transition's out-places in
 // ascending PlaceId order, which is Digraph::out_arcs order of the oracle's
 // ratio graph (tmg::to_ratio_graph), (b) the canonical initial policy (first
@@ -191,8 +192,8 @@ bool find_zero_token_cycle(const MarkedGraph& g, std::vector<PlaceId>* cycle);
 
 /// Test-only override of the defensive policy-iteration cap. `cap` > 0
 /// replaces the default 64 + 2*|SCC| bound for every subsequent solve; 0
-/// restores the default. The legacy oracle (tmg/howard.h) honors it too, so
-/// the two stay bit-identical even when capped.
+/// restores the default. The legacy oracle (tests/lp_oracle) honors it too,
+/// so the two stay bit-identical even when capped.
 void set_howard_iteration_cap_for_testing(int cap);
 
 namespace detail {

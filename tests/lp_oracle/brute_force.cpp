@@ -1,8 +1,8 @@
-#include "tmg/brute_force.h"
+#include "lp_oracle/brute_force.h"
 
 #include <limits>
 
-#include "graph/cycles.h"
+#include "lp_oracle/cycles.h"
 
 namespace ermes::tmg {
 

@@ -1,4 +1,4 @@
-#include "graph/cycles.h"
+#include "lp_oracle/cycles.h"
 
 #include <algorithm>
 

@@ -1,4 +1,4 @@
-#include "tmg/howard.h"
+#include "lp_oracle/howard.h"
 
 #include <cassert>
 #include <limits>

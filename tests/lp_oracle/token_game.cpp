@@ -1,4 +1,4 @@
-#include "tmg/token_game.h"
+#include "lp_oracle/token_game.h"
 
 #include <algorithm>
 #include <cassert>

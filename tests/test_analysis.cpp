@@ -10,9 +10,9 @@
 #include "analysis/deadlock.h"
 #include "analysis/performance.h"
 #include "analysis/tmg_builder.h"
+#include "lp_oracle/token_game.h"
 #include "sysmodel/builder.h"
 #include "tmg/liveness.h"
-#include "tmg/token_game.h"
 
 namespace ermes::analysis {
 namespace {

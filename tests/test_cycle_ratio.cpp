@@ -9,12 +9,12 @@
 #include <limits>
 
 #include "graph/scc.h"
-#include "tmg/brute_force.h"
-#include "tmg/howard.h"
+#include "lp_oracle/brute_force.h"
+#include "lp_oracle/howard.h"
+#include "lp_oracle/token_game.h"
 #include "tmg/karp.h"
 #include "tmg/liveness.h"
 #include "tmg/marked_graph.h"
-#include "tmg/token_game.h"
 #include "util/rng.h"
 
 namespace ermes::tmg {

@@ -56,19 +56,19 @@
 #include "comp/incremental.h"
 #include "comp/partition.h"
 #include "graph/scc.h"
+#include "liveness_oracle.h"
+#include "lp_oracle/brute_force.h"
+#include "lp_oracle/howard.h"
+#include "lp_oracle/token_game.h"
 #include "ordering/channel_ordering.h"
 #include "ordering/repair.h"
 #include "synth/generator.h"
 #include "sysmodel/system.h"
-#include "tmg/brute_force.h"
 #include "tmg/csr.h"
 #include "tmg/cycle_ratio.h"
-#include "tmg/howard.h"
 #include "tmg/karp.h"
 #include "tmg/liveness.h"
-#include "liveness_oracle.h"
 #include "tmg/marked_graph.h"
-#include "tmg/token_game.h"
 #include "util/rng.h"
 
 namespace ermes::tmg {

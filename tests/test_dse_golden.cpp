@@ -1,8 +1,8 @@
 // Golden DSE trajectories. Each case pins every iteration's action, exact
 // cycle time and exact area, the met/converged flags and a digest of the
 // final selection vector, for the paper's MPEG-2 explorations (Fig. 6 left
-// and right, the Table 1 targets, the area-constrained dual) and for 20
-// seeded synthetic SoCs with generated Pareto sets.
+// and right, the Table 1 targets) and for 20 seeded synthetic SoCs with
+// generated Pareto sets.
 //
 // A change to the selection solvers or the exploration loop that moves any
 // of these strings changed a DSE answer, not only its speed. When a move is
@@ -84,10 +84,6 @@ const std::map<std::string, std::string>& golden() {
        "area-recovery 3249804 1.2897642234169815;"
        "timing-opt 2921219 1.3067195628282959;"
        "met=1 conv=1 sel=9c962b0ddc14ec40"},
-      {"dual-mpeg2-1.15",
-       "init 2921924 1.4481815192509768;"
-       "timing-opt 2501312 1.6650880287539942;"
-       "met=1 conv=1 sel=86e1f32ed747263b"},
       {"syn-7000",
        "init 343 9.7301502758871834;"
        "timing-opt 302 10.403856971477044;"
@@ -246,13 +242,6 @@ TEST(DseGoldenTest, Table1M2TargetFromM1) {
   ExplorerOptions options;
   options.target_cycle_time = m2_cycle_time();
   expect_golden("table1-m2-from-m1", explore(std::move(m1), options));
-}
-
-TEST(DseGoldenTest, DualMpeg2UnderBudget) {
-  sysmodel::SystemModel sys = mpeg2::make_characterized_mpeg2_encoder();
-  const double area_budget = sys.total_area() * 1.15;
-  expect_golden("dual-mpeg2-1.15",
-                explore_area_constrained(std::move(sys), area_budget, {}));
 }
 
 // Synthetic SoCs of 32/48/64 processes with generated Pareto sets, explored

@@ -6,12 +6,12 @@
 #include <algorithm>
 #include <set>
 
-#include "graph/cycles.h"
 #include "graph/digraph.h"
 #include "graph/dot.h"
 #include "graph/scc.h"
 #include "graph/topo.h"
 #include "graph/traversal.h"
+#include "lp_oracle/cycles.h"
 #include "util/rng.h"
 
 namespace ermes::graph {

@@ -10,6 +10,7 @@
 
 #include "ilp/mckp.h"
 #include "lp_oracle/branch_and_bound.h"
+#include "lp_oracle/mckp_dp.h"
 #include "obs/metrics.h"
 #include "util/rng.h"
 

@@ -1,4 +1,4 @@
-// Unit tests for latency sensitivity analysis and exploration reporting.
+// Unit tests for latency sensitivity analysis.
 
 #include <gtest/gtest.h>
 
@@ -9,8 +9,6 @@
 #include "analysis/performance.h"
 #include "analysis/sensitivity.h"
 #include "apps/mpeg2/characterization.h"
-#include "dse/explorer.h"
-#include "dse/report.h"
 #include "ordering/channel_ordering.h"
 #include "ordering/repair.h"
 #include "synth/generator.h"
@@ -157,57 +155,6 @@ TEST(SensitivityTest, SortedDescending) {
     EXPECT_GE(report.processes[i - 1].ct_gain_per_cycle,
               report.processes[i].ct_gain_per_cycle);
   }
-}
-
-// ---- dse report -------------------------------------------------------------
-
-const dse::ExplorationResult& sample_exploration() {
-  // The MPEG-2 exploration is a few seconds of ILP; share it across tests.
-  static const dse::ExplorationResult result = [] {
-    SystemModel sys = mpeg2::make_characterized_mpeg2_encoder();
-    dse::ExplorerOptions options;
-    options.target_cycle_time = static_cast<std::int64_t>(
-        analysis::analyze_system(sys).cycle_time * 0.8);
-    options.max_iterations = 6;
-    return dse::explore(sys, options);
-  }();
-  return result;
-}
-
-TEST(DseReportTest, TableContainsEveryIteration) {
-  const dse::ExplorationResult& result = sample_exploration();
-  const std::string table =
-      dse::history_table(result, result.final_system);
-  for (const dse::IterationRecord& rec : result.history) {
-    EXPECT_NE(table.find(dse::to_string(rec.action)), std::string::npos);
-  }
-  EXPECT_NE(table.find("cycle time"), std::string::npos);
-}
-
-TEST(DseReportTest, CsvHasHeaderAndRows) {
-  const dse::ExplorationResult& result = sample_exploration();
-  const std::string csv = dse::history_csv(result);
-  EXPECT_EQ(csv.substr(0, 9), "iteration");
-  std::size_t lines = 0;
-  for (char ch : csv) {
-    if (ch == '\n') ++lines;
-  }
-  EXPECT_EQ(lines, result.history.size() + 1);
-}
-
-TEST(DseReportTest, VerdictSummarizesEndpoints) {
-  const dse::ExplorationResult& result = sample_exploration();
-  const std::string text = dse::verdict(result);
-  EXPECT_NE(text.find("iterations"), std::string::npos);
-  EXPECT_NE(text.find("area"), std::string::npos);
-  if (result.met_target) {
-    EXPECT_EQ(text.rfind("target met", 0), 0u);
-  }
-}
-
-TEST(DseReportTest, EmptyHistoryHandled) {
-  dse::ExplorationResult empty;
-  EXPECT_EQ(dse::verdict(empty), "no exploration performed");
 }
 
 }  // namespace

@@ -11,11 +11,11 @@
 #include <vector>
 
 #include "graph/scc.h"
+#include "lp_oracle/howard.h"
 #include "obs/metrics.h"
 #include "ratio_graph_solver.h"
 #include "tmg/csr.h"
 #include "tmg/cycle_ratio.h"
-#include "tmg/howard.h"
 #include "tmg/marked_graph.h"
 #include "tmg/workspace.h"
 

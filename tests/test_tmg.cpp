@@ -3,10 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include "lp_oracle/token_game.h"
 #include "tmg/dot.h"
 #include "tmg/liveness.h"
 #include "tmg/marked_graph.h"
-#include "tmg/token_game.h"
 
 namespace ermes::tmg {
 namespace {
