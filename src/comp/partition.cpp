@@ -74,12 +74,12 @@ PartitionedReport assemble_partitioned(
 std::string summarize_partitioned(const PartitionedReport& part,
                                   const sysmodel::SystemModel& sys) {
   std::ostringstream out;
-  out << part.sccs.size() << " components";
   if (!part.report.live) {
-    out << "; DEADLOCK: token-free cycle of " << part.report.dead_cycle.size()
+    out << "DEADLOCK: token-free cycle of " << part.report.dead_cycle.size()
         << " places";
     return out.str();
   }
+  out << part.sccs.size() << " components";
   for (std::size_t i = 0; i < part.sccs.size(); ++i) {
     const SccInfo& scc = part.sccs[i];
     out << "\n  scc " << i << ": " << scc.processes.size() << " processes, "

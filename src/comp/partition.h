@@ -80,7 +80,8 @@ PartitionedReport assemble_partitioned(
     const analysis::SystemTmg& stmg, const graph::SccResult& sccs,
     const std::vector<tmg::CycleRatioResult>& per_scc);
 
-/// Human-readable per-component breakdown (for logs and the CLI).
+/// Human-readable per-component breakdown (for logs and the CLI); for a
+/// deadlocked system, only the token-free cycle's size.
 std::string summarize_partitioned(const PartitionedReport& part,
                                   const sysmodel::SystemModel& sys);
 

@@ -371,11 +371,17 @@ int cmd_compose(int argc, char** argv) {
   }
   const sysmodel::SystemModel& sys = flat.system;
   // Status goes to stderr: stdout carries the machine-readable artifact
-  // (the flat .soc, or the dot graph) and must stay pipeable.
-  std::fprintf(stderr, "flattened %s: %lld processes, %lld channels\n",
-               hier.system_name.c_str(),
-               static_cast<long long>(sys.num_processes()),
-               static_cast<long long>(sys.num_channels()));
+  // (the flat .soc, or the dot graph) and must stay pipeable. A report alone
+  // prints it only once the analysis succeeds, so a deadlock's stderr is its
+  // one error line.
+  const auto print_flattened = [&] {
+    std::fprintf(stderr, "flattened %s: %lld processes, %lld channels\n",
+                 hier.system_name.c_str(),
+                 static_cast<long long>(sys.num_processes()),
+                 static_cast<long long>(sys.num_channels()));
+  };
+  const bool report_only = report && !dot && out_path == nullptr;
+  if (!report_only) print_flattened();
 
   if (out_path != nullptr) {
     if (!io::save_soc(sys, out_path, hier.system_name)) {
@@ -416,6 +422,7 @@ int cmd_compose(int argc, char** argv) {
       std::fprintf(stderr, "error: system deadlocks\n");
       return kExitAnalysis;
     }
+    if (report_only) print_flattened();
     std::printf("cycle time %s, throughput %s\n",
                 util::format_double(part.report.cycle_time).c_str(),
                 util::format_double(part.report.throughput, 6).c_str());
