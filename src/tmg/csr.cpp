@@ -41,15 +41,15 @@ struct SolverCounters {
   }
 };
 
-// Howard policy iteration on one strongly connected component of a live
-// CSR view. It mirrors the reference oracle's SccSolver
-// (tests/lp_oracle/howard.cpp) line for line: same member iteration order,
-// same slot (== out_arcs) order, same floating-point expressions and 1e-9
-// epsilon — so given the same initial policy it follows the identical
-// trajectory and reports bit-identical results. The differences are representation (slots instead of ArcIds,
-// workspace-owned scratch instead of per-solve assigns), the externally
-// supplied seed policy, and the oracle's token-free-cycle branches, which
-// cannot fire here: on a live graph every policy cycle carries a token.
+// Howard policy iteration on one strongly connected component of a live CSR
+// view. It mirrors the reference oracle's SccSolver
+// (tests/lp_oracle/howard.cpp) line for line: same member iteration order, same
+// slot (== out_arcs) order, same floating-point expressions and 1e-9 epsilon —
+// so given the same initial policy it follows the identical trajectory and
+// reports bit-identical results. The differences are representation (slots
+// instead of ArcIds, workspace-owned scratch instead of per-solve assigns), the
+// externally supplied seed policy, and the oracle's token-free-cycle branches,
+// which cannot fire here: on a live graph every policy cycle carries a token.
 class CsrSccSolver {
  public:
   CsrSccSolver(const CsrGraph& csr, const std::vector<std::int32_t>& comp_of,

@@ -1,11 +1,10 @@
 #pragma once
 // Caller-owned scratch memory for the CSR Howard solver (src/tmg/csr.h).
 //
-// The reference oracle's SccSolver re-`assign`s seven n-sized arrays on
-// every construction (tests/lp_oracle/howard.cpp); on the DSE/serve hot paths that
-// would be thousands of O(n) clears for solves that differ only in arc
-// weights. A
-// HowardWorkspace hoists those arrays out of the solver: they are resized
+// The reference oracle's SccSolver re-`assign`s seven n-sized arrays on every
+// construction (tests/lp_oracle/howard.cpp); on the DSE/serve hot paths that
+// would be thousands of O(n) clears for solves that differ only in arc weights.
+// A HowardWorkspace hoists those arrays out of the solver: they are resized
 // once (monotonically — `ensure` only grows) and reused across solves.
 //
 // Two mechanisms make reuse safe without per-solve clears:

@@ -1,7 +1,7 @@
 #pragma once
 // Feeds a hand-built tmg::RatioGraph to the CSR engine, for tests that pin
-// tmg::CycleMeanSolver to the oracles (tmg/howard.h, karp.h) on graphs whose
-// arcs carry individual weights. The engine's one input is a MarkedGraph,
+// tmg::CycleMeanSolver to the oracles (lp_oracle/howard.h, tmg/karp.h) on
+// graphs whose arcs carry individual weights. The engine's one input is a MarkedGraph,
 // whose places out of one transition all carry that transition's delay; a
 // ratio graph may weigh them differently. So the helper compiles
 // tmg::marked_graph_of(rg) (arc a becomes place a, same tokens, slots in
